@@ -452,7 +452,6 @@ def _run_single(config: RunConfig, source, dt: float) -> "_RunOutcome":
 
 
 def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
-    from .bench.metrics import nsps_from_records
     from .core.stepping import state_digest
     from .resilience import (Checkpointer, fault_injection, named_plan)
     from .resilience.runner import DEVICE_LADDER, ResilientPushEngine
@@ -475,19 +474,20 @@ def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
 
     if config.checkpoint_every > 0:
         with tempfile.TemporaryDirectory() as scratch:
-            engine, records, report = drive(
+            engine, _, report = drive(
                 Checkpointer(scratch, every=config.checkpoint_every))
     else:
-        engine, records, report = drive(None)
+        engine, _, report = drive(None)
     groups, eliminated = _plan_stats(
         getattr(engine.runner, "executor", None))
+    n = config.n_particles
     run_report = RunReport(
         mode="resilient", scenario=config.scenario,
         layout=config.layout.value, precision=config.precision.value,
-        device=report.final_device, n_particles=config.n_particles,
+        device=report.final_device, n_particles=n,
         steps=config.steps,
-        nsps=nsps_from_records(records, skip_warmup=config.warmup),
-        first_step_nsps=records[0].nsps(),
+        nsps=_steady_nsps(engine.step_seconds, n, config.warmup),
+        first_step_nsps=engine.step_seconds[0] * 1.0e9 / n,
         simulated_seconds=engine.queue.timeline.makespan,
         digest=state_digest(ensemble),
         fusion=config.fusion, fusion_groups=groups,

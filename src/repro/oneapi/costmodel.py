@@ -37,11 +37,11 @@ choice is documented against the paper number it was fitted to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import KernelError
+from ..errors import KernelError, MemoryModelError
 from ..fp import Precision
 from .device import DeviceDescriptor, DeviceType
 from .kernelspec import KernelSpec, MemoryStream, StreamKind
@@ -374,7 +374,6 @@ class CostModel:
         """
         timing = LaunchTiming()
         device = self.device
-        topo = schedule.topology
 
         # ---- 1. walk chunks: locality, first-touch, traffic ------------
         dram_bytes: Dict[int, float] = {d: 0.0 for d
@@ -400,40 +399,64 @@ class CostModel:
             return self._finish(timing, spec, schedule, precision,
                                 jit_compiled, dram_bytes, remote_total,
                                 local_total, cold_pages)
-        for chunk in schedule.chunks:
-            exec_domain = topo.domain_of(chunk.thread)
-            for stream in spec.streams:
-                span = stream.span_bytes_per_item
-                traffic = (chunk.size * span
-                           * self._stream_multiplier(stream)
-                           / self._stream_efficiency(stream))
-                if stream.allocation is None:
-                    dram_bytes[exec_domain] += traffic
-                    local_total += traffic
-                    continue
-                start = int(chunk.start * span)
-                end = min(int(chunk.end * span), stream.allocation.nbytes)
-                local, remote = stream.allocation.locality(
-                    start, end, exec_domain)
-                total = local + remote
-                if total > 0:
-                    local_frac = local / total
-                else:
-                    local_frac = 1.0
-                # DRAM load lands on the page's home domain either way.
-                dram_bytes[exec_domain] += traffic * local_frac
-                remote_traffic = traffic * (1.0 - local_frac)
-                # A remote access is served by the other domain's DRAM.
-                other = _remote_home(stream.allocation, start, end,
-                                     exec_domain)
-                dram_bytes[other] += remote_traffic
-                remote_total += remote_traffic
-                local_total += traffic * local_frac
-                if update_pages:
-                    cold_pages += stream.allocation.touch(
-                        start, end, exec_domain)
+        dram_bytes, remote_total, local_total, cold_pages = \
+            self._walk_domains(spec, schedule, update_pages)
         return self._finish(timing, spec, schedule, precision, jit_compiled,
                             dram_bytes, remote_total, local_total, cold_pages)
+
+    def _walk_domains(self, spec: KernelSpec, schedule: Schedule,
+                      update_pages: bool
+                      ) -> Tuple[Dict[int, float], float, float, int]:
+        """Price every (chunk, stream) pair of a multi-domain launch.
+
+        One numpy pass over all pairs, numbered in walk order
+        ``i = chunk * n_streams + stream`` (the schedule's chunk order,
+        then the spec's stream order).  Each pair moves ``traffic``
+        bytes; the share on pages homed in the executing domain (or not
+        yet homed — this access is about to home them) is charged to
+        that domain's DRAM, the rest to the majority home of the
+        range's remote pages and to the interconnect.  Returns
+        ``(dram_bytes, remote_total, local_total, cold_pages)``.
+
+        The result is bit-identical to visiting the pairs one by one:
+        a pair sees the page homes left by the pairs before it (see
+        :func:`_walk_allocation`), and every float total is a
+        sequential ``np.add.accumulate`` in walk order — never the
+        pairwise ``np.sum``, whose different rounding would move the
+        last bits.
+        """
+        n_domains = self.device.numa_domains
+        streams = spec.streams
+        exec_domain = schedule.topology.thread_domains[schedule.threads]
+        traffic = np.empty((len(schedule.starts), len(streams)))
+        local_frac = np.ones_like(traffic)
+        remote_home = np.repeat(exec_domain[:, None], len(streams), axis=1)
+        sharing: Dict[int, List[int]] = {}
+        for index, stream in enumerate(streams):
+            traffic[:, index] = (schedule.sizes * stream.span_bytes_per_item
+                                 * self._stream_multiplier(stream)
+                                 / self._stream_efficiency(stream))
+            if stream.allocation is not None:
+                sharing.setdefault(id(stream.allocation), []).append(index)
+        cold_pages = 0
+        for indices in sharing.values():
+            local, home, cold = _walk_allocation(
+                [streams[i] for i in indices], indices, len(streams),
+                schedule, exec_domain, n_domains, update_pages)
+            local_frac[:, indices] = local
+            remote_home[:, indices] = home
+            cold_pages += cold
+        local_traffic = (traffic * local_frac).ravel()
+        remote_traffic = (traffic * (1.0 - local_frac)).ravel()
+        exec_pair = np.repeat(exec_domain, len(streams))
+        remote_home = remote_home.ravel()
+        dram_bytes = {
+            domain: _running_total(
+                np.where(exec_pair == domain, local_traffic, 0.0)
+                + np.where(remote_home == domain, remote_traffic, 0.0))
+            for domain in range(n_domains)}
+        return (dram_bytes, _running_total(remote_traffic),
+                _running_total(local_traffic), cold_pages)
 
     def _finish(self, timing: LaunchTiming, spec: KernelSpec,
                 schedule: Schedule, precision: Precision,
@@ -504,19 +527,86 @@ class CostModel:
         return timing
 
 
-def _remote_home(allocation, start: int, end: int, exec_domain: int) -> int:
-    """Pick the domain whose DRAM serves this range's remote part.
+def _running_total(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, added strictly in order."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
-    With two domains this is simply "the other one"; for more domains
-    the majority home among the range's remote pages is used.
+
+def _walk_allocation(streams: List[MemoryStream], indices: List[int],
+                     n_streams: int, schedule: Schedule,
+                     exec_domain: np.ndarray, n_domains: int,
+                     update_pages: bool
+                     ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Locality of every (chunk, stream) pair on one USM allocation.
+
+    ``streams`` are the spec's streams over this allocation (their
+    spec positions are ``indices``); two streams can share one, e.g. a
+    READ and a WRITE of the same array.  Returns per-pair arrays of
+    shape ``(n_chunks, len(streams))`` — the local byte fraction and
+    the majority home of the remote pages (ties to the lowest domain)
+    — plus the number of pages this launch homes.
+
+    First touch is order-sensitive: pair ``i`` sees a page's pre-launch
+    home if it has one.  Otherwise, with ``update_pages``, it sees the
+    domain of the page's first toucher, the lowest-numbered pair whose
+    range covers the page: either an earlier pair, whose touch already
+    homed it, or ``i`` itself, whose own domain makes the page local
+    (as an untouched page is).  The first toucher homes every fresh
+    page once the walk is done.
     """
     from .memory import PAGE_SIZE
 
-    p0 = start // PAGE_SIZE
-    p1 = max(p0 + 1, (end - 1) // PAGE_SIZE + 1) if end > start else p0 + 1
-    pages = allocation.page_domains[p0:p1]
-    remote = pages[(pages >= 0) & (pages != exec_domain)]
-    if remote.size == 0:
-        return exec_domain
-    values, counts = np.unique(remote, return_counts=True)
-    return int(values[counts.argmax()])
+    allocation = streams[0].allocation
+    spans = [stream.span_bytes_per_item for stream in streams]
+    lo = np.stack([(schedule.starts * span).astype(np.int64)
+                   for span in spans], axis=1).ravel()
+    hi = np.minimum(np.stack([(schedule.ends * span).astype(np.int64)
+                              for span in spans], axis=1).ravel(),
+                    allocation.nbytes)
+    if np.any(lo > hi):
+        bad = np.flatnonzero(lo > hi)[0]
+        raise MemoryModelError(
+            f"byte range [{lo[bad]}, {hi[bad]}) outside allocation "
+            f"{allocation.name!r} of {allocation.nbytes} bytes")
+    walk = (np.arange(len(schedule.starts))[:, None] * n_streams
+            + np.asarray(indices)).ravel()
+    pair_domain = exec_domain[walk // n_streams]
+
+    # One entry per (pair, page) the pair's byte range overlaps.
+    first_page = lo // PAGE_SIZE
+    n_pages = np.where(hi > lo, (hi - 1) // PAGE_SIZE + 1 - first_page, 0)
+    pair = np.repeat(np.arange(len(lo)), n_pages)
+    page = first_page[pair] + np.arange(len(pair)) \
+        - np.repeat(np.cumsum(n_pages) - n_pages, n_pages)
+    home = allocation.page_domains[page].astype(np.int64)
+    if update_pages:
+        toucher = np.full(allocation.n_pages, np.iinfo(np.int64).max)
+        np.minimum.at(toucher, page, walk[pair])
+        fresh = home < 0
+        home[fresh] = exec_domain[toucher[page[fresh]] // n_streams]
+    if home.size and home.max() >= n_domains:
+        raise MemoryModelError(
+            f"allocation {allocation.name!r} has pages homed in domain "
+            f"{home.max()}, beyond this device's {n_domains}")
+    remote = (home >= 0) & (home != pair_domain[pair])
+    overlap = (np.minimum(hi[pair], (page + 1) * PAGE_SIZE)
+               - np.maximum(lo[pair], page * PAGE_SIZE))
+    remote_bytes = np.bincount(pair, weights=overlap * remote,
+                               minlength=len(lo))
+    total = hi - lo
+    local_frac = np.ones(len(lo))
+    np.divide(total - remote_bytes, total, out=local_frac, where=total > 0)
+    remote_counts = np.bincount(pair[remote] * n_domains + home[remote],
+                                minlength=len(lo) * n_domains)
+    majority = remote_counts.reshape(-1, n_domains).argmax(axis=1)
+    remote_home = np.where(remote_bytes > 0, majority, pair_domain)
+
+    cold = 0
+    if update_pages:
+        fresh = (allocation.page_domains < 0) \
+            & (toucher < np.iinfo(np.int64).max)
+        cold = int(np.count_nonzero(fresh))
+        allocation.page_domains[fresh] = \
+            exec_domain[toucher[fresh] // n_streams]
+    shape = (len(schedule.starts), len(streams))
+    return local_frac.reshape(shape), remote_home.reshape(shape), cold

@@ -51,8 +51,9 @@ class UsmAllocation:
     """One USM allocation: size, kind, and per-page NUMA homing.
 
     ``page_domains[i]`` is the domain that first touched page ``i``, or
-    -1 while untouched.  Touch/locality operations take *byte ranges*
-    relative to the allocation start.
+    -1 while untouched.  :meth:`touch` takes a *byte range* relative to
+    the allocation start; the cost model reads ``page_domains`` to split
+    a range into local and remote bytes.
     """
 
     def __init__(self, nbytes: int, kind: str = UsmKind.SHARED,
@@ -103,28 +104,6 @@ class UsmAllocation:
         if count:
             pages[fresh] = domain
         return count
-
-    def locality(self, start: int, end: int, domain: int
-                 ) -> Tuple[int, int]:
-        """Split a byte range into (local, remote) bytes for ``domain``.
-
-        Untouched pages count as local (they are about to be homed by
-        this access).  Partial first/last pages are attributed
-        proportionally.
-        """
-        p0, p1 = self._page_range(start, end)
-        if p0 == p1:
-            return 0, 0
-        total = end - start
-        pages = self.page_domains[p0:p1]
-        remote_mask = (pages >= 0) & (pages != domain)
-        if not remote_mask.any():
-            return total, 0
-        sizes = np.full(p1 - p0, PAGE_SIZE, dtype=np.int64)
-        sizes[0] -= start - p0 * PAGE_SIZE
-        sizes[-1] -= p1 * PAGE_SIZE - end
-        remote = int(sizes[remote_mask].sum())
-        return total - remote, remote
 
     def home_histogram(self) -> Dict[int, int]:
         """Pages homed per domain (untouched pages under key -1)."""

@@ -21,8 +21,9 @@ charge memory locality and scheduling overhead.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,13 +87,23 @@ class ThreadTopology:
 
     def active_units_in_domain(self, domain: int) -> int:
         """Number of busy compute units in a domain."""
-        return len({self.unit_of(t) for t in range(self.n_threads)
-                    if self.domain_of(t) == domain})
+        return int(np.count_nonzero(np.bincount(
+            self.thread_units[self.thread_domains == domain])))
 
     @property
     def active_domains(self) -> List[int]:
         """Domains that have at least one bound thread."""
         return sorted({self.domain_of(t) for t in range(self.n_threads)})
+
+    @functools.cached_property
+    def thread_units(self) -> np.ndarray:
+        """Compute unit of every thread, indexed by thread id."""
+        return np.arange(self.n_threads) // self.threads_per_unit
+
+    @functools.cached_property
+    def thread_domains(self) -> np.ndarray:
+        """NUMA domain of every thread, indexed by thread id."""
+        return self.thread_units // self.device.units_per_domain
 
 
 @dataclass(frozen=True)
@@ -109,71 +120,131 @@ class Chunk:
 
 
 class Schedule:
-    """A complete assignment of ``n_items`` work items to threads."""
+    """A complete assignment of ``n_items`` work items to threads.
 
-    def __init__(self, chunks: List[Chunk], topology: ThreadTopology,
+    Stored as a struct of arrays: chunk ``k`` covers items
+    ``[starts[k], ends[k])`` on thread ``threads[k]``, in the order the
+    scheduler dealt them (the order the cost model walks).  The arrays
+    are read-only int64; :attr:`chunks` derives :class:`Chunk` objects
+    from them on demand.
+    """
+
+    def __init__(self, starts, ends, threads, topology: ThreadTopology,
                  n_items: int, dynamic: bool) -> None:
-        self.chunks = chunks
+        self.starts = _frozen(starts)
+        self.ends = _frozen(ends)
+        self.threads = _frozen(threads)
         self.topology = topology
         self.n_items = int(n_items)
         #: Whether the schedule came from a dynamic (TBB-style)
         #: scheduler; the cost model applies the dynamic-runtime
         #: efficiency factor when true.
         self.dynamic = dynamic
-        # Exact disjoint tiling of [0, n_items): a plain item-count sum
-        # would accept overlapping chunks compensated by gaps — two
-        # threads pushing the same particles while others are skipped,
-        # the intra-launch analogue of the inter-launch hazards
-        # :mod:`repro.validation.hazard` detects.
-        expected = 0
-        for chunk in sorted(chunks, key=lambda c: c.start):
-            if chunk.start < expected:
-                raise ConfigurationError(
-                    f"schedule chunks overlap at item {chunk.start} "
-                    f"(thread {chunk.thread})")
-            if chunk.start > expected:
-                raise ConfigurationError(
-                    f"schedule leaves items [{expected}, {chunk.start}) "
-                    f"uncovered")
-            expected = chunk.end
-        if expected != n_items:
+        if not len(self.starts) == len(self.ends) == len(self.threads):
             raise ConfigurationError(
-                f"schedule covers {expected} items, expected {n_items}")
+                "schedule starts, ends and threads differ in length")
+        if len(self.threads) and not (
+                0 <= self.threads.min()
+                and self.threads.max() < topology.n_threads):
+            raise ConfigurationError(
+                f"schedule threads must be in [0, {topology.n_threads})")
+        self._check_tiling()
         tracer = active_tracer()
         if tracer is not None and not topology.is_subset:
             tracer.instant("schedule", "scheduler",
-                           n_items=self.n_items, n_chunks=len(chunks),
+                           n_items=self.n_items, n_chunks=len(self.starts),
                            n_threads=topology.n_threads,
                            dynamic=self.dynamic,
                            max_chunks_on_a_thread=
                            self.max_chunks_on_a_thread())
 
+    @classmethod
+    def from_chunks(cls, chunks: Sequence[Chunk], topology: ThreadTopology,
+                    n_items: int, dynamic: bool) -> "Schedule":
+        """Build a schedule from explicit :class:`Chunk` objects."""
+        return cls([c.start for c in chunks], [c.end for c in chunks],
+                   [c.thread for c in chunks], topology, n_items, dynamic)
+
+    def _check_tiling(self) -> None:
+        """Require an exact disjoint tiling of ``[0, n_items)``.
+
+        A plain item-count sum would accept overlapping chunks
+        compensated by gaps — two threads pushing the same particles
+        while others are skipped, the intra-launch analogue of the
+        inter-launch hazards :mod:`repro.validation.hazard` detects.
+        Empty chunks cover nothing, so they may sit anywhere.
+        """
+        backwards = np.flatnonzero(self.ends < self.starts)
+        if backwards.size:
+            k = backwards[0]
+            raise ConfigurationError(
+                f"schedule chunk [{self.starts[k]}, {self.ends[k]}) ends "
+                f"before it starts")
+        filled = np.flatnonzero(self.ends > self.starts)
+        order = filled[np.argsort(self.starts[filled])]
+        starts, ends = self.starts[order], self.ends[order]
+        expected = np.concatenate(([0], ends[:-1]))
+        mismatch = np.flatnonzero(starts != expected)
+        if mismatch.size:
+            k = mismatch[0]
+            if starts[k] < expected[k]:
+                raise ConfigurationError(
+                    f"schedule chunks overlap at item {starts[k]} "
+                    f"(thread {self.threads[order[k]]})")
+            raise ConfigurationError(
+                f"schedule leaves items [{expected[k]}, {starts[k]}) "
+                f"uncovered")
+        covered = int(ends[-1]) if len(ends) else 0
+        if covered != self.n_items:
+            raise ConfigurationError(
+                f"schedule covers {covered} items, expected {self.n_items}")
+
+    @functools.cached_property
+    def chunks(self) -> Tuple[Chunk, ...]:
+        """The chunks in walk order (derived, read-only)."""
+        return tuple(map(Chunk, self.starts.tolist(), self.ends.tolist(),
+                         self.threads.tolist()))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Items per chunk, in walk order."""
+        return self.ends - self.starts
+
+    def _totals(self, keys: np.ndarray, weights=None) -> Dict[int, int]:
+        counts = np.bincount(keys)
+        totals = counts if weights is None \
+            else np.bincount(keys, weights=weights).astype(np.int64)
+        used = np.flatnonzero(counts)
+        return dict(zip(used.tolist(), totals[used].tolist()))
+
     def items_per_thread(self) -> Dict[int, int]:
         """Total work items executed by each thread."""
-        totals: Dict[int, int] = {}
-        for chunk in self.chunks:
-            totals[chunk.thread] = totals.get(chunk.thread, 0) + chunk.size
-        return totals
+        return self._totals(self.threads, self.sizes)
 
     def chunks_per_thread(self) -> Dict[int, int]:
         """Number of chunks (scheduling events) per thread."""
-        counts: Dict[int, int] = {}
-        for chunk in self.chunks:
-            counts[chunk.thread] = counts.get(chunk.thread, 0) + 1
-        return counts
+        return self._totals(self.threads)
 
     def items_per_unit(self) -> Dict[int, int]:
         """Total work items executed on each compute unit."""
-        totals: Dict[int, int] = {}
-        for chunk in self.chunks:
-            unit = self.topology.unit_of(chunk.thread)
-            totals[unit] = totals.get(unit, 0) + chunk.size
-        return totals
+        return self._totals(self.topology.thread_units[self.threads],
+                            self.sizes)
 
     def max_chunks_on_a_thread(self) -> int:
         """Largest chunk count any one thread processes."""
-        counts = self.chunks_per_thread()
-        return max(counts.values()) if counts else 0
+        if not len(self.threads):
+            return 0
+        return int(np.bincount(self.threads).max())
+
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only 1-D int64 array (copied if writeable,
+    so no caller can mutate a schedule after validation)."""
+    array = np.asarray(values, dtype=np.int64).reshape(-1)
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
 
 class Scheduler(abc.ABC):
@@ -184,16 +255,12 @@ class Scheduler(abc.ABC):
         """Assign ``n_items`` items to the topology's threads."""
 
 
-def _split_even(start: int, end: int, parts: int) -> List[range]:
-    """Split [start, end) into ``parts`` near-equal contiguous ranges."""
-    n = end - start
-    out = []
-    offset = start
-    for i in range(parts):
-        size = n // parts + (1 if i < n % parts else 0)
-        out.append(range(offset, offset + size))
-        offset += size
-    return out
+def _split_even(n_items: int, parts: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Split [0, n_items) into ``parts`` near-equal contiguous ranges;
+    returns their ``(starts, ends)``."""
+    sizes = n_items // parts + (np.arange(parts) < n_items % parts)
+    ends = np.cumsum(sizes, dtype=np.int64)
+    return ends - sizes, ends
 
 
 class StaticScheduler(Scheduler):
@@ -208,22 +275,21 @@ class StaticScheduler(Scheduler):
     def __init__(self) -> None:
         # Deterministic chunking: memoize per (n_items, threads) so the
         # graph path's several same-range launches per step don't
-        # rebuild identical chunk lists (chunks are immutable; each
-        # call still gets its own Schedule, so tracing is unchanged).
-        self._memo: Dict[tuple, List[Chunk]] = {}
+        # rebuild identical chunk arrays (they are read-only; each call
+        # still gets its own Schedule, so tracing is unchanged).
+        self._memo: Dict[tuple, Tuple[np.ndarray, ...]] = {}
 
     def schedule(self, n_items: int, topology: ThreadTopology) -> Schedule:
         if n_items < 0:
             raise ConfigurationError(f"n_items must be >= 0, got {n_items}")
         key = (n_items, topology.n_threads)
-        chunks = self._memo.get(key)
-        if chunks is None:
-            chunks = self._memo[key] = \
-                [Chunk(r.start, r.stop, thread)
-                 for thread, r in enumerate(
-                     _split_even(0, n_items, topology.n_threads))
-                 if r.stop > r.start]
-        return Schedule(chunks, topology, n_items, dynamic=False)
+        arrays = self._memo.get(key)
+        if arrays is None:
+            starts, ends = _split_even(n_items, topology.n_threads)
+            used = np.flatnonzero(ends > starts)
+            arrays = self._memo[key] = tuple(
+                map(_frozen, (starts[used], ends[used], used)))
+        return Schedule(*arrays, topology, n_items, dynamic=False)
 
 
 class DynamicScheduler(Scheduler):
@@ -277,18 +343,14 @@ class DynamicScheduler(Scheduler):
             # this launch, so the survivors absorb the whole deal.
             n_threads = max(1, n_threads // 2)
         grain = self._grain(n_items, n_threads)
-        starts = list(range(0, n_items, grain))
         # Threads claim grains as they finish the previous one; with
         # uniform per-item cost this is a balanced random deal of the
         # grain sequence across threads.
-        deal = self._rng.permutation(len(starts))
-        chunks = []
-        for order, grain_index in enumerate(deal):
-            start = starts[grain_index]
-            end = min(start + grain, n_items)
-            thread = order % n_threads
-            chunks.append(Chunk(start, end, thread))
-        return Schedule(chunks, topology, n_items, dynamic=True)
+        grains = np.arange(0, n_items, grain, dtype=np.int64)
+        starts = grains[self._rng.permutation(len(grains))]
+        return Schedule(starts, np.minimum(starts + grain, n_items),
+                        np.arange(len(starts)) % n_threads, topology,
+                        n_items, dynamic=True)
 
 
 class NumaArenaScheduler(Scheduler):
@@ -312,7 +374,7 @@ class NumaArenaScheduler(Scheduler):
         domains = topology.active_domains
         weights = [len(topology.threads_in_domain(d)) for d in domains]
         total_threads = sum(weights)
-        chunks: List[Chunk] = []
+        starts, ends, threads = [], [], []
         offset = 0
         for domain, weight in zip(domains, weights):
             size = n_items * weight // total_threads
@@ -321,12 +383,14 @@ class NumaArenaScheduler(Scheduler):
             domain_threads = topology.threads_in_domain(domain)
             sub = self._inner.schedule(
                 size, _SubsetTopology(topology, domain_threads))
-            for chunk in sub.chunks:
-                chunks.append(Chunk(chunk.start + offset,
-                                    chunk.end + offset,
-                                    domain_threads[chunk.thread]))
+            starts.append(sub.starts + offset)
+            ends.append(sub.ends + offset)
+            threads.append(np.asarray(domain_threads,
+                                      dtype=np.int64)[sub.threads])
             offset += size
-        return Schedule(chunks, topology, n_items, dynamic=True)
+        return Schedule(np.concatenate(starts), np.concatenate(ends),
+                        np.concatenate(threads), topology, n_items,
+                        dynamic=True)
 
 
 class _SubsetTopology(ThreadTopology):
@@ -356,6 +420,14 @@ class _SubsetTopology(ThreadTopology):
     def domain_of(self, thread: int) -> int:
         return self._parent.domain_of(self._threads[thread])
 
+    @functools.cached_property
+    def thread_units(self) -> np.ndarray:
+        return self._parent.thread_units[self._threads]
+
+    @functools.cached_property
+    def thread_domains(self) -> np.ndarray:
+        return self._parent.thread_domains[self._threads]
+
 
 #: Work-group size :class:`GpuScheduler` uses unless overridden — also
 #: what the cost model's schedule-free predictor assumes for occupancy.
@@ -378,18 +450,17 @@ class GpuScheduler(Scheduler):
         self.workgroup_size = int(workgroup_size)
         # Same memoization as StaticScheduler: GPU dispatches build tens
         # of thousands of work-group chunks, identical launch to launch.
-        self._memo: Dict[tuple, List[Chunk]] = {}
+        self._memo: Dict[tuple, Tuple[np.ndarray, ...]] = {}
 
     def schedule(self, n_items: int, topology: ThreadTopology) -> Schedule:
         if n_items < 0:
             raise ConfigurationError(f"n_items must be >= 0, got {n_items}")
         key = (n_items, topology.n_threads)
-        chunks = self._memo.get(key)
-        if chunks is None:
-            chunks = []
-            for index, start in enumerate(range(0, n_items,
-                                                self.workgroup_size)):
-                end = min(start + self.workgroup_size, n_items)
-                chunks.append(Chunk(start, end, index % topology.n_threads))
-            self._memo[key] = chunks
-        return Schedule(chunks, topology, n_items, dynamic=False)
+        arrays = self._memo.get(key)
+        if arrays is None:
+            starts = np.arange(0, n_items, self.workgroup_size,
+                               dtype=np.int64)
+            arrays = self._memo[key] = tuple(map(_frozen, (
+                starts, np.minimum(starts + self.workgroup_size, n_items),
+                np.arange(len(starts)) % topology.n_threads)))
+        return Schedule(*arrays, topology, n_items, dynamic=False)

@@ -128,6 +128,11 @@ class ResilientPushEngine:
         self.devices_lost: List[str] = []
         self.restores = 0
         self.replayed_steps = 0
+        #: Simulated seconds of each completed step: the push runner's
+        #: whole-step ``step_seconds`` (every launch of a graph step)
+        #: plus the recovery time of the step's failed attempts.  A
+        #: replayed step replaces the entry the lost device produced.
+        self.step_seconds: List[float] = []
         self._build(self.devices[0])
 
     # -- queue / runner construction --------------------------------------
@@ -216,6 +221,9 @@ class ResilientPushEngine:
                 continue
             self.step_index += 1
             self.time = self.runner.time
+            del self.step_seconds[self.step_index - 1:]
+            self.step_seconds.append(self.runner.step_seconds[-1]
+                                     + record.timing.recovery_seconds)
             if self.checkpointer is not None:
                 self.checkpointer.maybe_save_push(
                     self.step_index, self.ensemble, self.time)

@@ -68,6 +68,22 @@ class TestRunPush:
         assert report.recovery is not None
         assert report.recovery.completed
 
+    @pytest.mark.parametrize("fusion", [False, True, None],
+                             ids=["unfused", "fused", "legacy"])
+    def test_fault_free_resilient_reports_match_single(self, fusion):
+        # A fault-free resilient run on a one-device ladder is the
+        # single-device run; an unfused step spans a field-eval and a
+        # push launch, and both modes must count the whole step.
+        config = dict(n_particles=20_000, device="iris-xe-max",
+                      fusion=fusion)
+        single = run_push(_config(**config))
+        resilient = run_push(_config(**config, devices=("iris-xe-max",)))
+        assert resilient.mode == "resilient"
+        assert resilient.digest == single.digest
+        assert resilient.nsps == single.nsps
+        assert resilient.first_step_nsps == single.first_step_nsps
+        assert resilient.simulated_seconds == single.simulated_seconds
+
     def test_sharded_run_shares_program_cache(self):
         report = run_push(_config(n_particles=8192,
                                   group="2x iris-xe-max", fusion=True))

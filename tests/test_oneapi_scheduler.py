@@ -48,6 +48,22 @@ class TestThreadTopology:
         assert topology.active_units_in_domain(0) == 4
         assert topology.active_units_in_domain(1) == 1
 
+    @pytest.mark.parametrize("units, tpu", [(8, 2), (5, 2), (3, 1), (8, 1)])
+    def test_thread_arrays_match_scalar_lookups(self, device, units, tpu):
+        from repro.oneapi.scheduler import _SubsetTopology
+        topology = ThreadTopology(device, units=units, threads_per_unit=tpu)
+        subset = _SubsetTopology(topology, topology.threads_in_domain(0))
+        for topo in (topology, subset):
+            threads = range(topo.n_threads)
+            assert topo.thread_units.tolist() == \
+                [topo.unit_of(t) for t in threads]
+            assert topo.thread_domains.tolist() == \
+                [topo.domain_of(t) for t in threads]
+            for domain in (0, 1):
+                assert topo.active_units_in_domain(domain) == len(
+                    {topo.unit_of(t) for t in threads
+                     if topo.domain_of(t) == domain})
+
     def test_validation(self, device):
         with pytest.raises(ConfigurationError):
             ThreadTopology(device, units=9)
@@ -206,4 +222,103 @@ class TestScheduleAccounting:
     def test_coverage_mismatch_rejected(self, topology):
         from repro.oneapi import Schedule
         with pytest.raises(ConfigurationError):
-            Schedule([Chunk(0, 5, 0)], topology, 10, dynamic=False)
+            Schedule.from_chunks([Chunk(0, 5, 0)], topology, 10, dynamic=False)
+
+
+def _dict_totals(schedule):
+    """The per-thread and per-unit totals as plain loops over chunks."""
+    items, chunks, units = {}, {}, {}
+    for chunk in schedule.chunks:
+        items[chunk.thread] = items.get(chunk.thread, 0) + chunk.size
+        chunks[chunk.thread] = chunks.get(chunk.thread, 0) + 1
+        unit = schedule.topology.unit_of(chunk.thread)
+        units[unit] = units.get(unit, 0) + chunk.size
+    return items, chunks, units
+
+
+class TestStructOfArrays:
+    @pytest.mark.parametrize("make, units, sizes, expected", [
+        (lambda: DynamicScheduler(seed=7), 8, [1000, 1000, 4096, 0, 37],
+         "078655cc4ff3f371"),
+        (lambda: DynamicScheduler(grain_size=64, seed=8), 5, [1000, 5000],
+         "c7466c75bbf74cf3"),
+        (lambda: NumaArenaScheduler(seed=9), 8, [1000, 1000, 4096, 0, 37],
+         "42f451858e8be07c"),
+        (lambda: NumaArenaScheduler(seed=10), 5, [999, 5000],
+         "010877feff2bb58e"),
+    ], ids=["dynamic", "dynamic-grain", "arena", "arena-uneven"])
+    def test_fixed_seed_deals_unchanged(self, device, make, units, sizes,
+                                        expected):
+        # Pinned from the list-of-Chunk schedulers: the array deal draws
+        # the same single permutation, so every (start, end, thread)
+        # triple of successive calls is unchanged.
+        import hashlib
+        topology = ThreadTopology(device, units=units)
+        scheduler = make()
+        digest = hashlib.sha256()
+        for n_items in sizes:
+            for c in scheduler.schedule(n_items, topology).chunks:
+                digest.update(f"{c.start},{c.end},{c.thread};".encode())
+        assert digest.hexdigest()[:16] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3000), st.integers(1, 8), st.integers(1, 2),
+           st.sampled_from(["static", "dynamic", "arena", "gpu"]))
+    def test_totals_match_dict_loops(self, n_items, units, tpu, kind):
+        topology = ThreadTopology(make_device(), units=units,
+                                  threads_per_unit=tpu)
+        scheduler = {"static": StaticScheduler,
+                     "dynamic": lambda: DynamicScheduler(seed=n_items),
+                     "arena": lambda: NumaArenaScheduler(seed=n_items),
+                     "gpu": lambda: GpuScheduler(workgroup_size=64)}[kind]()
+        schedule = scheduler.schedule(n_items, topology)
+        items, chunks, per_unit = _dict_totals(schedule)
+        assert schedule.items_per_thread() == items
+        assert schedule.chunks_per_thread() == chunks
+        assert schedule.items_per_unit() == per_unit
+        assert schedule.max_chunks_on_a_thread() == \
+            max(chunks.values(), default=0)
+
+    def test_arrays_are_read_only(self, topology):
+        schedule = DynamicScheduler(seed=1).schedule(100, topology)
+        for array in (schedule.starts, schedule.ends, schedule.threads):
+            assert array.dtype == np.int64
+            with pytest.raises(ValueError):
+                array[0] = 5
+        assert len(schedule.chunks) == len(schedule.starts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(2, 20), min_size=2, max_size=10),
+           st.integers(0, 100), st.sampled_from([-1, 1]))
+    def test_overlap_and_gap_raise(self, sizes, which, shift):
+        # Move one interior boundary of an exact tiling by one item in
+        # one chunk only: the chunks then overlap (or leave a gap).
+        from repro.oneapi import Schedule
+        topology = ThreadTopology(make_device())
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        k = 1 + which % (len(sizes) - 1)
+        starts[k] += shift
+        message = "overlap" if shift < 0 else "uncovered"
+        with pytest.raises(ConfigurationError, match=message):
+            Schedule(starts, ends, np.zeros(len(sizes), dtype=int),
+                     topology, int(ends[-1]), dynamic=True)
+
+    def test_empty_chunks_allowed_anywhere(self, topology):
+        from repro.oneapi import Schedule
+        schedule = Schedule.from_chunks(
+            [Chunk(0, 5, 0), Chunk(3, 3, 1), Chunk(5, 10, 2),
+             Chunk(10, 10, 3)], topology, 10, dynamic=True)
+        assert schedule.chunks_per_thread() == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert schedule.items_per_thread() == {0: 5, 1: 0, 2: 5, 3: 0}
+
+    def test_malformed_chunks_rejected(self, topology):
+        from repro.oneapi import Schedule
+        with pytest.raises(ConfigurationError, match="ends before"):
+            Schedule.from_chunks([Chunk(0, 10, 0), Chunk(6, 4, 1)],
+                                 topology, 10, dynamic=False)
+        with pytest.raises(ConfigurationError, match="threads"):
+            Schedule.from_chunks([Chunk(0, 10, 16)], topology, 10,
+                                 dynamic=False)
+        with pytest.raises(ConfigurationError, match="differ in length"):
+            Schedule([0], [10], [0, 1], topology, 10, dynamic=False)

@@ -509,19 +509,19 @@ class TestScheduleExactTiling:
         from repro.oneapi import Chunk, Schedule
 
         with pytest.raises(ConfigurationError, match="overlap"):
-            Schedule([Chunk(0, 6, 0), Chunk(4, 10, 1)], self._topology(),
-                     10, dynamic=False)
+            Schedule.from_chunks([Chunk(0, 6, 0), Chunk(4, 10, 1)],
+                                 self._topology(), 10, dynamic=False)
 
     def test_gap_rejected(self):
         from repro.oneapi import Chunk, Schedule
 
         with pytest.raises(ConfigurationError):
-            Schedule([Chunk(0, 4, 0), Chunk(6, 10, 1)], self._topology(),
-                     10, dynamic=False)
+            Schedule.from_chunks([Chunk(0, 4, 0), Chunk(6, 10, 1)],
+                                 self._topology(), 10, dynamic=False)
 
     def test_exact_tiling_accepted(self):
         from repro.oneapi import Chunk, Schedule
 
-        schedule = Schedule([Chunk(0, 4, 0), Chunk(4, 10, 1)],
-                            self._topology(), 10, dynamic=False)
+        schedule = Schedule.from_chunks([Chunk(0, 4, 0), Chunk(4, 10, 1)],
+                                        self._topology(), 10, dynamic=False)
         assert schedule.n_items == 10
