@@ -7,7 +7,7 @@ module makes that reasoning executable:
 
 1. :func:`enumerate_candidates` spans the space the facade can run:
    layout (AoS/SoA) x precision (float/double) x execution path
-   (legacy single-launch, graph unfused, graph fused) x SMT tiling
+   (paper harness, unfused, fused) x SMT tiling
    (one or two threads per core, CPU single-device runs) x shard
    strategy (even/bandwidth/flops splits for device groups) x device
    (``RunConfig.tune_devices``, the backend axis — candidates may
@@ -42,9 +42,8 @@ from ..fp import Precision
 from ..observability.tracer import active_tracer
 from ..oneapi.costmodel import CostModel
 from ..oneapi.device import DeviceDescriptor, DeviceType
-from ..oneapi.graph import FusionPass, KernelGraph, KernelNode, unfused_plan
-from ..oneapi.runtime import (PRECALCULATED, build_virtual_push_spec,
-                              build_virtual_step_graph)
+from ..oneapi.graph import FusionPass, KernelGraph, unfused_plan
+from ..oneapi.runtime import PRECALCULATED, build_virtual_step_graph
 from ..particles.ensemble import Layout
 from .roofline import GraphRoofline, analyze_graph
 
@@ -56,8 +55,9 @@ __all__ = ["CALIBRATION_TOLERANCE", "Candidate", "CandidatePrediction",
 #: the run is flagged as a cost-model calibration problem.
 CALIBRATION_TOLERANCE = 0.35
 
-#: Execution paths the facade can run: legacy single launch, graph
-#: unfused, graph fused (the RunConfig.fusion encoding).
+#: Execution paths the facade can run: the paper harness (untimed
+#: field refresh, labelled "legacy"), unfused, fused (the
+#: RunConfig.fusion encoding).
 _FUSION_MODES = (None, False, True)
 
 #: Shard-split strategies the tuner prices for device groups.  The
@@ -241,23 +241,13 @@ def enumerate_candidates(config) -> List[Candidate]:
 def _candidate_graph(candidate: Candidate, config, n: int,
                      field_flops: float) -> KernelGraph:
     """The per-step kernel graph ``candidate`` would launch over ``n``
-    particles — the engine's legacy single launch as a one-node graph,
-    or the graph path's field-eval/push(/diagnostics) chain."""
+    particles — the same graph the engine records for its fusion mode."""
     scenario = config.scenario
-    if candidate.fusion is None:
-        graph = KernelGraph()
-        flops = field_flops if scenario != PRECALCULATED else 0.0
-        graph.add(KernelNode(
-            spec=build_virtual_push_spec(n, candidate.layout,
-                                         candidate.precision, scenario,
-                                         None, field_flops=flops),
-            n_items=n, layout=candidate.layout.value,
-            precision=candidate.precision, tag="push"))
-        return graph
     return build_virtual_step_graph(
         n, candidate.layout, candidate.precision, scenario,
         field_flops=(field_flops if scenario != PRECALCULATED else 0.0),
-        diagnostics=config.diagnostics)
+        diagnostics=config.diagnostics,
+        untimed_fields=candidate.fusion is None)
 
 
 def _predict_on_device(candidate: Candidate, config, n: int,

@@ -129,12 +129,12 @@ class RunConfig:
         fault_plan: Named fault plan to inject (see
             :mod:`repro.resilience.plans`).
         fault_seed: Fault injector RNG seed.
-        fusion: Kernel-graph execution mode: True fuses compatible
-            kernels, False runs the graph unfused, None keeps the
-            legacy single-launch path (no graph, no program-cache
-            interplay beyond the queue's own).
+        fusion: What the per-step kernel graph times: True fuses
+            compatible kernels, False launches every node unfused,
+            None is the paper's harness — the field refresh is an
+            untimed staging node and the push the one timed launch.
         diagnostics: Append the kinetic-energy diagnostic kernel to the
-            per-step graph (graph mode only).
+            per-step graph.
         trace_path: Write a Chrome ``trace_event`` JSON here.
         checkpoint_every: Step-granular checkpoint cadence for the
             resilient/sharded engines (0 = no checkpointing).
@@ -401,9 +401,7 @@ def _program_cache(config: RunConfig):
 
 
 def _plan_stats(executor) -> Tuple[int, int]:
-    plan = getattr(executor, "last_plan", None) if executor else None
-    if plan is None:
-        return 0, 0
+    plan = executor.last_plan
     return plan.fused_group_count, plan.kernels_eliminated
 
 
@@ -434,7 +432,7 @@ def _run_single(config: RunConfig, source, dt: float) -> "_RunOutcome":
                         fusion=config.fusion,
                         diagnostics=config.diagnostics)
     engine.run(config.warmup + config.steps)
-    groups, eliminated = _plan_stats(getattr(engine, "executor", None))
+    groups, eliminated = _plan_stats(engine.executor)
     n = config.n_particles
     report = RunReport(
         mode="single", scenario=config.scenario,
@@ -478,8 +476,7 @@ def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
                 Checkpointer(scratch, every=config.checkpoint_every))
     else:
         engine, _, report = drive(None)
-    groups, eliminated = _plan_stats(
-        getattr(engine.runner, "executor", None))
+    groups, eliminated = _plan_stats(engine.runner.executor)
     n = config.n_particles
     run_report = RunReport(
         mode="resilient", scenario=config.scenario,
@@ -515,22 +512,26 @@ def _run_sharded(config: RunConfig, source, dt: float) -> "_RunOutcome":
             group, ensemble, config.scenario, source, dt,
             strategy=strategy,
             checkpointer=checkpointer, fusion=config.fusion)
+        engine.run(1)
+        first_seconds = engine.simulated_seconds
         if config.warmup > 0:
             engine.run(config.warmup)
             engine.reset_measurement()
-        return engine, engine.run(config.warmup + config.steps)
+        return (engine, first_seconds,
+                engine.run(config.warmup + config.steps))
 
     if config.checkpoint_every > 0:
         with tempfile.TemporaryDirectory() as scratch:
-            engine, report = drive(Checkpointer(
+            engine, first_seconds, report = drive(Checkpointer(
                 scratch, every=config.checkpoint_every))
     else:
-        engine, report = drive(None)
+        engine, first_seconds, report = drive(None)
     run_report = RunReport(
         mode="sharded", scenario=config.scenario,
         layout=config.layout.value, precision=config.precision.value,
         device=config.group, n_particles=config.n_particles,
-        steps=config.steps, nsps=report.nsps, first_step_nsps=report.nsps,
+        steps=config.steps, nsps=report.nsps,
+        first_step_nsps=first_seconds * 1.0e9 / config.n_particles,
         simulated_seconds=report.simulated_seconds,
         digest=state_digest(ensemble),
         fusion=config.fusion,
@@ -636,7 +637,7 @@ class PicConfig:
         device: Device spec, as in :class:`RunConfig`.
         fusion: True fuses the step's elementwise stages (gather,
             push, Monte Carlo) into one launch per species; False runs
-            the graph unfused; None keeps the legacy per-stage path.
+            the graph unfused.
         trace_path: Write a Chrome ``trace_event`` JSON here.
         persist_cache / program_cache: As in :class:`RunConfig`.
     """
@@ -651,7 +652,7 @@ class PicConfig:
     deposition: Optional[str] = None
     solver: Optional[str] = None
     device: str = "iris-xe-max"
-    fusion: Optional[bool] = True
+    fusion: bool = True
     trace_path: Optional[str] = None
     persist_cache: Optional[str] = None
     program_cache: Optional[object] = None
@@ -663,6 +664,9 @@ class PicConfig:
         self.layout = _coerce_layout(self.layout)
         self.precision = _coerce_precision(self.precision)
         get_scenario(self.scenario)       # typed error on unknown name
+        if not isinstance(self.fusion, bool):
+            raise ConfigurationError(
+                f"fusion must be True or False, got {self.fusion!r}")
         if self.n_particles is not None and self.n_particles < 1:
             raise ConfigurationError(
                 f"n_particles must be >= 1, got {self.n_particles}")
@@ -694,8 +698,8 @@ class PicReport:
     """What one :func:`run_pic` call produced.
 
     ``digest`` is :func:`repro.pic.engine.pic_state_digest` over the
-    final particles *and* grid — fused, unfused and legacy runs of the
-    same config must agree bit-for-bit.  ``energy_drift`` is the
+    final particles *and* grid — fused and unfused runs of the same
+    config must agree bit-for-bit.  ``energy_drift`` is the
     relative total-energy excursion over the measured steps (the
     scenario's validation figure); ``nsps`` is steady-state simulated
     nanoseconds per particle-step, as everywhere else in the repo.
@@ -714,7 +718,7 @@ class PicReport:
     energy_drift: float
     deposition: str
     solver: str
-    fusion: Optional[bool] = None
+    fusion: bool = True
     fusion_groups: int = 0
     kernels_eliminated: int = 0
     cache_stats: Dict[str, float] = field(default_factory=dict)
@@ -739,19 +743,17 @@ class PicReport:
                 tolerance: Optional[float] = None) -> Dict[str, object]:
         """Adapt this run into a schema-v1 regression cell."""
         from .regress.baseline import backend_of_device
-        fusion_label = {None: "legacy", True: "fused", False: "unfused"}
         metrics: Dict[str, float] = {
             "nsps": float(self.nsps),
             "cold_nsps": float(self.first_step_nsps),
+            "fusion_groups": float(self.fusion_groups),
+            "kernels_eliminated": float(self.kernels_eliminated),
         }
-        if self.fusion is not None:
-            metrics["fusion_groups"] = float(self.fusion_groups)
-            metrics["kernels_eliminated"] = float(self.kernels_eliminated)
         cell: Dict[str, object] = {
             "suite": suite,
             "backend": backend_of_device(self.device),
             "device": self.device,
-            "config": config or fusion_label[self.fusion],
+            "config": config or ("fused" if self.fusion else "unfused"),
             "layout": self.layout, "precision": self.precision,
             "scenario": self.scenario,
             "metrics": metrics,
@@ -779,7 +781,7 @@ def _execute_pic(config: PicConfig, validate: bool) -> PicReport:
     cache = _program_cache(config)
     queue = backend.make_queue(device, program_cache=cache)
     engine = PicEngine(queue, simulation, fusion=config.fusion,
-                       validate=validate and config.fusion is not None)
+                       validate=validate)
     history = EnergyHistory()
     history.record(simulation.time, simulation.grid,
                    simulation.ensembles)
@@ -787,10 +789,6 @@ def _execute_pic(config: PicConfig, validate: bool) -> PicReport:
         engine.step()
         history.record(simulation.time, simulation.grid,
                        simulation.ensembles)
-    if validate and config.fusion is None:
-        from .validation.hazard import assert_hazard_free
-        assert_hazard_free(queue.commands,
-                           in_order=queue.timeline.in_order)
     groups, eliminated = _plan_stats(engine.executor)
     n = simulation.ensembles[0].size
     return PicReport(

@@ -198,9 +198,8 @@ def measure_portability(devices: Optional[Sequence[str]] = None,
 
 # -- baseline persistence (benchmarks/BENCH_portability.json) -----------
 #
-# Since PR 9 the file is the regression farm's schema v1
-# (repro.regress.baseline); these helpers keep the PortabilityReport
-# view of it.  Reading still accepts the PR 8 flat dump.
+# The file is the regression farm's schema v1 (repro.regress.baseline);
+# these helpers keep the PortabilityReport view of it.
 
 def _report_from_snapshot(snapshot) -> PortabilityReport:
     """Rebuild a :class:`PortabilityReport` from a v1 snapshot."""
@@ -231,21 +230,47 @@ def _report_from_snapshot(snapshot) -> PortabilityReport:
         portable_config=portable_config)
 
 
+def _snapshot_from_report(report: PortabilityReport):
+    """One v1 snapshot: an ``efficiency`` cell per device plus the
+    ``pp`` summary cell the regression farm compares."""
+    from ..regress.baseline import BaselineCell, BaselineSnapshot
+    cells = []
+    for row in report.devices:
+        metrics = {"best_nsps": float(row.best_nsps),
+                   "portable_nsps": float(row.portable_nsps),
+                   "efficiency": float(row.efficiency)}
+        if row.predicted_nsps is not None:
+            metrics["predicted_nsps"] = float(row.predicted_nsps)
+        cells.append(BaselineCell(
+            keys={"suite": "portability", "backend": row.backend,
+                  "device": row.device, "config": "efficiency"},
+            metrics=metrics, extra={"best_label": row.best_label}))
+    cells.append(BaselineCell(
+        keys={"suite": "portability", "backend": "*", "device": "*",
+              "config": "pp"},
+        metrics={"pp": float(report.pp)},
+        tolerance=PP_DRIFT_TOLERANCE,
+        extra={"portable_config": dict(report.portable_config)}))
+    return BaselineSnapshot(
+        git_sha="unknown", date="", n_particles=report.n_particles,
+        cells=cells,
+        params={"steps": report.steps, "warmup": report.warmup})
+
+
 def write_baseline(report: PortabilityReport, path) -> Path:
     """Write the committed baseline file — schema v1, pretty-printed.
 
     The report becomes one v1 snapshot (per-device efficiency cells
     plus the ``pp`` summary cell the regression farm compares).
     """
-    from ..bench.trajectory import git_sha
-    from ..regress.baseline import migrate_document
+    from ..regress.baseline import Baseline, git_sha
     import datetime
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    baseline = migrate_document("portability", report.as_dict())
-    snapshot = baseline.latest
+    snapshot = _snapshot_from_report(report)
     snapshot.git_sha = git_sha()
     snapshot.date = datetime.date.today().isoformat()
+    baseline = Baseline(suite="portability", snapshots=[snapshot])
     with open(target, "w", encoding="utf-8") as handle:
         json.dump(baseline.as_dict(), handle, indent=1)
         handle.write("\n")
@@ -253,19 +278,16 @@ def write_baseline(report: PortabilityReport, path) -> Path:
 
 
 def load_baseline(path) -> PortabilityReport:
-    """Load a committed baseline (v1 or the PR 8 flat shape).
+    """Load a committed schema-v1 baseline.
 
     Malformed files raise :class:`~repro.errors.ValidationError` (the
     drift check must not silently pass on a corrupt baseline).
     """
-    from ..regress.baseline import migrate_document
+    from ..regress.baseline import parse_document
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-        if isinstance(document, dict) and "pp" in document \
-                and "devices" in document:
-            return PortabilityReport.from_dict(document)
-        baseline = migrate_document("portability", document)
+        baseline = parse_document("portability", document)
         if baseline.latest is None:
             raise ValidationError("baseline has no snapshots")
         return _report_from_snapshot(baseline.latest)

@@ -44,17 +44,6 @@ from .harness import (
 )
 from .tables import format_table, comparison_table, PAPER_TABLE2, PAPER_TABLE3
 from .validation import Check, ValidationReport, validate_against_paper
-from .trajectory import (
-    git_sha,
-    trajectory_path,
-    append_snapshot,
-    latest_snapshot,
-    load_trajectory,
-    flatten_table2,
-    flatten_table3,
-    flatten_group_report,
-    flatten_fusion,
-)
 
 __all__ = [
     "xeon_8260l_node",
@@ -89,13 +78,4 @@ __all__ = [
     "Check",
     "ValidationReport",
     "validate_against_paper",
-    "git_sha",
-    "trajectory_path",
-    "append_snapshot",
-    "latest_snapshot",
-    "load_trajectory",
-    "flatten_table2",
-    "flatten_table3",
-    "flatten_group_report",
-    "flatten_fusion",
 ]

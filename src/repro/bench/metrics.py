@@ -7,10 +7,10 @@ count and the steps per iteration.
 Public return types: :func:`nsps_from_records` returns the steady-state
 NSPS as a ``float``; :func:`measure_real_nsps` returns a
 :class:`MeasuredResult` (``nsps``, ``n_particles``, ``steps``,
-``total_seconds``).  The warm-up-skipping rule of
-:func:`nsps_from_records` is mirrored byte-for-byte by
-:func:`repro.observability.summary.steady_nsps`, so NSPS recomputed
-from a captured trace agrees exactly with the harness.
+``total_seconds``).  :func:`nsps_from_records` is also what the trace
+summary (:mod:`repro.observability.summary`) applies to its launch
+samples, so NSPS recomputed from a captured trace agrees exactly with
+the harness.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ __all__ = ["nsps_from_records", "MeasuredResult", "measure_real_nsps"]
 def nsps_from_records(records: Sequence[KernelLaunchRecord],
                       skip_warmup: int = 2) -> float:
     """Steady-state NSPS over launch records, skipping warm-up launches.
+
+    ``records`` are queue launch records or a trace's launch samples —
+    anything with an ``nsps()`` method.
 
     The paper measures 10 iterations and notes the first is ~50% slower
     (JIT + cold memory); its NSPS averages over all of them, where the

@@ -57,12 +57,13 @@ def sample_fields(fields: PrecalculatedField, source: FieldSource,
                   ensemble: ParticleEnsemble, t: float) -> None:
     """Field-evaluation kernel body: sample ``source`` into ``fields``.
 
-    In the kernel-graph execution path (:mod:`repro.oneapi.graph`) this
-    is the *timed* first node of every step — it reads the particle
-    positions and writes the six per-particle field components the push
-    node then loads.  When the fusion pass merges the two nodes those
-    component arrays are elided (the values stay in registers), which
-    is exactly the traffic saving fusion exists for.
+    The first node of every push step's kernel graph
+    (:mod:`repro.oneapi.graph`): it reads the particle positions and
+    writes the six per-particle field components the push node then
+    loads.  In the paper's harness it is an untimed staging node; timed,
+    the fusion pass can merge it with the push, eliding those component
+    arrays (the values stay in registers), which is exactly the traffic
+    saving fusion exists for.
     """
     fields.refresh(source, ensemble, t)
 

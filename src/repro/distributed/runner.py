@@ -144,10 +144,10 @@ class ShardedPushEngine:
         retry_policy / watchdog: Transient-fault recovery knobs
             (defaults as in :mod:`repro.resilience.recovery`).
         fusion: Kernel-graph execution mode of every shard's
-            :class:`~repro.oneapi.runtime.PushEngine` (None = legacy
-            single-launch path).  All shards share the group's
-            :class:`~repro.oneapi.programcache.ProgramCache`, so only
-            the first shard of each device model pays the JIT cost.
+            :class:`~repro.oneapi.runtime.PushEngine` (None = paper
+            harness, untimed field refresh).  All shards share the
+            group's :class:`~repro.oneapi.programcache.ProgramCache`, so
+            only the first shard of each device model pays the JIT cost.
     """
 
     def __init__(self, group: DeviceGroup, ensemble: ParticleEnsemble,

@@ -48,7 +48,7 @@ from .tracer import (
 )
 from .counters import KernelStats, LaunchSample
 from .export import chrome_trace_events, to_chrome_trace, write_chrome_trace
-from .summary import format_kernel_summary, kernel_summary, steady_nsps
+from .summary import format_kernel_summary, kernel_summary
 
 __all__ = [
     "Span",
@@ -66,5 +66,4 @@ __all__ = [
     "write_chrome_trace",
     "format_kernel_summary",
     "kernel_summary",
-    "steady_nsps",
 ]

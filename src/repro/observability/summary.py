@@ -1,37 +1,21 @@
 """The flat per-kernel summary table and steady-state NSPS agreement.
 
 :func:`kernel_summary` reduces a tracer's per-kernel statistics to one
-row per ``(scope, kernel)`` pair; :func:`steady_nsps` applies *exactly*
-the warm-up-skipping average that
-:func:`repro.bench.metrics.nsps_from_records` applies to queue records,
-so the NSPS printed from a trace is bit-identical to the NSPS the bench
-harness reports for the same launches — the invariant the
+row per ``(scope, kernel)`` pair; its steady NSPS is
+:func:`repro.bench.metrics.nsps_from_records` over the trace's launch
+samples, so the NSPS printed from a trace is bit-identical to the NSPS
+the bench harness reports for the same launches — the invariant the
 ``repro trace`` CLI and the regression-guard test rely on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
-from ..errors import ConfigurationError
-from .counters import KernelStats, LaunchSample
+from .counters import KernelStats
 from .tracer import Tracer
 
-__all__ = ["steady_nsps", "kernel_summary", "format_kernel_summary"]
-
-
-def steady_nsps(samples: Sequence[LaunchSample],
-                skip_warmup: int = 2) -> float:
-    """Steady-state modelled NSPS over launch samples.
-
-    Mirrors :func:`repro.bench.metrics.nsps_from_records`: drop the
-    first ``skip_warmup`` launches (JIT + cold pages) when more than
-    that many exist, then average per-launch NSPS.
-    """
-    if not samples:
-        raise ConfigurationError("no launch samples to average")
-    steady = samples[skip_warmup:] if len(samples) > skip_warmup else samples
-    return sum(s.nsps() for s in steady) / len(steady)
+__all__ = ["kernel_summary", "format_kernel_summary"]
 
 
 def kernel_summary(tracer: Tracer,
@@ -52,13 +36,14 @@ def kernel_summary(tracer: Tracer,
 
 def _row(scope: str, name: str, stats: KernelStats,
          skip_warmup: int) -> Dict[str, Any]:
+    from ..bench.metrics import nsps_from_records
     first = stats.samples[0] if stats.samples else None
     return {
         "scope": scope,
         "kernel": name,
         "launches": stats.launches,
         "items": stats.items,
-        "steady_nsps": steady_nsps(stats.samples, skip_warmup)
+        "steady_nsps": nsps_from_records(stats.samples, skip_warmup)
         if stats.samples else 0.0,
         "first_nsps": first.nsps() if first is not None else 0.0,
         "modelled_seconds": stats.modelled_seconds,

@@ -560,14 +560,18 @@ def _walk_allocation(streams: List[MemoryStream], indices: List[int],
     spans = [stream.span_bytes_per_item for stream in streams]
     lo = np.stack([(schedule.starts * span).astype(np.int64)
                    for span in spans], axis=1).ravel()
-    hi = np.minimum(np.stack([(schedule.ends * span).astype(np.int64)
-                              for span in spans], axis=1).ravel(),
-                    allocation.nbytes)
+    hi = np.stack([(schedule.ends * span).astype(np.int64)
+                   for span in spans], axis=1).ravel()
     if np.any(lo > hi):
         bad = np.flatnonzero(lo > hi)[0]
         raise MemoryModelError(
-            f"byte range [{lo[bad]}, {hi[bad]}) outside allocation "
-            f"{allocation.name!r} of {allocation.nbytes} bytes")
+            f"byte range [{lo[bad]}, {hi[bad]}) runs backwards on "
+            f"allocation {allocation.name!r}")
+    # A range past the allocation's end touches only what exists of it
+    # (a grid-sized stream walked with per-particle chunks): clamp both
+    # ends, so a range that starts past the end is empty.
+    lo = np.minimum(lo, allocation.nbytes)
+    hi = np.minimum(hi, allocation.nbytes)
     walk = (np.arange(len(schedule.starts))[:, None] * n_streams
             + np.asarray(indices)).ravel()
     pair_domain = exec_domain[walk // n_streams]

@@ -15,7 +15,9 @@ The pieces:
   :class:`~repro.oneapi.kernelspec.KernelSpec`, the real numpy body,
   the item count, layout/precision, and the fusion-relevant flags
   (``elementwise``, ``barrier``, ``transient`` stream names);
-* :class:`KernelGraph` — the ordered recording of one step's nodes;
+* :class:`KernelGraph` — the ordered recording of one step's nodes,
+  led by any *untimed* staging nodes (work the benchmark harness does
+  off the clock, such as the paper's between-launch field refresh);
 * :class:`FusionPass` — the planner: walks the graph, checks
   *legality* (both elementwise, no barrier between, same item count,
   layout and precision) and asks the
@@ -28,8 +30,9 @@ The pieces:
   by a later node in the same group, flagged ``transient`` by their
   producer — are elided entirely (they live in registers);
 * :class:`GraphExecutor` — drives a planned graph through a
-  :class:`~repro.oneapi.queue.Queue`, one launch per fused group, with
-  each group's program identity
+  :class:`~repro.oneapi.queue.Queue`: untimed staging bodies run inline
+  first, then one launch per fused group, with each group's program
+  identity
   (:class:`~repro.oneapi.programcache.ProgramKey`) charged through the
   queue's program cache.
 
@@ -77,6 +80,10 @@ class KernelNode:
             consumer land in one fused group, these streams are elided
             from the fused spec (register-carried intermediates).
         tag: Free-form label for traces ("field-eval", "push", ...).
+        untimed: Staging work kept off the simulated clock: the
+            executor runs the body inline under a ``runner`` span named
+            by ``tag`` and never plans, prices or launches the node.
+            Untimed nodes must lead the graph.
     """
 
     spec: KernelSpec
@@ -88,6 +95,7 @@ class KernelNode:
     barrier: bool = False
     transient: FrozenSet[str] = frozenset()
     tag: str = ""
+    untimed: bool = False
 
     def __post_init__(self) -> None:
         if self.n_items < 0:
@@ -124,13 +132,24 @@ class KernelNode:
 
 
 class KernelGraph:
-    """Ordered recording of one step's kernel nodes."""
+    """Ordered recording of one step's kernel nodes.
+
+    ``nodes[:staged]`` are the untimed staging nodes; planning and
+    launching start at ``staged``.
+    """
 
     def __init__(self) -> None:
         self.nodes: List[KernelNode] = []
+        self.staged = 0
 
     def add(self, node: KernelNode) -> KernelNode:
         """Append a node (recorded order is execution order)."""
+        if node.untimed:
+            if self.staged != len(self.nodes):
+                raise GraphError(
+                    f"untimed node {node.name!r} follows a timed node; "
+                    f"staging must lead the graph")
+            self.staged += 1
         self.nodes.append(node)
         return node
 
@@ -249,8 +268,9 @@ def fuse_nodes(nodes: Sequence[KernelNode]) -> Tuple[KernelSpec,
 class FusionPlan:
     """Outcome of one planning pass over a graph.
 
-    ``groups`` are index runs into the graph's node list (every node
-    appears in exactly one group, order preserved); ``refusals`` maps a
+    ``groups`` are index runs into the graph's node list (every timed
+    node appears in exactly one group, order preserved; untimed staging
+    nodes appear in none); ``refusals`` maps a
     boundary ``(left_name, right_name)`` to the reason it stayed
     unfused — legality or cost, surfaced in traces and tests.
     """
@@ -317,7 +337,8 @@ class FusionPass:
         """Partition the graph into maximal beneficial fused groups."""
         plan = FusionPlan()
         current: List[int] = []
-        for index, node in enumerate(graph.nodes):
+        for index in range(graph.staged, len(graph.nodes)):
+            node = graph.nodes[index]
             if not current:
                 current = [index]
                 continue
@@ -340,8 +361,8 @@ class FusionPass:
 # -- execution -----------------------------------------------------------
 
 def unfused_plan(graph: KernelGraph) -> FusionPlan:
-    """Degenerate plan: one launch per node (the fusion baseline)."""
-    return FusionPlan(groups=[[i] for i in range(len(graph))])
+    """Degenerate plan: one launch per timed node (the fusion baseline)."""
+    return FusionPlan(groups=[[i] for i in range(graph.staged, len(graph))])
 
 
 def group_spec(nodes: Sequence[KernelNode]) -> Tuple[KernelSpec,
@@ -361,9 +382,10 @@ def group_spec(nodes: Sequence[KernelNode]) -> Tuple[KernelSpec,
 class GraphExecutor:
     """Runs a recorded kernel graph through one queue.
 
-    Each fused group becomes one launch: the merged spec is timed by
-    the queue's cost model, the composed body runs the real numpy
-    kernels in recorded order, and the group's *program identity* —
+    Untimed staging nodes run first, inline and off the simulated
+    clock.  Each fused group then becomes one launch: the merged spec
+    is timed by the queue's cost model, the composed body runs the real
+    numpy kernels in recorded order, and the group's *program identity* —
     the chain of constituent kernel names plus device model, layout and
     precision — goes through the queue's
     :class:`~repro.oneapi.programcache.ProgramCache`, so the first
@@ -392,11 +414,20 @@ class GraphExecutor:
         self.validate = bool(validate)
 
     def run(self, graph: KernelGraph, depends_on=None) -> List:
-        """Execute the graph; returns one launch record per group."""
+        """Execute the graph; returns one launch record per group.
+
+        The untimed staging nodes run first and produce no record.
+        """
         from ..observability.tracer import active_tracer
 
         if not len(graph):
             return []
+        if graph.staged:
+            from ..observability.tracer import trace_span
+            for node in graph.nodes[:graph.staged]:
+                if node.body is not None:
+                    with trace_span(node.tag or node.name, "runner"):
+                        node.body()
         plan = self.fusion_pass.plan(graph) if self.fusion \
             else unfused_plan(graph)
         self.last_plan = plan

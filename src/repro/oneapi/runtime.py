@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.kernels import (BORIS_FLOPS, DIAGNOSTIC_FLOPS,
                             FIELD_STAGE_FLOPS, GAMMA_FLOPS, POSITION_FLOPS,
-                            boris_push_analytical, boris_push_precalculated,
+                            boris_push_precalculated,
                             kinetic_energy_diagnostic, sample_fields)
 from ..errors import ConfigurationError
 from ..fields.base import FieldSource
@@ -263,19 +263,22 @@ def build_virtual_diagnostics_spec(layout: Layout,
 
 def build_virtual_step_graph(n: int, layout: Layout, precision: Precision,
                              scenario: str, field_flops: float = 0.0,
-                             diagnostics: bool = False) -> KernelGraph:
-    """Timing-only :class:`KernelGraph` of one graph-mode push step.
+                             diagnostics: bool = False,
+                             untimed_fields: bool = False) -> KernelGraph:
+    """Timing-only :class:`KernelGraph` of one push step.
 
     Mirrors :meth:`PushEngine.record_graph` without constructing an
     engine: the same node order (field-eval, push, optional
-    diagnostics), the same stream declarations and the same transient
+    diagnostics), the same stream declarations, transient and untimed
     flags, but with no bodies and no allocations.  The autotuner plans
     fusion over this graph and prices its groups exactly as the
     executor would launch them.
 
     ``field_flops`` is the analytical source's per-particle evaluation
     cost (``flops_per_evaluation``); pass 0 for the precalculated
-    scenario, as the engine does.
+    scenario, as the engine does.  ``untimed_fields`` builds the paper
+    harness's graph (the engine's ``fusion=None``): the field-eval node
+    is untimed staging and the push prices its own scenario.
     """
     _check_scenario(scenario)
     graph = KernelGraph()
@@ -284,10 +287,13 @@ def build_virtual_step_graph(n: int, layout: Layout, precision: Precision,
                                            field_flops=field_flops),
         n_items=n, layout=layout.value, precision=precision,
         transient=frozenset(_field_stream_names(layout)),
-        tag="field-eval"))
+        tag="field-refresh" if untimed_fields else "field-eval",
+        untimed=untimed_fields))
     graph.add(KernelNode(
-        spec=build_virtual_push_spec(n, layout, precision, PRECALCULATED,
-                                     None),
+        spec=build_virtual_push_spec(
+            n, layout, precision,
+            scenario if untimed_fields else PRECALCULATED, None,
+            field_flops=field_flops),
         n_items=n, layout=layout.value, precision=precision, tag="push"))
     if diagnostics:
         graph.add(KernelNode(
@@ -384,35 +390,39 @@ def build_diagnostics_spec(ensemble: ParticleEnsemble,
 
 
 class PushEngine:
-    """Drives real Boris steps through a queue.
+    """Drives real Boris steps through a queue, one kernel graph per step.
 
-    Two execution paths share the same physics:
+    Each step is recorded as a :class:`~repro.oneapi.graph.KernelGraph`
+    — a field-eval node staging the six per-particle field components,
+    the push node loading them, and (with ``diagnostics=True``) a
+    kinetic-energy node — and executed by a
+    :class:`~repro.oneapi.graph.GraphExecutor`.  ``fusion`` picks what
+    the simulated clock sees:
 
-    * **legacy** (``fusion=None``, the default): one timed launch per
-      step, exactly the paper's harness — in the precalculated scenario
-      the field refresh happens *untimed* between launches.
-    * **kernel graph** (``fusion=True``/``False``): each step is
-      recorded as a :class:`~repro.oneapi.graph.KernelGraph` — a timed
-      field-eval node staging the six per-particle field components,
-      the push node loading them, and (with ``diagnostics=True``) a
-      kinetic-energy node — and executed through a
-      :class:`~repro.oneapi.graph.GraphExecutor`.  With ``fusion=True``
-      the cost-model-driven pass merges the nodes, eliding the staged
-      field arrays; with ``False`` every node launches separately (the
-      fusion baseline).  Both run identical kernel bodies in identical
-      order, so fused and unfused state is bit-identical.
+    * ``None`` (the default) — the paper's harness: the field-eval node
+      is an *untimed* staging node (the between-launch field refresh
+      the paper keeps off the clock), so the push is the step's one
+      timed kernel.  In the analytical scenario the push carries the
+      source's field flops and no field traffic, as the paper's
+      in-kernel evaluation does.
+    * ``False`` — every node is timed and launches separately (the
+      fusion baseline).
+    * ``True`` — the cost-model-driven pass merges the nodes, eliding
+      the staged field arrays.
+
+    All three run identical kernel bodies in identical order, so their
+    state is bit-identical.
 
     Args:
         queue: The simulated queue (device + runtime + scheduling).
         ensemble: The particle ensemble to advance.
         scenario: "precalculated" or "analytical".
-        source: The analytical field source (evaluated in-kernel in the
-            analytical scenario; sampled into the precalculated array
-            in the precalculated scenario).
+        source: The analytical field source, sampled into the
+            per-particle field array every step.
         dt: Time step [s].
-        fusion: None = legacy single-launch path; True/False = graph
-            path with the fusion pass on/off.
-        diagnostics: Record the kinetic-energy node (graph path only).
+        fusion: None = paper harness (untimed field refresh);
+            True/False = timed field-eval node, fusion pass on/off.
+        diagnostics: Record the kinetic-energy node.
     """
 
     def __init__(self, queue: Queue, ensemble: ParticleEnsemble,
@@ -428,29 +438,12 @@ class PushEngine:
         self.time = 0.0
         self.fusion = fusion
         self.diagnostics = bool(diagnostics)
-        #: Simulated seconds of each completed step — in graph mode a
-        #: step can span several launches, so per-record NSPS would
-        #: undercount it; consumers (the facade, the fusion bench)
-        #: average this instead.
+        #: The field refresh is staging work off the simulated clock.
+        self.untimed_fields = fusion is None
+        #: Simulated seconds of each completed step — a step can span
+        #: several launches, so per-record NSPS would undercount it;
+        #: consumers (the facade, the fusion bench) average this.
         self.step_seconds: List[float] = []
-        self.executor: Optional[GraphExecutor] = None
-        self.diag_energy: Optional[np.ndarray] = None
-        if fusion is None:
-            if scenario == PRECALCULATED:
-                self.precalc: Optional[PrecalculatedField] = \
-                    PrecalculatedField(ensemble.size, ensemble.precision,
-                                       ensemble.layout)
-                self.spec = build_push_spec(ensemble, scenario, queue.memory,
-                                            precalc=self.precalc)
-            else:
-                self.precalc = None
-                self.spec = build_push_spec(
-                    ensemble, scenario, queue.memory,
-                    field_flops=source.flops_per_evaluation)
-            return
-        # Graph path: both scenarios stage fields through the
-        # per-particle array; the scenarios differ only in the eval
-        # node's arithmetic (staging vs m-dipole formulas).
         self.precalc = PrecalculatedField(ensemble.size, ensemble.precision,
                                           ensemble.layout)
         field_flops = (source.flops_per_evaluation
@@ -458,8 +451,13 @@ class PushEngine:
         self._field_spec = build_field_eval_spec(
             ensemble, self.precalc, queue.memory, field_flops=field_flops,
             scenario=scenario)
-        self.spec = build_push_spec(ensemble, PRECALCULATED, queue.memory,
-                                    precalc=self.precalc)
+        # The timed graph stages fields in both scenarios, so its push
+        # always loads them; the harness push prices its own scenario.
+        push_scenario = scenario if self.untimed_fields else PRECALCULATED
+        self.spec = build_push_spec(ensemble, push_scenario, queue.memory,
+                                    precalc=self.precalc,
+                                    field_flops=field_flops)
+        self.diag_energy: Optional[np.ndarray] = None
         if self.diagnostics:
             self.diag_energy = np.zeros(ensemble.size,
                                         dtype=ensemble.precision.dtype)
@@ -470,7 +468,7 @@ class PushEngine:
     # -- graph recording ---------------------------------------------------
 
     def record_graph(self) -> KernelGraph:
-        """Record this step's kernel graph (graph path only)."""
+        """Record this step's kernel graph."""
         ensemble = self.ensemble
         layout = ensemble.layout.value
         precision = ensemble.precision
@@ -482,7 +480,8 @@ class PushEngine:
                                        ensemble, time_now),
             layout=layout, precision=precision,
             transient=frozenset(_field_stream_names(ensemble.layout)),
-            tag="field-eval"))
+            tag="field-refresh" if self.untimed_fields else "field-eval",
+            untimed=self.untimed_fields))
         graph.add(KernelNode(
             spec=self.spec, n_items=ensemble.size,
             body=lambda: boris_push_precalculated(ensemble, self.precalc,
@@ -497,7 +496,7 @@ class PushEngine:
         return graph
 
     def step(self, depends_on=None) -> KernelLaunchRecord:
-        """One timed push step (plus the untimed field refresh if any).
+        """One push step: the recorded graph through the executor.
 
         ``depends_on`` (a list of :class:`~repro.oneapi.events.SimEvent`)
         orders the launch after other commands on an out-of-order queue
@@ -505,7 +504,7 @@ class PushEngine:
         pushes while letting exchange commands overlap them.
 
         Under an active tracer the step appears as a ``runner``-category
-        span, with the untimed field refresh as a nested child — making
+        span; an untimed field refresh is a nested child span — making
         visible the host work the simulated clock deliberately excludes.
 
         Under an active fault injector the step is a device-loss
@@ -518,36 +517,13 @@ class PushEngine:
             injector.on_device_step(self.queue.device.name)
         with trace_span(f"push-step:{self.scenario}", "runner",
                         step_time=self.time):
-            if self.executor is not None:
-                records = self.executor.run(self.record_graph(),
-                                            depends_on=depends_on)
-                self.time += self.dt
-                self.step_seconds.append(
-                    sum(r.simulated_seconds for r in records))
-                # The last record's event is the step's completion —
-                # what dependency chaining (the sharded runner) needs.
-                return records[-1]
-            if self.precalc is not None:
-                with trace_span("field-refresh", "runner"):
-                    self.precalc.refresh(self.source, self.ensemble,
-                                         self.time)
-
-                def kernel() -> None:
-                    boris_push_precalculated(self.ensemble, self.precalc,
-                                             self.dt)
-            else:
-                time_now = self.time
-
-                def kernel() -> None:
-                    boris_push_analytical(self.ensemble, self.source,
-                                          time_now, self.dt)
-            record = self.queue.parallel_for(
-                self.ensemble.size, self.spec, kernel=kernel,
-                precision=self.ensemble.precision,
-                depends_on=depends_on)
+            records = self.executor.run(self.record_graph(),
+                                        depends_on=depends_on)
         self.time += self.dt
-        self.step_seconds.append(record.simulated_seconds)
-        return record
+        self.step_seconds.append(sum(r.simulated_seconds for r in records))
+        # The last record's event is the step's completion — what
+        # dependency chaining (the sharded runner) needs.
+        return records[-1]
 
     def run(self, steps: int):
         """Run ``steps`` pushes; returns the list of launch records."""

@@ -18,8 +18,9 @@ step as a :class:`~repro.oneapi.graph.KernelGraph`:
 
 Because the executor runs node bodies in recorded order whether or not
 launches are fused, fused and unfused runs are bit-exact; because the
-Monte Carlo draws are keyed on the logical step, the legacy path is
-bit-exact too.  The declared read/write sets make the whole step
+Monte Carlo draws are keyed on the logical step, they also match the
+host-side reference :meth:`~repro.pic.simulation.PicSimulation.step`
+to the bit.  The declared read/write sets make the whole step
 visible to the fusion pass, the hazard detector, the roofline
 analyzer, tracing and fault injection — the same machinery the push
 engines enjoy.
@@ -28,11 +29,10 @@ engines enjoy.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..fields.interpolation import interpolate_from_yee_grid
 from ..observability.tracer import trace_span
 from ..oneapi.graph import GraphExecutor, KernelGraph, KernelNode
@@ -291,36 +291,29 @@ class _SpeciesPlan:
 class PicEngine:
     """Drives real PIC steps through a queue.
 
-    The same two execution paths as :class:`~repro.oneapi.runtime.PushEngine`:
+    Each step is recorded as a :class:`~repro.oneapi.graph.KernelGraph`
+    and run through a :class:`~repro.oneapi.graph.GraphExecutor`; with
+    fusion on, gather + push + Monte Carlo operators merge into one
+    launch per species (the deposit and field-advance barriers never
+    fuse), with fusion off every stage launches separately.
 
-    * **legacy** (``fusion=None``): one timed launch per stage through
-      ``queue.parallel_for`` — no graph, no fusion planning;
-    * **kernel graph** (``fusion=True``/``False``): each step is
-      recorded as a :class:`~repro.oneapi.graph.KernelGraph` and run
-      through a :class:`~repro.oneapi.graph.GraphExecutor`; with
-      fusion on, gather + push + Monte Carlo operators merge into one
-      launch per species (the deposit and field-advance barriers never
-      fuse).
-
-    All three modes run identical stage bodies in identical order, so
-    their final state digests (:func:`pic_state_digest`) are equal.
+    Both modes run identical stage bodies in identical order, so their
+    final state digests (:func:`pic_state_digest`) are equal.
 
     Args:
         queue: The simulated queue (device + runtime + scheduling).
         simulation: The PIC loop to lower; its ensembles, grid, solver
             and Monte Carlo operators are used in place.
-        fusion: None = legacy per-stage launches; True/False = graph
-            path with the fusion pass on/off.
-        validate: Graph path only — replay every step's launches
-            through the hazard detector.
+        fusion: Run the fusion pass over every step's graph.
+        validate: Replay every step's launches through the hazard
+            detector.
     """
 
     def __init__(self, queue: Queue, simulation: PicSimulation,
-                 fusion: Optional[bool] = None,
-                 validate: bool = False) -> None:
+                 fusion: bool = True, validate: bool = False) -> None:
         self.queue = queue
         self.simulation = simulation
-        self.fusion = fusion
+        self.fusion = bool(fusion)
         self.step_seconds: List[float] = []
         count = len(simulation.ensembles)
         self._gathered: List = [None] * count
@@ -330,14 +323,8 @@ class PicEngine:
                          enumerate(simulation.ensembles)]
         self._advance_spec = build_advance_spec(
             simulation.grid, simulation.solver_kind, queue.memory)
-        self.executor: Optional[GraphExecutor] = None
-        if fusion is not None:
-            self.executor = GraphExecutor(queue, fusion=bool(fusion),
-                                          validate=validate)
-        elif validate:
-            raise ConfigurationError(
-                "validate=True needs the graph path (fusion=True/False); "
-                "the legacy path records no fusion plan to replay")
+        self.executor = GraphExecutor(queue, fusion=self.fusion,
+                                      validate=validate)
 
     @property
     def time(self) -> float:
@@ -394,7 +381,7 @@ class PicEngine:
     # -- graph recording ---------------------------------------------------
 
     def record_graph(self) -> KernelGraph:
-        """Record one step's kernel graph (usable on any path)."""
+        """Record one step's kernel graph."""
         simulation = self.simulation
         step = simulation.step_count
         graph = KernelGraph()
@@ -446,19 +433,8 @@ class PicEngine:
         with trace_span("pic-engine-step", "runner",
                         step=simulation.step_count):
             simulation.grid.clear_currents()
-            graph = self.record_graph()
-            if self.executor is not None:
-                records = self.executor.run(graph, depends_on=depends_on)
-            else:
-                records = []
-                deps = depends_on
-                for node in graph:
-                    record = self.queue.parallel_for(
-                        node.n_items, node.spec, kernel=node.body,
-                        precision=node.precision, depends_on=deps)
-                    records.append(record)
-                    deps = [record.event] if record.event is not None \
-                        else None
+            records = self.executor.run(self.record_graph(),
+                                        depends_on=depends_on)
         simulation.step_count += 1
         self.step_seconds.append(
             sum(r.simulated_seconds for r in records))

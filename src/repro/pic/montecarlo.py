@@ -21,7 +21,7 @@ deposit.  Two operators are provided:
 keyed on ``(seed, operator tag)`` with the counter set from
 ``(step index, ensemble stream)``.  Draws therefore depend only on the
 logical step — never on how kernels were grouped into launches — so
-fused, unfused and legacy engine modes are bit-exact, and two runs
+fused and unfused engine modes are bit-exact, and two runs
 with the same seed are bit-exact across engine modes and processes.
 """
 

@@ -19,7 +19,7 @@ from .base import (RegressionTest, SanityCheck, TestFilter, cell_key,
 from .baseline import (SCHEMA_VERSION, Baseline, BaselineCell,
                        BaselineSnapshot, append_snapshot,
                        backend_of_device, baseline_path, baseline_suites,
-                       load_baseline, migrate_document, write_baseline)
+                       load_baseline, parse_document, write_baseline)
 from .runner import (CellResult, RegressionReport, SuiteResult,
                      compare_cells, record_suite, render_listing,
                      run_regression, run_suite)
@@ -31,7 +31,7 @@ __all__ = [
     "SCHEMA_VERSION", "Baseline", "BaselineCell", "BaselineSnapshot",
     "backend_of_device", "baseline_path", "baseline_suites",
     "load_baseline", "write_baseline", "append_snapshot",
-    "migrate_document",
+    "parse_document",
     "CellResult", "SuiteResult", "RegressionReport", "compare_cells",
     "run_suite", "run_regression", "record_suite", "render_listing",
     "SUITES", "get_suite", "all_suites",

@@ -1,10 +1,5 @@
 """Versioned baseline files: one schema over every committed reference.
 
-PR 3 grew ``benchmarks/BENCH_<scenario>.json`` trajectory files (v0:
-``{"scenario": ..., "snapshots": [...]}`` with flat per-snapshot cell
-lists) and PR 8 added a portability baseline in a third, flat shape
-(``{"pp": ..., "devices": [...]}``).  This module unifies them:
-
 **Schema v1** — one JSON object per suite::
 
     {"schema_version": 1,
@@ -32,17 +27,16 @@ lists) and PR 8 added a portability baseline in a third, flat shape
   own ``tolerance`` — per-cell references, so one file can mix a 10%
   NSPS band with a 2% PP-score band.
 
-**Loading** accepts v0 files of both legacy shapes and migrates them
-in memory (``backend`` inferred from the device spec, the single
-``nsps`` value moved under ``metrics``), so a checkout that still
-carries v0 baselines regresses fine.  **Writing** only ever emits v1:
-appending a snapshot to a v0 file first migrates its whole history.
+v1 is the only schema read or written: a document without
+``schema_version`` (the retired v0 shapes) raises
+:class:`~repro.errors.ValidationError`.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -53,7 +47,7 @@ from .base import REQUIRED_KEY_FIELDS, cell_key
 __all__ = ["SCHEMA_VERSION", "BaselineCell", "BaselineSnapshot",
            "Baseline", "backend_of_device", "baseline_path",
            "load_baseline", "write_baseline", "append_snapshot",
-           "migrate_document", "baseline_suites"]
+           "parse_document", "baseline_suites", "git_sha"]
 
 #: The only schema version the writer emits.
 SCHEMA_VERSION = 1
@@ -64,6 +58,18 @@ DEFAULT_DIRECTORY = "benchmarks"
 #: Cell fields that are identity, not payload (see base.KEY_FIELDS).
 _CELL_KEY_FIELDS = ("suite", "backend", "device", "config", "layout",
                     "precision", "scenario")
+
+
+def git_sha(cwd: Optional[str] = None) -> str:
+    """Current commit sha, or "unknown" outside a git checkout."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"],
+                             capture_output=True, text=True, timeout=10,
+                             cwd=cwd)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else "unknown"
 
 
 def backend_of_device(device_spec: str) -> str:
@@ -118,32 +124,6 @@ class BaselineCell:
                    tolerance=None if tolerance is None
                    else float(tolerance),
                    extra=dict(data.get("extra", {})))
-
-    @classmethod
-    def from_flat(cls, suite: str, flat: Dict[str, object],
-                  tolerance: Optional[float] = None) -> "BaselineCell":
-        """Migrate one v0 trajectory cell (flat dict, bare ``nsps``)."""
-        keys = {"suite": suite}
-        metrics: Dict[str, float] = {}
-        extra: Dict[str, object] = {}
-        for key, value in flat.items():
-            if key in ("config", "layout", "precision", "scenario",
-                       "device"):
-                keys[key] = str(value)
-            elif isinstance(value, bool):
-                extra[key] = value
-            elif isinstance(value, (int, float)):
-                metrics[key] = float(value)
-            else:
-                extra[key] = value
-        keys.setdefault("config", "default")
-        keys.setdefault("device", "unknown")
-        keys["backend"] = backend_of_device(keys["device"])
-        if "nsps" not in metrics:
-            raise ValidationError(
-                f"v0 cell has no nsps metric: {sorted(flat)}")
-        return cls(keys=keys, metrics=metrics, tolerance=tolerance,
-                   extra=extra)
 
 
 @dataclass
@@ -209,98 +189,35 @@ def baseline_suites(directory=None) -> List[str]:
                   for p in base.glob("BENCH_*.json"))
 
 
-# -- migration: the two v0 shapes -> v1 ---------------------------------
-
-def _migrate_trajectory_v0(suite: str,
-                           document: Dict[str, object]) -> Baseline:
-    """v0 trajectory files: {"scenario": ..., "snapshots": [...]}."""
-    snapshots = []
-    for snap in document.get("snapshots", []):
-        snapshots.append(BaselineSnapshot(
-            git_sha=str(snap.get("git_sha", "unknown")),
-            date=str(snap.get("date", "")),
-            n_particles=int(snap.get("n_particles", 0)),
-            cells=[BaselineCell.from_flat(suite, cell)
-                   for cell in snap.get("cells", [])]))
-    return Baseline(suite=suite, snapshots=snapshots)
-
-
-def _migrate_portability_v0(suite: str,
-                            document: Dict[str, object]) -> Baseline:
-    """v0 portability baseline: the flat PortabilityReport dump.
-
-    Becomes one snapshot: one cell per device (efficiency metrics) plus
-    the ``pp`` summary cell the performance stage compares — matching
-    the legacy check, which compared the PP score and the device set
-    but not per-device NSPS.
-    """
-    from ..backends.portability import PP_DRIFT_TOLERANCE
-    cells = []
-    for row in document.get("devices", []):
-        device = str(row.get("device", "unknown"))
-        metrics = {k: float(row[k])
-                   for k in ("best_nsps", "portable_nsps", "efficiency")
-                   if k in row and row[k] is not None}
-        if row.get("predicted_nsps") is not None:
-            metrics["predicted_nsps"] = float(row["predicted_nsps"])
-        cells.append(BaselineCell(
-            keys={"suite": suite,
-                  "backend": str(row.get("backend")
-                                 or backend_of_device(device)),
-                  "device": device, "config": "efficiency"},
-            metrics=metrics, tolerance=None,
-            extra={"best_label": row.get("best_label", "")}))
-    cells.append(BaselineCell(
-        keys={"suite": suite, "backend": "*", "device": "*",
-              "config": "pp"},
-        metrics={"pp": float(document.get("pp", 0.0))},
-        tolerance=PP_DRIFT_TOLERANCE,
-        extra={"portable_config": dict(document.get("portable_config",
-                                                    {}))}))
-    snapshot = BaselineSnapshot(
-        git_sha="unknown", date="",
-        n_particles=int(document.get("n_particles", 0)),
-        cells=cells,
-        params={k: document[k] for k in ("steps", "warmup")
-                if k in document})
-    return Baseline(suite=suite, snapshots=[snapshot])
-
-
-def migrate_document(suite: str, document: Dict[str, object]) -> Baseline:
-    """Parse any schema version into an in-memory v1 :class:`Baseline`."""
+def parse_document(suite: str, document: Dict[str, object]) -> Baseline:
+    """Parse a schema-v1 document into a :class:`Baseline`."""
     if not isinstance(document, dict):
         raise ValidationError(
             f"baseline for {suite!r} is not a JSON object")
     version = document.get("schema_version")
-    if version is not None:
-        if int(version) != SCHEMA_VERSION:
-            raise ValidationError(
-                f"baseline for {suite!r} has unsupported schema_version "
-                f"{version} (this build reads v0 and v{SCHEMA_VERSION})")
-        if document.get("suite") != suite:
-            raise ValidationError(
-                f"baseline file claims suite "
-                f"{document.get('suite')!r}, expected {suite!r}")
-        return Baseline(
-            suite=suite,
-            snapshots=[BaselineSnapshot.from_dict(s)
-                       for s in document.get("snapshots", [])])
-    if "snapshots" in document:           # v0 trajectory
-        if document.get("scenario") != suite:
-            raise ValidationError(
-                f"v0 trajectory claims scenario "
-                f"{document.get('scenario')!r}, expected {suite!r}")
-        return _migrate_trajectory_v0(suite, document)
-    if "pp" in document and "devices" in document:   # v0 portability
-        return _migrate_portability_v0(suite, document)
-    raise ValidationError(
-        f"unrecognised baseline shape for {suite!r}: {sorted(document)}")
+    if version is None:
+        raise ValidationError(
+            f"baseline for {suite!r} has no schema_version (the v0 "
+            f"shapes are no longer read; re-record it as "
+            f"v{SCHEMA_VERSION})")
+    if int(version) != SCHEMA_VERSION:
+        raise ValidationError(
+            f"baseline for {suite!r} has unsupported schema_version "
+            f"{version} (this build reads v{SCHEMA_VERSION})")
+    if document.get("suite") != suite:
+        raise ValidationError(
+            f"baseline file claims suite "
+            f"{document.get('suite')!r}, expected {suite!r}")
+    return Baseline(
+        suite=suite,
+        snapshots=[BaselineSnapshot.from_dict(s)
+                   for s in document.get("snapshots", [])])
 
 
 # -- file I/O -----------------------------------------------------------
 
 def load_baseline(suite: str, directory=None) -> Optional[Baseline]:
-    """Load a suite's baseline, migrating v0 shapes in memory.
+    """Load a suite's schema-v1 baseline.
 
     Returns None when no file exists (a missing baseline skips the
     performance stage; a *corrupt* one raises
@@ -317,7 +234,7 @@ def load_baseline(suite: str, directory=None) -> Optional[Baseline]:
         raise ValidationError(
             f"unreadable baseline {path}: "
             f"{type(exc).__name__}: {exc}") from exc
-    return migrate_document(suite, document)
+    return parse_document(suite, document)
 
 
 def write_baseline(baseline: Baseline, directory=None) -> Path:
@@ -336,17 +253,14 @@ def append_snapshot(suite: str, cells: List[Dict[str, object]],
                     n_particles: int, directory=None,
                     sha: Optional[str] = None,
                     params: Optional[Dict[str, object]] = None) -> Path:
-    """Append one recorded snapshot; the file comes out v1.
+    """Append one recorded snapshot to the suite's v1 file.
 
-    ``cells`` are v1 cell dicts (:meth:`RegressionTest.make_cell`).  An
-    existing v0 file is migrated wholesale first, so its recorded
-    history survives the schema change.
+    ``cells`` are v1 cell dicts (:meth:`RegressionTest.make_cell`).
     """
     if not cells:
         raise ConfigurationError("refusing to record an empty snapshot")
     parsed = [BaselineCell.from_dict(cell) for cell in cells]
     baseline = load_baseline(suite, directory) or Baseline(suite=suite)
-    from ..bench.trajectory import git_sha
     baseline.snapshots.append(BaselineSnapshot(
         git_sha=sha if sha is not None else git_sha(),
         date=datetime.date.today().isoformat(),

@@ -92,8 +92,8 @@ class ResilientPushEngine:
             one, recovery continues in place (a lost step never mutated
             the ensemble, so the physics stays correct either way).
         fusion: Kernel-graph execution mode of the underlying
-            :class:`~repro.oneapi.runtime.PushEngine` (None = legacy
-            single-launch path).
+            :class:`~repro.oneapi.runtime.PushEngine` (None = paper
+            harness, untimed field refresh).
         program_cache: JIT program cache shared across the fallback
             chain's queue rebuilds; by default the engine owns one, so
             a re-lost-and-recovered device model never recompiles.

@@ -5,7 +5,7 @@ The paper's core claim is that its implementation variants compute the
 as an executable check: one seeded ensemble
 (:func:`repro.bench.scenarios.paper_ensemble`) is pushed through every
 engine (single / resilient / sharded) x layout (AoS / SoA) x precision
-(float / double) x fusion mode (legacy / unfused / fused) combination,
+(float / double) x fusion mode (harness / unfused / fused) combination,
 and each result is judged three ways:
 
 * **ULP distance** against the scalar reference — the same initial
@@ -15,7 +15,7 @@ and each result is judged three ways:
   operation order, so agreement is bounded, not bitwise; the bound is
   the per-precision tolerance in :data:`ULP_TOLERANCES`.
 * **Digest equality** within bit-exact groups — fused, unfused and
-  legacy execution of the same layout x precision must produce
+  harness execution of the same layout x precision must produce
   identical sha256 state digests (fusion never changes physics), every
   engine must match within the group, and the sharded gather must be
   bit-identical to the single-device run (the distributed layer's
@@ -370,16 +370,15 @@ def run_differential(n: int = 192, steps: int = 3,
 
 #: Execution modes of the PIC differential sweep.  ``reference`` is
 #: :meth:`~repro.pic.simulation.PicSimulation.run` driving the stage
-#: functions directly on the host; the other three are
-#: :class:`~repro.pic.engine.PicEngine` in its legacy / graph-unfused /
-#: graph-fused modes.  All four execute the *same* stage bodies in the
-#: same order, so unlike the push sweep the agreement contract is
-#: bitwise, not ULP-bounded: every mode of every layout must land in
-#: one digest group.
-PIC_MODES: Tuple[Optional[object], ...] = ("reference", None, False, True)
+#: functions directly on the host; the other two are
+#: :class:`~repro.pic.engine.PicEngine` with fusion off / on.  All
+#: three execute the *same* stage bodies in the same order, so unlike
+#: the push sweep the agreement contract is bitwise, not ULP-bounded:
+#: every mode of every layout must land in one digest group.
+PIC_MODES: Tuple[object, ...] = ("reference", False, True)
 
-_PIC_MODE_LABELS = {"reference": "reference", None: "legacy",
-                    False: "unfused", True: "fused"}
+_PIC_MODE_LABELS = {"reference": "reference", False: "unfused",
+                    True: "fused"}
 
 
 def run_pic_differential(n: int = 192, steps: int = 3,
@@ -389,7 +388,7 @@ def run_pic_differential(n: int = 192, steps: int = 3,
                                                       Layout.SOA),
                          precisions: Sequence[Precision] = (
                              Precision.DOUBLE,),
-                         modes: Sequence[Optional[object]] = PIC_MODES,
+                         modes: Sequence[object] = PIC_MODES,
                          seed: int = 0) -> DifferentialReport:
     """Differential sweep over the full PIC step (gather / push /
     Monte Carlo / deposit / field advance).

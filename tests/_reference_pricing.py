@@ -80,7 +80,7 @@ def walk_domains(model: CostModel, spec: KernelSpec, schedule: Schedule,
                 dram_bytes[exec_domain] += traffic
                 local_total += traffic
                 continue
-            start = int(chunk.start * span)
+            start = min(int(chunk.start * span), stream.allocation.nbytes)
             end = min(int(chunk.end * span), stream.allocation.nbytes)
             local, remote = locality(stream.allocation, start, end,
                                      exec_domain)

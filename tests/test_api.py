@@ -71,9 +71,10 @@ class TestRunPush:
     @pytest.mark.parametrize("fusion", [False, True, None],
                              ids=["unfused", "fused", "legacy"])
     def test_fault_free_resilient_reports_match_single(self, fusion):
-        # A fault-free resilient run on a one-device ladder is the
-        # single-device run; an unfused step spans a field-eval and a
-        # push launch, and both modes must count the whole step.
+        # A fault-free resilient run on a one-device ladder, and a
+        # one-device group, are the single-device run; an unfused step
+        # spans a field-eval and a push launch, and every mode must
+        # count the whole step.
         config = dict(n_particles=20_000, device="iris-xe-max",
                       fusion=fusion)
         single = run_push(_config(**config))
@@ -83,6 +84,30 @@ class TestRunPush:
         assert resilient.nsps == single.nsps
         assert resilient.first_step_nsps == single.first_step_nsps
         assert resilient.simulated_seconds == single.simulated_seconds
+        sharded = run_push(_config(**config, group="1x iris-xe-max"))
+        assert sharded.mode == "sharded"
+        assert sharded.digest == single.digest
+        # the group divides its makespan, the engine averages steps
+        assert sharded.nsps == pytest.approx(single.nsps, rel=1e-12)
+        assert sharded.first_step_nsps == single.first_step_nsps
+
+    @pytest.mark.parametrize("device,scenario,nsps,first_step_nsps", [
+        ("cpu", "precalculated", 4.707688017230731, 36836.73893801723),
+        ("cpu", "analytical", 4.473120792675395, 36742.754370792674),
+        ("iris-xe-max", "precalculated", 8.434836647727272,
+         73334.99733664774),
+        ("iris-xe-max", "analytical", 16.72082149621212,
+         73305.78332149622),
+    ])
+    def test_paper_harness_numbers_are_pinned(self, device, scenario, nsps,
+                                              first_step_nsps):
+        # The default (fusion=None) graph stages fields untimed and
+        # times one push launch: exactly the numbers the dedicated
+        # single-launch loop it replaced produced.
+        report = run_push(RunConfig(n_particles=N, steps=3, warmup=2,
+                                    device=device, scenario=scenario))
+        assert report.nsps == nsps
+        assert report.first_step_nsps == first_step_nsps
 
     def test_sharded_run_shares_program_cache(self):
         report = run_push(_config(n_particles=8192,
@@ -194,8 +219,7 @@ class TestCliNormalizedFlags:
     def test_runner_commands_share_flag_set(self):
         from repro.cli import build_parser
         parser = build_parser()
-        for command in ("table2", "table3", "shard", "faults", "push",
-                        "trace"):
+        for command in ("bench", "shard", "faults", "push", "trace"):
             if command == "trace":
                 argv = [command, "table2", "--out", "/tmp/x.json"]
             else:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench.harness import model_push_nsps
+from repro.bench.metrics import nsps_from_records
 from repro.bench.scenarios import BenchmarkCase
 from repro.errors import TraceError
 from repro.fp import Precision
@@ -13,7 +14,6 @@ from repro.observability import (Tracer, active_tracer, chrome_trace_events,
                                  kernel_summary, to_chrome_trace, trace_span,
                                  tracing, write_chrome_trace)
 from repro.observability.counters import KernelStats
-from repro.observability.summary import steady_nsps
 from repro.particles import Layout
 
 pytestmark = pytest.mark.trace
@@ -190,9 +190,10 @@ class TestNspsGuard:
 
             stats.add_launch(1000, FakeTiming())
         # skip the first two launches, average the steady tail
-        assert steady_nsps(stats.samples) == pytest.approx(1.0, abs=1e-12)
+        assert nsps_from_records(stats.samples) == \
+            pytest.approx(1.0, abs=1e-12)
         # fewer launches than the warm-up window: average everything
-        assert steady_nsps(stats.samples[:2]) == pytest.approx(7.5)
+        assert nsps_from_records(stats.samples[:2]) == pytest.approx(7.5)
 
     def test_summary_table_formats(self):
         tracer, _ = traced_small_cell()

@@ -28,8 +28,9 @@ def launches(draw):
     empty; streams draw AoS spans wider than their payload and may
     share an allocation or have none; pages start homed at random, with
     untouched (-1) pages mixed in.  Allocations are sized near the
-    largest range a stream walks, sometimes a little short, so the end
-    clamp (and, past it, the out-of-range error) is exercised.
+    largest range a stream walks, sometimes a little short, so the
+    clamp of ranges that end, or start, past the allocation is
+    exercised.
     """
     domains = draw(st.sampled_from([2, 4]))
     units = draw(st.integers(1, 8))
@@ -210,3 +211,32 @@ def test_page_homed_beyond_device_domains_rejected():
                                     ThreadTopology(device), 8, dynamic=True)
     with pytest.raises(MemoryModelError, match="domain 3"):
         CostModel(device).time_launch(spec, schedule)
+
+
+def test_range_past_the_allocation_end_is_empty():
+    # A stream wider than its allocation (a grid array walked with
+    # per-particle chunks): the chunk starting past the end touches
+    # nothing and prices as local traffic, like the reference loop.
+    device = make_device()
+    model = CostModel(device)
+    allocation = UsmAllocation(PAGE_SIZE)
+    allocation.page_domains[:] = 1
+    spec = KernelSpec(name="k", flops_per_item=1.0, streams=(
+        MemoryStream("in", StreamKind.READ, 8, allocation=allocation),))
+    schedule = Schedule.from_chunks(
+        [Chunk(0, 512, 8), Chunk(512, 1024, 0), Chunk(1024, 1536, 0)],
+        ThreadTopology(device), 1536, dynamic=True)
+    dram, remote, local, cold = model._walk_domains(spec, schedule, True)
+    assert (remote, local, cold) == (0.0, 12288.0, 0)
+    assert dram == reference.walk_domains(model, spec, schedule, True)[0]
+
+
+def test_backwards_range_rejected():
+    from types import SimpleNamespace
+    from repro.oneapi.costmodel import _walk_allocation
+    allocation = UsmAllocation(PAGE_SIZE)
+    stream = MemoryStream("in", StreamKind.READ, 8, allocation=allocation)
+    backwards = SimpleNamespace(starts=np.array([64]), ends=np.array([32]))
+    with pytest.raises(MemoryModelError, match="runs backwards"):
+        _walk_allocation([stream], [0], 1, backwards, np.array([0]), 2,
+                         True)

@@ -29,7 +29,7 @@ class TestBitExactness:
         reference = scenario(layout=layout, precision=precision)
         reference.run(STEPS)
         expected = pic_state_digest(reference)
-        for fusion in (None, False, True):
+        for fusion in (False, True):
             simulation = scenario(layout=layout, precision=precision)
             engine_for(simulation, fusion).run(STEPS)
             assert pic_state_digest(simulation) == expected, \
@@ -45,9 +45,9 @@ class TestBitExactness:
 
     @pytest.mark.parametrize("name", ["magnetic-mirror",
                                       "relativistic-beam"])
-    def test_other_scenarios_fused_equals_legacy(self, name):
+    def test_other_scenarios_fused_equals_unfused(self, name):
         digests = set()
-        for fusion in (None, True):
+        for fusion in (False, True):
             simulation = scenario(name)
             engine_for(simulation, fusion).run(STEPS)
             digests.add(pic_state_digest(simulation))
@@ -113,7 +113,7 @@ class TestGraphLowering:
 
 class TestHazards:
     def test_engine_replay_is_hazard_free(self):
-        for fusion in (None, False, True):
+        for fusion in (False, True):
             simulation = scenario()
             engine = engine_for(simulation, fusion)
             engine.run(STEPS)
@@ -125,10 +125,6 @@ class TestHazards:
         queue = queue_for("iris-xe-max")
         PicEngine(queue, simulation, fusion=True, validate=True).run(STEPS)
 
-    def test_validate_requires_the_graph_path(self):
-        with pytest.raises(ConfigurationError):
-            PicEngine(queue_for("iris-xe-max"), scenario(),
-                      fusion=None, validate=True)
 
 
 class TestStepping:
@@ -140,7 +136,7 @@ class TestStepping:
 
     def test_step_count_advances(self):
         simulation = scenario()
-        engine = engine_for(simulation, None)
+        engine = engine_for(simulation, False)
         engine.run(STEPS)
         assert simulation.step_count == STEPS
 
@@ -166,7 +162,7 @@ class TestFacade:
     def test_run_pic_modes_agree(self):
         from repro.api import run_pic
         digests = set()
-        for fusion in (None, False, True):
+        for fusion in (False, True):
             report = run_pic(self.config(fusion=fusion))
             digests.add(report.digest)
             assert report.nsps > 0.0
@@ -178,6 +174,48 @@ class TestFacade:
         report = run_pic(self.config(fusion=True), validate=True)
         assert report.fusion_groups > 0
         assert report.kernels_eliminated > 0
+
+    @pytest.mark.parametrize("scenario_name,nsps,first_step_nsps,"
+                             "simulated_seconds,digest", [
+        ("laser-slab", 12890.782828282829, 31270890.782828286,
+         1.502240272727273, "497474cc5d4c77e24ef7e77be91d2ea4"
+                            "f336cebda4a264861c7e75c7ae9728bf"),
+        ("magnetic-mirror", 12979.16666666667, 31275379.16666666,
+         1.5024642, "46d54c9afd4191b01f7b717e24e32f8c"
+                    "b8bacfaa06592ade14f3dd02ec76e910"),
+    ])
+    def test_unfused_numbers_are_pinned(self, scenario_name, nsps,
+                                        first_step_nsps, simulated_seconds,
+                                        digest):
+        # The values the removed per-stage launch loop produced: the
+        # unfused graph prices and computes the same step.
+        from repro.api import run_pic
+        report = run_pic(self.config(scenario=scenario_name, fusion=False))
+        assert report.nsps == nsps
+        assert report.first_step_nsps == first_step_nsps
+        assert report.simulated_seconds == simulated_seconds
+        assert report.digest == digest
+
+    @pytest.mark.parametrize("scenario_name", ["laser-slab",
+                                               "magnetic-mirror",
+                                               "relativistic-beam"])
+    def test_two_domain_cpu_runs(self, scenario_name):
+        # The deposit's grid-current streams are walked with
+        # per-particle chunks; on a NUMA device the chunks past the
+        # grid array's end must price as empty, not fail.
+        from repro.api import run_pic
+        for fusion in (False, True):
+            cpu = run_pic(self.config(scenario=scenario_name, device="cpu",
+                                      fusion=fusion))
+            gpu = run_pic(self.config(scenario=scenario_name,
+                                      fusion=fusion))
+            assert np.isfinite(cpu.nsps) and cpu.nsps > 0.0
+            assert cpu.digest == gpu.digest
+
+    def test_fusion_must_be_a_bool(self):
+        from repro.api import run_pic
+        with pytest.raises(ConfigurationError, match="fusion"):
+            run_pic(self.config(fusion=None))
 
     def test_unknown_scenario_maps_to_configuration_error(self):
         from repro.api import run_pic

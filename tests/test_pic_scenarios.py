@@ -101,7 +101,7 @@ class TestPicDifferentialSweep:
                                       scenarios=("relativistic-beam",))
         assert report.all_passed
         labels = {r.fusion for r in report.results}
-        assert labels == {"reference", "legacy", "unfused", "fused"}
+        assert labels == {"reference", "unfused", "fused"}
         # 2 layouts x (per-combination group + 1 cross-layout check)
         assert len(report.digest_checks) == 3
         assert all(c.passed for c in report.digest_checks)
@@ -114,6 +114,6 @@ class TestPicDifferentialSweep:
         text = run_pic_differential(
             n=16, steps=1, scenarios=("magnetic-mirror",),
             layouts=(Layout.SOA,)).render()
-        for token in ("pic[magnetic-mirror]", "legacy", "unfused",
-                      "fused", "bit-exact group"):
+        for token in ("pic[magnetic-mirror]", "unfused", "fused",
+                      "bit-exact group"):
             assert token in text

@@ -6,14 +6,13 @@ Covers the PR 9 surface end to end:
   passes, one epsilon over fails;
 * ``--filter`` parsing and :class:`TestFilter` matching across
   suite/device/backend/tag axes;
-* v0 → v1 baseline migration round-trips for both legacy shapes (the
-  PR 3 trajectory files and the PR 8 flat portability dump), and the
-  writer only ever emitting v1;
+* schema v1 as the only baseline format read or written (v0 documents
+  fail with a typed error);
 * the uniform performance stage (:func:`compare_cells`): at-bound,
   drifted, missing and new cells;
 * ``repro bench`` exit codes: 0 green, 1 on injected drift (with the
   per-cell diff naming suite/device/backend/config), 2 on bad filters
-  and unknown suites; the legacy subcommands warning as shims.
+  and unknown suites.
 """
 
 import json
@@ -30,7 +29,7 @@ from repro.regress import (Baseline, BaselineCell, RegressionTest,
                            backend_of_device, baseline_path, cell_label,
                            compare_cells, load_baseline, parse_filter,
                            relative_drift, run_regression,
-                           within_tolerance, write_baseline)
+                           within_tolerance)
 
 REPO_BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -113,60 +112,7 @@ def test_backend_inference():
     assert backend_of_device("2x iris-xe-max") == "oneapi"
 
 
-# -- v0 -> v1 migration ------------------------------------------------
-
-def test_trajectory_v0_round_trip(tmp_path):
-    v0 = {"scenario": "shard",
-          "snapshots": [{"git_sha": "abc123", "date": "2026-01-01",
-                         "n_particles": 1000,
-                         "cells": [{"config": "sharded/even",
-                                    "device": "2x iris-xe-max",
-                                    "layout": "SoA",
-                                    "nsps": 0.5, "n_devices": 2}]}]}
-    baseline_path("shard", tmp_path).write_text(json.dumps(v0))
-    baseline = load_baseline("shard", tmp_path)
-    cell = baseline.latest.cells[0]
-    assert cell.keys["backend"] == "oneapi"       # inferred
-    assert cell.keys["suite"] == "shard"
-    assert cell.metrics == {"nsps": 0.5, "n_devices": 2.0}
-    # write -> v1 on disk, identical in-memory content after reload
-    write_baseline(baseline, tmp_path)
-    document = json.loads(baseline_path("shard", tmp_path).read_text())
-    assert document["schema_version"] == SCHEMA_VERSION
-    assert document["suite"] == "shard"
-    reloaded = load_baseline("shard", tmp_path)
-    assert reloaded.latest.git_sha == "abc123"
-    assert reloaded.latest.cells[0].identity == cell.identity
-    assert reloaded.latest.cells[0].metrics == cell.metrics
-
-
-def test_portability_v0_round_trip(tmp_path):
-    from repro.backends.portability import PP_DRIFT_TOLERANCE
-    v0 = {"pp": 0.9, "n_particles": 100, "steps": 4, "warmup": 2,
-          "portable_config": {"layout": "SoA"},
-          "devices": [{"device": "cpu", "backend": "oneapi",
-                       "best_nsps": 1.0, "portable_nsps": 1.1,
-                       "efficiency": 0.9, "best_label": "x"},
-                      {"device": "cuda:gpu0", "backend": "cuda",
-                       "best_nsps": 0.2, "portable_nsps": 0.2,
-                       "efficiency": 1.0, "best_label": "y"}]}
-    baseline_path("portability", tmp_path).write_text(json.dumps(v0))
-    baseline = load_baseline("portability", tmp_path)
-    cells = baseline.latest.cells
-    pp = [c for c in cells if c.keys["config"] == "pp"]
-    assert len(pp) == 1 and pp[0].metrics["pp"] == 0.9
-    assert pp[0].tolerance == PP_DRIFT_TOLERANCE
-    assert len([c for c in cells
-                if c.keys["config"] == "efficiency"]) == 2
-    assert baseline.latest.params == {"steps": 4, "warmup": 2}
-    # the PortabilityReport view survives the v1 round trip too
-    from repro.backends import portability as p
-    write_baseline(baseline, tmp_path)
-    report = p.load_baseline(baseline_path("portability", tmp_path))
-    assert report.pp == 0.9
-    assert {r.device for r in report.devices} == {"cpu", "cuda:gpu0"}
-    assert report.steps == 4 and report.n_particles == 100
-
+# -- schema v1 ---------------------------------------------------------
 
 def test_writer_only_emits_v1(tmp_path):
     cell = {"suite": "demo", "backend": "oneapi", "device": "cpu",
@@ -175,17 +121,14 @@ def test_writer_only_emits_v1(tmp_path):
     append_snapshot("demo", [cell], 500, directory=tmp_path)
     document = json.loads(baseline_path("demo", tmp_path).read_text())
     assert document["schema_version"] == SCHEMA_VERSION
-    # appending to a v0 file migrates its whole history first
+    # a v0 file is no longer migrated: appending to it fails typed
     v0 = {"scenario": "old", "snapshots": [
         {"git_sha": "aaa", "date": "", "n_particles": 5,
          "cells": [{"config": "c", "device": "cpu", "nsps": 2.0}]}]}
     baseline_path("old", tmp_path).write_text(json.dumps(v0))
-    append_snapshot("old", [dict(cell, suite="old")], 500,
-                    directory=tmp_path)
-    document = json.loads(baseline_path("old", tmp_path).read_text())
-    assert document["schema_version"] == SCHEMA_VERSION
-    assert len(document["snapshots"]) == 2
-    assert document["snapshots"][0]["git_sha"] == "aaa"
+    with pytest.raises(ValidationError, match="schema_version"):
+        append_snapshot("old", [dict(cell, suite="old")], 500,
+                        directory=tmp_path)
 
 
 def test_corrupt_and_mismatched_baselines_raise(tmp_path):
@@ -203,6 +146,15 @@ def test_corrupt_and_mismatched_baselines_raise(tmp_path):
                     "snapshots": []}))
     with pytest.raises(ValidationError):
         load_baseline("future", tmp_path)
+    # both retired v0 shapes: the trajectory file and the flat
+    # portability dump
+    baseline_path("trajectory", tmp_path).write_text(json.dumps(
+        {"scenario": "trajectory", "snapshots": []}))
+    baseline_path("portability", tmp_path).write_text(json.dumps(
+        {"pp": 0.9, "devices": []}))
+    for suite in ("trajectory", "portability"):
+        with pytest.raises(ValidationError, match="schema_version"):
+            load_baseline(suite, tmp_path)
     with pytest.raises(ConfigurationError):
         baseline_path("../escape")
 
@@ -330,18 +282,6 @@ def test_cli_bench_record_then_regress(tmp_path, capsys):
     assert main(["bench", "shard", "--regress",
                  "--record-dir", str(tmp_path)]) == 0
     assert "PASS" in capsys.readouterr().out
-
-
-def test_cli_legacy_shims_warn_and_keep_output(capsys):
-    with pytest.warns(DeprecationWarning, match="repro threads"):
-        assert main(["--particles", "100000", "threads"]) == 0
-    captured = capsys.readouterr()
-    assert "Hyperthreading sweep" in captured.out
-    assert "deprecated" in captured.err
-    with pytest.warns(DeprecationWarning, match="repro first-iter"):
-        assert main(["--particles", "100000", "first-iter"]) == 0
-    assert "first iteration / steady iteration" in \
-        capsys.readouterr().out
 
 
 def test_cli_bench_smoke_filter_is_green(capsys):

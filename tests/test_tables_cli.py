@@ -51,11 +51,10 @@ class TestFormatting:
 class TestCli:
     def test_parser_has_all_commands(self):
         parser = build_parser()
-        for command in ("table2", "table3", "fig1", "first-iter",
-                        "threads", "measure", "devices"):
-            args = parser.parse_args([command] if command != "measure"
-                                     else [command])
-            assert args.command == command
+        for command in ("bench", "devices", "push", "pic", "validate"):
+            assert parser.parse_args([command]).command == command
+        args = parser.parse_args(["trace", "first-iter", "--out", "t.json"])
+        assert args.trace_command == "first-iter"
 
     def test_devices_command(self, capsys):
         assert main(["devices"]) == 0
@@ -63,16 +62,16 @@ class TestCli:
         assert "8260L" in out and "Iris" in out
 
     def test_first_iter_command_small(self, capsys):
-        assert main(["--particles", "1000000", "first-iter"]) == 0
+        assert main(["--particles", "1000000", "bench", "first-iter"]) == 0
         assert "first iteration" in capsys.readouterr().out
 
     def test_threads_command_small(self, capsys):
-        assert main(["--particles", "1000000", "threads"]) == 0
+        assert main(["--particles", "1000000", "bench", "threads"]) == 0
         out = capsys.readouterr().out
         assert "96" in out
 
     def test_measure_command_small(self, capsys):
-        assert main(["measure", "--measure-particles", "2000",
+        assert main(["bench", "measure", "--measure-particles", "2000",
                      "--measure-steps", "1"]) == 0
         out = capsys.readouterr().out
         assert "NSPS" in out

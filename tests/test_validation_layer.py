@@ -485,7 +485,7 @@ class TestCliExitCodes:
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc_info:
-            main(["table2", "--record", "--fault-plan", "chaos"])
+            main(["bench", "table2", "--record", "--fault-plan", "chaos"])
         assert exc_info.value.code == 2
 
     def test_push_validate_flag_runs(self, capsys):
