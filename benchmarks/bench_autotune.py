@@ -8,9 +8,10 @@ The tentpole claims, pinned as CI assertions:
 * **calibrated prediction** — the pick's measured NSPS lands within
   :data:`~repro.analysis.autotune.CALIBRATION_TOLERANCE` of its own
   roofline/cost-model prediction and the run report carries no
-  calibration warnings (a warning here means the analytical
-  ``predict_launch_seconds`` drifted from the measured launch path —
-  a cost-model bug, see ``docs/TUNING.md``);
+  calibration warnings (the analytic ``estimate_spec_seconds`` shares
+  its pricing core with the measured launch, so a warning here means
+  its analytic load is missing something a real schedule puts on the
+  device — a cost-model bug, see ``docs/TUNING.md``);
 * **report plumbing** — the auto report exposes the full ranked
   :class:`~repro.analysis.autotune.TuningReport` plus
   ``predicted_nsps`` for downstream tooling.

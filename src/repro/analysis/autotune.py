@@ -14,7 +14,7 @@ module makes that reasoning executable:
    span oneAPI and CUDA devices, see :mod:`repro.backends`);
 2. :func:`tune` prices every candidate through the cost model's
    steady-state predictor
-   (:meth:`~repro.oneapi.costmodel.CostModel.predict_launch_seconds`)
+   (:meth:`~repro.oneapi.costmodel.CostModel.estimate_spec_seconds`)
    with the graph-level roofline
    (:func:`repro.analysis.roofline.analyze_graph`) classifying each
    launch group and flooring DRAM-resident predictions at the
@@ -263,7 +263,7 @@ def _predict_on_device(candidate: Candidate, config, n: int,
     roofline = analyze_graph(graph, device, plan=plan)
     seconds = 0.0
     for group in roofline.groups:
-        predicted = cost_model.predict_launch_seconds(
+        predicted = cost_model.estimate_spec_seconds(
             group.spec, group.n_items, candidate.precision,
             threads_per_unit=candidate.threads_per_unit)
         dram_resident = (group.spec.working_set_bytes_per_item

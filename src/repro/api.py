@@ -405,21 +405,9 @@ def _plan_stats(executor) -> Tuple[int, int]:
     return plan.fused_group_count, plan.kernels_eliminated
 
 
-def _steady_nsps(step_seconds: Sequence[float], n: int,
-                 warmup: int) -> float:
-    """Steady-state NSPS over per-step simulated seconds.
-
-    Graph-mode steps can span several launches, so this averages the
-    engine's ``step_seconds`` (whole steps) rather than per-record
-    NSPS, skipping the warm-up steps that carry JIT and cold pages.
-    """
-    steady = step_seconds[warmup:] if len(step_seconds) > warmup \
-        else list(step_seconds)
-    return sum(steady) / len(steady) * 1.0e9 / n
-
-
 def _run_single(config: RunConfig, source, dt: float) -> "_RunOutcome":
     from .backends.registry import resolve_device
+    from .bench.metrics import nsps_from_steps
     from .core.stepping import state_digest
     from .oneapi.runtime import PushEngine
 
@@ -434,13 +422,14 @@ def _run_single(config: RunConfig, source, dt: float) -> "_RunOutcome":
     engine.run(config.warmup + config.steps)
     groups, eliminated = _plan_stats(engine.executor)
     n = config.n_particles
+    nsps, first_step_nsps = nsps_from_steps(engine.step_seconds, n,
+                                            config.warmup)
     report = RunReport(
         mode="single", scenario=config.scenario,
         layout=config.layout.value, precision=config.precision.value,
         device=config.device, n_particles=n,
         steps=config.steps,
-        nsps=_steady_nsps(engine.step_seconds, n, config.warmup),
-        first_step_nsps=engine.step_seconds[0] * 1.0e9 / n,
+        nsps=nsps, first_step_nsps=first_step_nsps,
         simulated_seconds=queue.timeline.makespan,
         digest=state_digest(ensemble),
         fusion=config.fusion, fusion_groups=groups,
@@ -450,6 +439,7 @@ def _run_single(config: RunConfig, source, dt: float) -> "_RunOutcome":
 
 
 def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
+    from .bench.metrics import nsps_from_steps
     from .core.stepping import state_digest
     from .resilience import (Checkpointer, fault_injection, named_plan)
     from .resilience.runner import DEVICE_LADDER, ResilientPushEngine
@@ -478,13 +468,14 @@ def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
         engine, _, report = drive(None)
     groups, eliminated = _plan_stats(engine.runner.executor)
     n = config.n_particles
+    nsps, first_step_nsps = nsps_from_steps(engine.step_seconds, n,
+                                            config.warmup)
     run_report = RunReport(
         mode="resilient", scenario=config.scenario,
         layout=config.layout.value, precision=config.precision.value,
         device=report.final_device, n_particles=n,
         steps=config.steps,
-        nsps=_steady_nsps(engine.step_seconds, n, config.warmup),
-        first_step_nsps=engine.step_seconds[0] * 1.0e9 / n,
+        nsps=nsps, first_step_nsps=first_step_nsps,
         simulated_seconds=engine.queue.timeline.makespan,
         digest=state_digest(ensemble),
         fusion=config.fusion, fusion_groups=groups,
@@ -769,6 +760,7 @@ class PicReport:
 
 def _execute_pic(config: PicConfig, validate: bool) -> PicReport:
     from .backends.registry import resolve_device
+    from .bench.metrics import nsps_from_steps
     from .pic.diagnostics import EnergyHistory
     from .pic.engine import PicEngine, pic_state_digest
     from .pic.scenarios import build_scenario
@@ -791,12 +783,13 @@ def _execute_pic(config: PicConfig, validate: bool) -> PicReport:
                        simulation.ensembles)
     groups, eliminated = _plan_stats(engine.executor)
     n = simulation.ensembles[0].size
+    nsps, first_step_nsps = nsps_from_steps(engine.step_seconds, n,
+                                            config.warmup)
     return PicReport(
         scenario=config.scenario, layout=config.layout.value,
         precision=config.precision.value, device=config.device,
         n_particles=n, steps=config.steps,
-        nsps=_steady_nsps(engine.step_seconds, n, config.warmup),
-        first_step_nsps=engine.step_seconds[0] * 1.0e9 / n,
+        nsps=nsps, first_step_nsps=first_step_nsps,
         simulated_seconds=queue.timeline.makespan,
         digest=pic_state_digest(simulation),
         energy_drift=history.relative_drift(),

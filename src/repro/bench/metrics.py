@@ -5,7 +5,10 @@ merit: average iteration time in nanoseconds divided by the particle
 count and the steps per iteration.
 
 Public return types: :func:`nsps_from_records` returns the steady-state
-NSPS as a ``float``; :func:`measure_real_nsps` returns a
+NSPS as a ``float``; :func:`nsps_from_steps` returns the steady-state
+and first-step NSPS of a run's whole steps as a ``(float, float)``
+pair — the one routine every run report (push, resilient, PIC, service
+job) takes its NSPS from; :func:`measure_real_nsps` returns a
 :class:`MeasuredResult` (``nsps``, ``n_particles``, ``steps``,
 ``total_seconds``).  :func:`nsps_from_records` is also what the trace
 summary (:mod:`repro.observability.summary`) applies to its launch
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from ..core.kernels import boris_push_analytical, boris_push_precalculated
 from ..errors import ConfigurationError
@@ -27,7 +30,8 @@ from ..observability.tracer import trace_span
 from ..oneapi.queue import KernelLaunchRecord
 from ..particles.ensemble import ParticleEnsemble
 
-__all__ = ["nsps_from_records", "MeasuredResult", "measure_real_nsps"]
+__all__ = ["nsps_from_records", "nsps_from_steps", "MeasuredResult",
+           "measure_real_nsps"]
 
 
 def nsps_from_records(records: Sequence[KernelLaunchRecord],
@@ -48,6 +52,24 @@ def nsps_from_records(records: Sequence[KernelLaunchRecord],
         raise ConfigurationError("no launch records to average")
     steady = records[skip_warmup:] if len(records) > skip_warmup else records
     return sum(r.nsps() for r in steady) / len(steady)
+
+
+def nsps_from_steps(step_seconds: Sequence[float], n_items: int,
+                    warmup: int) -> Tuple[float, float]:
+    """``(steady NSPS, first-step NSPS)`` over per-step simulated seconds.
+
+    A kernel-graph step can span several launches, so this averages an
+    engine's ``step_seconds`` (whole steps) rather than per-record
+    NSPS, skipping the ``warmup`` steps that carry JIT and cold pages
+    (all steps count when there are no more than ``warmup``).  The
+    first-step figure keeps that cold cost visible.
+    """
+    if not step_seconds:
+        raise ConfigurationError("no steps to average")
+    steady = step_seconds[warmup:] if len(step_seconds) > warmup \
+        else list(step_seconds)
+    return (sum(steady) / len(steady) * 1.0e9 / n_items,
+            step_seconds[0] * 1.0e9 / n_items)
 
 
 @dataclass

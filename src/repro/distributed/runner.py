@@ -377,8 +377,12 @@ class ShardedPushEngine:
                         policy=self.retry_policy, watchdog=self.watchdog,
                         stats=self.recovery_stats)
                 state.last_push = record.event
-                state.busy_seconds += record.simulated_seconds
-                state.nsps_samples.append(record.nsps())
+                # The whole step (every launch of an unfused graph),
+                # plus any retry penalty folded into its last record.
+                seconds = state.runner.step_seconds[-1] \
+                    + record.timing.recovery_seconds
+                state.busy_seconds += seconds
+                state.nsps_samples.append(seconds * 1.0e9 / record.n_items)
                 state.steps += 1
             exchange_deps = [
                 [e for e in (s.last_push, s.last_exchange) if e is not None]

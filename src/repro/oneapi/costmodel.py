@@ -29,6 +29,12 @@ with
   (first-touch) cost, together the paper's "first iteration takes 50%
   longer" effect.
 
+One routine, :meth:`CostModel._price`, computes those terms from a
+:class:`_Load`, built either from a real schedule and page state
+(:meth:`CostModel.time_launch`) or analytically
+(:meth:`CostModel.estimate_spec_seconds`, the fusion planner's and the
+autotuner's predictor), so prediction and measurement cannot drift.
+
 All tunable constants default to physically motivated values and are
 overridden per device in :mod:`repro.bench.calibration`, where each
 choice is documented against the paper number it was fitted to.
@@ -37,7 +43,7 @@ choice is documented against the paper number it was fitted to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,9 +51,9 @@ from ..errors import KernelError, MemoryModelError
 from ..fp import Precision
 from .device import DeviceDescriptor, DeviceType
 from .kernelspec import KernelSpec, MemoryStream, StreamKind
-from .scheduler import Schedule
+from .scheduler import DEFAULT_WORKGROUP_SIZE, Schedule
 
-__all__ = ["CostModel", "LaunchTiming"]
+__all__ = ["CostModel", "LaunchTiming", "stream_multiplier"]
 
 #: Cache lines per small page (4096 / 64).
 _LINES_PER_PAGE = 64
@@ -87,6 +93,46 @@ class LaunchTiming:
         if n_items <= 0 or steps_per_launch <= 0:
             raise KernelError("n_items and steps_per_launch must be positive")
         return self.total_seconds * 1.0e9 / (n_items * steps_per_launch)
+
+
+def stream_multiplier(stream: MemoryStream, write_allocate: bool) -> float:
+    """DRAM traffic per span byte of one stream.
+
+    A READ moves its span once and a READ_WRITE twice (read, then write
+    back).  A WRITE moves it twice on a ``write_allocate`` device, whose
+    caches read the line before the store, and once otherwise.  The
+    cost model and :mod:`repro.oneapi.roofline` both apply this rule.
+    """
+    if stream.kind is StreamKind.READ:
+        return 1.0
+    if stream.kind is StreamKind.READ_WRITE:
+        return 2.0
+    return 2.0 if write_allocate else 1.0
+
+
+class _Load(NamedTuple):
+    """What one launch asks of the device: the pricing core's input."""
+
+    #: Work items (with the spec, decides cache residency).
+    n_items: int
+    #: DRAM bytes each NUMA domain serves, in domain order.
+    dram_bytes: Tuple[float, ...]
+    #: Bytes that cross the NUMA interconnect.
+    remote_bytes: float
+    #: Bytes served from pages homed in the executing domain.
+    local_bytes: float
+    #: Pages this launch first-touches.
+    cold_pages: int
+    #: Busy compute units in each domain, in domain order.
+    active_units: Tuple[int, ...]
+    threads_per_unit: int
+    n_threads: int
+    #: Work items on the busiest compute unit.
+    busiest_unit_items: float
+    #: Whether a dynamic (TBB-style) runtime deals the chunks.
+    dynamic: bool
+    #: Chunks the busiest thread claims.
+    busiest_thread_chunks: int
 
 
 class CostModel:
@@ -144,8 +190,8 @@ class CostModel:
     # A non-oneAPI backend (see repro.backends) subclasses CostModel and
     # overrides these three seams instead of re-deriving the roofline:
     # occupancy quantisation (CUDA warps), the steady-state launch
-    # overhead the *predictors* assume (graph replay amortisation), and
-    # the per-launch overhead the *measured* path charges (which may be
+    # overhead the analytic estimate assumes (graph replay amortisation),
+    # and the per-launch overhead a measured launch pays (which may be
     # stateful — capture thresholds, one-off context initialisation).
 
     def _occupancy_items(self, busiest: float) -> float:
@@ -153,16 +199,17 @@ class CostModel:
 
         The oneAPI model charges exactly the scheduled items; backends
         whose hardware retires work in fixed-size bundles (CUDA warps)
-        round up here, on both the measured and predicted paths.
+        round up here.  :meth:`_price` applies it to measured and
+        estimated launches alike.
         """
         return busiest
 
     def _steady_launch_overhead(self) -> float:
         """Per-launch overhead a warm steady-state launch pays.
 
-        Used by :meth:`estimate_spec_seconds` and
-        :meth:`predict_launch_seconds` — the planning/tuning paths that
-        price the configuration a long run converges to.
+        Charged by :meth:`estimate_spec_seconds` — the fusion planner's
+        and the autotuner's price of the configuration a long run
+        converges to.
         """
         return self.device.kernel_launch_overhead
 
@@ -178,15 +225,6 @@ class CostModel:
 
     # -- memory side -----------------------------------------------------
 
-    def _stream_multiplier(self, stream: MemoryStream) -> float:
-        """DRAM traffic per span byte for one stream."""
-        if stream.kind is StreamKind.READ:
-            return 1.0
-        if stream.kind is StreamKind.READ_WRITE:
-            return 2.0           # read once + write back
-        # WRITE: write-allocate reads the line before the store.
-        return 2.0 if self.device.write_allocate else 1.0
-
     def _stream_efficiency(self, stream: MemoryStream) -> float:
         """Bandwidth efficiency of one stream's access pattern."""
         if stream.contiguous:
@@ -198,126 +236,56 @@ class CostModel:
         # its span (already accounted), not extra transactions.
         return 1.0
 
-    def _domain_bandwidth(self, schedule: Schedule, domain: int) -> float:
-        """Achievable DRAM bandwidth of one domain for this schedule."""
-        topo = schedule.topology
-        units = topo.active_units_in_domain(domain)
+    def _traffic(self, stream: MemoryStream, items):
+        """DRAM bytes one stream moves over ``items`` work items (a
+        count, or an array of chunk sizes)."""
+        return (items * stream.span_bytes_per_item
+                * stream_multiplier(stream, self.device.write_allocate)
+                / self._stream_efficiency(stream))
+
+    def _domain_bandwidth(self, units: int, threads_per_unit: int) -> float:
+        """Achievable DRAM bandwidth of one domain with ``units`` busy
+        compute units, each running ``threads_per_unit`` threads."""
         if units == 0:
             return self.device.domain_bandwidth
         per_unit = self.device.unit_bandwidth
         domain_cap = self.device.domain_bandwidth
-        if topo.threads_per_unit >= 2:
+        if threads_per_unit >= 2:
             per_unit *= self.device.smt_bandwidth_boost
         else:
             domain_cap *= self.device.smt_domain_efficiency
         return min(domain_cap, units * per_unit)
 
-    # -- planning estimates ----------------------------------------------
+    # -- the pricing core ------------------------------------------------
 
-    def estimate_spec_seconds(self, spec: KernelSpec, n_items: int,
-                              precision: Precision = Precision.DOUBLE
-                              ) -> float:
-        """Rough steady-state cost of one launch of ``spec``, no schedule.
+    def _price(self, spec: KernelSpec, load: _Load, precision: Precision,
+               overhead: float, jit: float) -> LaunchTiming:
+        """Turn one launch's load into its roofline timing.
 
-        The fusion planner (:class:`repro.oneapi.graph.FusionPass`)
-        prices candidate kernels before any schedule or page state
-        exists, so this estimate assumes the whole device at full
-        occupancy with local pages: traffic over aggregate bandwidth
-        (with the cache-residency boost the full model applies, so the
-        planner notices when a *fused* working set falls out of cache)
-        versus flops over aggregate throughput, plus the per-launch
-        overhead — the term fusion actually eliminates.  Warm-up costs
-        (JIT, first touch) are excluded: they are one-off and identical
-        in total either way.
+        The only place the memory, compute, scheduling and overhead
+        terms are computed: :meth:`time_launch` feeds it the load of a
+        real schedule and page state, :meth:`estimate_spec_seconds` an
+        analytic one.  ``overhead`` is the per-launch runtime overhead
+        and ``jit`` the compile seconds this launch pays.
         """
-        if n_items < 0:
-            raise KernelError(f"n_items must be >= 0, got {n_items}")
         device = self.device
-        traffic = sum(n_items * s.span_bytes_per_item
-                      * self._stream_multiplier(s)
-                      / self._stream_efficiency(s)
-                      for s in spec.streams)
-        bandwidth = device.total_bandwidth
-        if (spec.working_set_bytes_per_item * n_items
-                < device.cache_per_domain * device.numa_domains):
-            bandwidth *= 4.0
-        memory_time = traffic / bandwidth
-        flops_item = spec.flops_per_item
-        if spec.has_strided_streams \
-                and device.device_type is DeviceType.CPU:
-            flops_item *= self.strided_compute_penalty
-        compute_time = (n_items * flops_item
-                        / device.achievable_flops(precision,
-                                                  device.compute_units))
-        return max(memory_time, compute_time) \
-            + self._steady_launch_overhead()
 
-    def predict_launch_seconds(self, spec: KernelSpec, n_items: int,
-                               precision: Precision = Precision.DOUBLE,
-                               units: Optional[int] = None,
-                               threads_per_unit: Optional[int] = None
-                               ) -> float:
-        """Predict one *warm* steady-state launch, no schedule or pages.
+        # ---- memory time: the slowest domain, or the interconnect ------
+        cache_resident = (spec.working_set_bytes_per_item * load.n_items
+                          < device.cache_per_domain * device.numa_domains)
+        memory_time = 0.0
+        for dram, units in zip(load.dram_bytes, load.active_units):
+            if dram:
+                bandwidth = self._domain_bandwidth(units,
+                                                   load.threads_per_unit)
+                if cache_resident:
+                    bandwidth *= 4.0     # LLC streams ~4x faster than DRAM
+                memory_time = max(memory_time, dram / bandwidth)
+        if device.numa_domains > 1 and load.remote_bytes > 0.0:
+            memory_time = max(memory_time, load.remote_bytes
+                              / device.interconnect_bandwidth)
 
-        Where :meth:`estimate_spec_seconds` is the fusion planner's
-        comparator (pure kernel cost, overheads excluded so margins
-        compare kernels, not runtimes), this is the autotuner's
-        measurement predictor: it adds the terms a warm launch of the
-        facade's configuration actually pays —
-
-        * the runtime's scheduling overhead (per-chunk TBB bookkeeping
-          on CPUs, the work-group dispatch barrier on GPUs) and the
-          dynamic-runtime efficiency penalty;
-        * per-domain bandwidth walls, SMT effects included: one thread
-          per unit forfeits the SMT bandwidth boost *and* pays the
-          domain-efficiency discount, exactly as
-          :meth:`_domain_bandwidth` charges a real schedule;
-        * NUMA blindness: the plain-DPC++ dynamic schedule scatters
-          chunks across sockets while first-touch homes pages
-          uniformly, so ``1 - 1/numa_domains`` of the traffic crosses
-          the interconnect — usually the binding constraint on the
-          two-socket CPU, as in the paper's non-NUMA DPC++ rows.
-
-        ``units``/``threads_per_unit`` default to the whole device
-        (the facade's occupancy); pass ``threads_per_unit=1`` to
-        predict an SMT-off run.
-        """
-        if n_items < 0:
-            raise KernelError(f"n_items must be >= 0, got {n_items}")
-        device = self.device
-        if units is None:
-            units = device.compute_units
-        tpu = device.threads_per_unit if threads_per_unit is None \
-            else threads_per_unit
-        if units < 1 or tpu < 1:
-            raise KernelError("units and threads_per_unit must be >= 1")
-        n_threads = units * tpu
-
-        # -- memory side: per-domain walls, mirroring _domain_bandwidth --
-        traffic = sum(n_items * s.span_bytes_per_item
-                      * self._stream_multiplier(s)
-                      / self._stream_efficiency(s)
-                      for s in spec.streams)
-        per_unit = device.unit_bandwidth
-        domain_cap = device.domain_bandwidth
-        if tpu >= 2:
-            per_unit *= device.smt_bandwidth_boost
-        else:
-            domain_cap *= device.smt_domain_efficiency
-        domains = device.numa_domains
-        units_per_domain = max(1, units // domains)
-        domain_bw = min(domain_cap, units_per_domain * per_unit)
-        cache_resident = (spec.working_set_bytes_per_item * n_items
-                          < device.cache_per_domain * domains)
-        if cache_resident:
-            domain_bw *= 4.0     # same LLC-streaming boost as _finish
-        memory_time = (traffic / domains) / domain_bw if traffic else 0.0
-        if domains > 1 and traffic:
-            remote = traffic * (domains - 1) / domains
-            memory_time = max(memory_time,
-                              remote / device.interconnect_bandwidth)
-
-        # -- compute side ------------------------------------------------
+        # ---- compute time: the busiest unit ------------------------------
         flops_item = spec.flops_per_item
         if spec.has_strided_streams \
                 and device.device_type is DeviceType.CPU:
@@ -326,40 +294,88 @@ class CostModel:
             * device.vector_efficiency
         if precision is Precision.DOUBLE:
             per_unit_flops *= device.dp_throughput_ratio
-        if device.device_type is DeviceType.GPU:
-            # Work-group occupancy: fixed-size groups dispatch
-            # round-robin over EU hardware threads (GpuScheduler), so
-            # a small grid piles sibling groups onto few EUs instead
-            # of spreading across all of them — the busiest EU, not
-            # the mean, sets the compute time.
-            from .scheduler import DEFAULT_WORKGROUP_SIZE as wg
-            chunks = -(-n_items // wg) if n_items else 0
-            per_thread = -(-chunks // n_threads) if chunks else 0
-            busiest = min(n_items, tpu * per_thread * wg)
-        else:
-            busiest = n_items / units
-        compute_time = self._occupancy_items(busiest) * flops_item \
-            / per_unit_flops
+        compute_time = self._occupancy_items(load.busiest_unit_items) \
+            * flops_item / per_unit_flops
 
-        # -- scheduling and runtime overheads ----------------------------
-        if device.device_type is DeviceType.CPU:
-            # The facade's plain-DPC++ CPU path is TBB-dynamic.
+        # ---- scheduling and runtime overheads ----------------------------
+        if load.dynamic:
+            scheduling = (load.busiest_thread_chunks
+                          * self.dynamic_chunk_overhead)
             penalty = (1.0 / self.dynamic_efficiency
-                       + self.single_thread_excess / n_threads)
+                       + self.single_thread_excess / load.n_threads)
             memory_time *= penalty
             compute_time *= penalty
-            # auto_partitioner grain: 16 grains per thread (the
-            # DynamicScheduler default), claimed round-robin.
-            grain = max(1, n_items // (n_threads * 16))
-            chunks = -(-n_items // grain) if n_items else 0
-            scheduling = -(-chunks // n_threads) \
-                * self.dynamic_chunk_overhead
         else:
             scheduling = self.static_launch_barrier
-        return max(memory_time, compute_time) + scheduling \
-            + self._steady_launch_overhead()
 
-    # -- the launch ---------------------------------------------------------
+        # ---- warm-up -------------------------------------------------------
+        cold = load.cold_pages * self.cold_line_latency * _LINES_PER_PAGE
+        return LaunchTiming(
+            total_seconds=(max(memory_time, compute_time) + scheduling
+                           + overhead + jit + cold),
+            memory_seconds=memory_time, compute_seconds=compute_time,
+            scheduling_seconds=scheduling, jit_seconds=jit,
+            cold_page_seconds=cold, launch_overhead_seconds=overhead,
+            bytes_moved=sum(load.dram_bytes),
+            remote_bytes=load.remote_bytes, local_bytes=load.local_bytes,
+            cold_pages=load.cold_pages,
+            bound="memory" if memory_time >= compute_time else "compute")
+
+    # -- the analytic load -----------------------------------------------
+
+    def estimate_spec_seconds(self, spec: KernelSpec, n_items: int,
+                              precision: Precision = Precision.DOUBLE,
+                              threads_per_unit: Optional[int] = None
+                              ) -> float:
+        """Predict one *warm* steady-state launch, no schedule or pages.
+
+        The fusion planner and the autotuner price kernels before any
+        schedule or page state exists, so this builds the load the
+        facade's configuration would put on the whole device — every
+        unit busy with ``threads_per_unit`` threads (default the
+        device's; 1 predicts an SMT-off run), traffic homed uniformly
+        over the NUMA domains as the plain-DPC++ dynamic schedule's
+        first touch leaves it, the TBB grain (16 per thread) on CPUs,
+        :data:`~repro.oneapi.scheduler.DEFAULT_WORKGROUP_SIZE`
+        work-groups dealt round-robin on GPUs — and prices it through
+        the measured launch's core.  Warm-up (JIT, first touch) is
+        excluded: it is one-off, and the same whichever configuration
+        runs.
+        """
+        if n_items < 0:
+            raise KernelError(f"n_items must be >= 0, got {n_items}")
+        device = self.device
+        units = device.compute_units
+        tpu = device.threads_per_unit if threads_per_unit is None \
+            else threads_per_unit
+        if tpu < 1:
+            raise KernelError("threads_per_unit must be >= 1")
+        n_threads = units * tpu
+        domains = device.numa_domains
+        traffic = sum(self._traffic(s, n_items) for s in spec.streams)
+        cpu = device.device_type is DeviceType.CPU
+        if cpu:
+            grain = max(1, n_items // (n_threads * 16))
+            chunks = -(-n_items // grain)
+        else:
+            chunks = -(-n_items // DEFAULT_WORKGROUP_SIZE)
+        busiest_chunks = -(-chunks // n_threads)
+        busiest = n_items / units if cpu \
+            else min(n_items, tpu * busiest_chunks * DEFAULT_WORKGROUP_SIZE)
+        share = traffic / domains
+        load = _Load(
+            n_items=n_items, dram_bytes=(share,) * domains,
+            remote_bytes=traffic * (domains - 1) / domains,
+            local_bytes=share, cold_pages=0,
+            active_units=(max(1, units // domains),) * domains,
+            threads_per_unit=tpu, n_threads=n_threads,
+            busiest_unit_items=busiest, dynamic=cpu,
+            busiest_thread_chunks=busiest_chunks)
+        return self._price(spec, load, precision,
+                           self._steady_launch_overhead(),
+                           0.0).total_seconds
+
+    # -- the measured launch ---------------------------------------------
 
     def time_launch(self, spec: KernelSpec, schedule: Schedule,
                     precision: Precision = Precision.DOUBLE,
@@ -372,37 +388,26 @@ class CostModel:
         the spec's allocations is consulted for NUMA locality and, when
         ``update_pages`` is true, updated by first-touch.
         """
-        timing = LaunchTiming()
-        device = self.device
-
-        # ---- 1. walk chunks: locality, first-touch, traffic ------------
-        dram_bytes: Dict[int, float] = {d: 0.0 for d
-                                        in range(device.numa_domains)}
-        remote_total = 0.0
-        local_total = 0.0
-        cold_pages = 0
-        if device.numa_domains == 1:
+        if self.device.numa_domains == 1:
             # Single memory domain: every access is local, so the
             # per-chunk walk collapses to whole-range accounting (the
             # GPU schedules have tens of thousands of work-groups).
+            traffic = 0.0
+            cold_pages = 0
             for stream in spec.streams:
-                span = stream.span_bytes_per_item
-                traffic = (schedule.n_items * span
-                           * self._stream_multiplier(stream)
-                           / self._stream_efficiency(stream))
-                dram_bytes[0] += traffic
-                local_total += traffic
+                traffic += self._traffic(stream, schedule.n_items)
                 if stream.allocation is not None and update_pages:
-                    end = min(int(schedule.n_items * span),
+                    end = min(int(schedule.n_items
+                                  * stream.span_bytes_per_item),
                               stream.allocation.nbytes)
                     cold_pages += stream.allocation.touch(0, end, 0)
-            return self._finish(timing, spec, schedule, precision,
-                                jit_compiled, dram_bytes, remote_total,
-                                local_total, cold_pages)
-        dram_bytes, remote_total, local_total, cold_pages = \
-            self._walk_domains(spec, schedule, update_pages)
-        return self._finish(timing, spec, schedule, precision, jit_compiled,
-                            dram_bytes, remote_total, local_total, cold_pages)
+            walked = ({0: traffic}, 0.0, traffic, cold_pages)
+        else:
+            walked = self._walk_domains(spec, schedule, update_pages)
+        jit = 0.0 if jit_compiled else self.device.jit_compile_seconds
+        return self._price(spec, self._schedule_load(schedule, *walked),
+                           precision, self._measured_launch_overhead(spec),
+                           jit)
 
     def _walk_domains(self, spec: KernelSpec, schedule: Schedule,
                       update_pages: bool
@@ -433,9 +438,7 @@ class CostModel:
         remote_home = np.repeat(exec_domain[:, None], len(streams), axis=1)
         sharing: Dict[int, List[int]] = {}
         for index, stream in enumerate(streams):
-            traffic[:, index] = (schedule.sizes * stream.span_bytes_per_item
-                                 * self._stream_multiplier(stream)
-                                 / self._stream_efficiency(stream))
+            traffic[:, index] = self._traffic(stream, schedule.sizes)
             if stream.allocation is not None:
                 sharing.setdefault(id(stream.allocation), []).append(index)
         cold_pages = 0
@@ -458,73 +461,26 @@ class CostModel:
         return (dram_bytes, _running_total(remote_traffic),
                 _running_total(local_traffic), cold_pages)
 
-    def _finish(self, timing: LaunchTiming, spec: KernelSpec,
-                schedule: Schedule, precision: Precision,
-                jit_compiled: bool, dram_bytes: Dict[int, float],
-                remote_total: float, local_total: float,
-                cold_pages: int) -> LaunchTiming:
-        """Combine traffic accounting into the roofline timing."""
-        device = self.device
+    def _schedule_load(self, schedule: Schedule, dram_bytes: Dict[int, float],
+                       remote_bytes: float, local_bytes: float,
+                       cold_pages: int) -> _Load:
+        """The load of a real schedule, given its walked traffic
+        (``dram_bytes`` keyed by every domain, in order)."""
         topo = schedule.topology
-
-        # ---- 2. memory time ------------------------------------------------
-        total_traffic = sum(dram_bytes.values())
-        cache_resident = (spec.working_set_bytes_per_item * schedule.n_items
-                          < device.cache_per_domain * device.numa_domains)
-        dram_times = []
-        for domain, load in dram_bytes.items():
-            bandwidth = self._domain_bandwidth(schedule, domain)
-            if cache_resident:
-                bandwidth *= 4.0     # LLC streams ~4x faster than DRAM
-            dram_times.append(load / bandwidth if load else 0.0)
-        memory_time = max(dram_times) if dram_times else 0.0
-        if device.numa_domains > 1 and remote_total > 0.0:
-            memory_time = max(memory_time,
-                              remote_total / device.interconnect_bandwidth)
-
-        # ---- 3. compute time -------------------------------------------------
-        flops_item = spec.flops_per_item
-        if spec.has_strided_streams \
-                and device.device_type is DeviceType.CPU:
-            flops_item *= self.strided_compute_penalty
-        per_unit_flops = device.clock_hz * device.flops_per_cycle_sp \
-            * device.vector_efficiency
-        if precision is Precision.DOUBLE:
-            per_unit_flops *= device.dp_throughput_ratio
-        busiest = max(schedule.items_per_unit().values(), default=0)
-        compute_time = self._occupancy_items(busiest) * flops_item \
-            / per_unit_flops
-
-        # ---- 4. scheduling and runtime overheads ---------------------------
-        if schedule.dynamic:
-            scheduling = (schedule.max_chunks_on_a_thread()
-                          * self.dynamic_chunk_overhead)
-            penalty = (1.0 / self.dynamic_efficiency
-                       + self.single_thread_excess / topo.n_threads)
-            memory_time *= penalty
-            compute_time *= penalty
-        else:
-            scheduling = self.static_launch_barrier
-
-        # ---- 5. warm-up and launch overhead --------------------------------
-        jit = 0.0 if jit_compiled else device.jit_compile_seconds
-        cold = cold_pages * self.cold_line_latency * _LINES_PER_PAGE
-        overhead = self._measured_launch_overhead(spec)
-
-        timing.memory_seconds = memory_time
-        timing.compute_seconds = compute_time
-        timing.scheduling_seconds = scheduling
-        timing.launch_overhead_seconds = overhead
-        timing.jit_seconds = jit
-        timing.cold_page_seconds = cold
-        timing.bytes_moved = total_traffic
-        timing.remote_bytes = remote_total
-        timing.local_bytes = local_total
-        timing.cold_pages = cold_pages
-        timing.bound = "memory" if memory_time >= compute_time else "compute"
-        timing.total_seconds = (max(memory_time, compute_time) + scheduling
-                                + overhead + jit + cold)
-        return timing
+        return _Load(
+            n_items=schedule.n_items,
+            dram_bytes=tuple(dram_bytes.values()),
+            remote_bytes=remote_bytes, local_bytes=local_bytes,
+            cold_pages=cold_pages,
+            active_units=tuple(topo.active_units_in_domain(domain)
+                               for domain in dram_bytes),
+            threads_per_unit=topo.threads_per_unit,
+            n_threads=topo.n_threads,
+            busiest_unit_items=max(schedule.items_per_unit().values(),
+                                   default=0),
+            dynamic=schedule.dynamic,
+            busiest_thread_chunks=(schedule.max_chunks_on_a_thread()
+                                   if schedule.dynamic else 0))
 
 
 def _running_total(values: np.ndarray) -> float:

@@ -302,16 +302,10 @@ class FusionPass:
     Args:
         cost_model: Prices candidate kernels
             (:meth:`~repro.oneapi.costmodel.CostModel.estimate_spec_seconds`).
-        margin: Required relative advantage of the fused kernel; 0.0
-            fuses on any non-negative saving (launch overhead alone
-            usually suffices).
     """
 
-    def __init__(self, cost_model: CostModel, margin: float = 0.0) -> None:
-        if margin < 0.0:
-            raise GraphError(f"margin must be >= 0, got {margin}")
+    def __init__(self, cost_model: CostModel) -> None:
         self.cost_model = cost_model
-        self.margin = margin
 
     def _estimate(self, spec: KernelSpec, n_items: int,
                   precision: Precision) -> float:
@@ -328,7 +322,7 @@ class FusionPass:
         separate = sum(self._estimate(node.spec, n, precision)
                        for node in nodes)
         fused = self._estimate(fused_spec, n, precision)
-        if fused <= separate * (1.0 - self.margin):
+        if fused <= separate:
             return True, ""
         return False, (f"cost model refuses: fused {fused:.3e}s vs "
                        f"separate {separate:.3e}s")

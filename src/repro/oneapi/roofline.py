@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from ..errors import KernelError
 from ..fp import Precision
+from .costmodel import stream_multiplier
 from .device import DeviceDescriptor
-from .kernelspec import KernelSpec, StreamKind
+from .kernelspec import KernelSpec
 
 __all__ = ["RooflinePoint", "analyze_kernel"]
 
@@ -55,12 +56,8 @@ def _effective_bytes_per_item(spec: KernelSpec,
     """DRAM traffic per item under the cost model's stream rules."""
     total = 0.0
     for stream in spec.streams:
-        multiplier = 1.0
-        if stream.kind is StreamKind.READ_WRITE:
-            multiplier = 2.0
-        elif stream.kind is StreamKind.WRITE:
-            multiplier = 2.0 if device.write_allocate else 1.0
-        total += stream.span_bytes_per_item * multiplier
+        total += stream.span_bytes_per_item \
+            * stream_multiplier(stream, device.write_allocate)
     return total
 
 

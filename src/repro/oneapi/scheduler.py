@@ -430,7 +430,7 @@ class _SubsetTopology(ThreadTopology):
 
 
 #: Work-group size :class:`GpuScheduler` uses unless overridden — also
-#: what the cost model's schedule-free predictor assumes for occupancy.
+#: what ``CostModel.estimate_spec_seconds`` assumes for occupancy.
 DEFAULT_WORKGROUP_SIZE = 256
 
 

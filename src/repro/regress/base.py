@@ -116,7 +116,10 @@ class RegressionTest:
     * ``regressable`` — whether ``--regress`` may run it at all
       (host-dependent measurements are listed but never regressed);
     * ``default_tolerance`` — the relative tolerance recorded on every
-      cell this suite writes.
+      cell this suite writes;
+    * ``compared_metrics`` / ``metric_tolerances`` — which metrics the
+      performance stage compares, and any that ignore the cell's
+      tolerance for a fixed one.
 
     And implement:
 
@@ -145,6 +148,9 @@ class RegressionTest:
     #: Metric names the performance stage compares (others recorded in
     #: cells are informational context, e.g. ``cold_nsps``).
     compared_metrics: Tuple[str, ...] = ("nsps",)
+    #: Per-metric tolerances that override the cell's (0.0 compares a
+    #: deterministic model output exactly).
+    metric_tolerances: Dict[str, float] = {}
 
     def run(self, n: Optional[int] = None):
         """Produce the suite's artefact (harness return shape)."""

@@ -222,20 +222,21 @@ def compare_cells(test: RegressionTest,
             matched.add(identity)
         for metric in metrics:
             reference = ref_cell.metrics[metric]
+            metric_tolerance = test.metric_tolerances.get(metric, tolerance)
             measured = None if hit is None \
                 else hit[1].get("metrics", {}).get(metric)
             if measured is None:
                 results.append(CellResult(
                     keys=dict(ref_cell.keys), metric=metric,
                     measured=None, reference=reference,
-                    tolerance=tolerance, status=MISSING))
+                    tolerance=metric_tolerance, status=MISSING))
                 continue
             ok = within_tolerance(float(measured), float(reference),
-                                  tolerance)
+                                  metric_tolerance)
             results.append(CellResult(
                 keys=dict(ref_cell.keys), metric=metric,
                 measured=float(measured), reference=float(reference),
-                tolerance=tolerance, status=OK if ok else DRIFT))
+                tolerance=metric_tolerance, status=OK if ok else DRIFT))
     for identity, (keys, cell) in measured_by_key.items():
         if identity in matched:
             continue
@@ -246,8 +247,8 @@ def compare_cells(test: RegressionTest,
             results.append(CellResult(
                 keys=keys, metric=metric, measured=float(measured),
                 reference=None,
-                tolerance=float(cell.get("tolerance",
-                                         test.default_tolerance)),
+                tolerance=test.metric_tolerances.get(metric, float(
+                    cell.get("tolerance", test.default_tolerance))),
                 status=NEW))
     return results
 

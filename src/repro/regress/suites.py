@@ -519,7 +519,11 @@ class PortabilitySuite(_BaselineParamsMixin, RegressionTest):
         from ..backends.portability import PP_DRIFT_TOLERANCE
         return PP_DRIFT_TOLERANCE
 
-    compared_metrics = ("pp",)
+    #: ``predicted_nsps`` is the autotuner's cost-model prediction, a
+    #: deterministic function of the committed calibration: any change
+    #: is predictor drift, so it is compared exactly.
+    compared_metrics = ("pp", "predicted_nsps")
+    metric_tolerances = {"predicted_nsps": 0.0}
 
     def _replay_devices(self) -> Optional[List[str]]:
         snapshot = self._latest()

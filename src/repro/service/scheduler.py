@@ -603,7 +603,7 @@ class PushService:
         job.report.device_seconds = job.banked
 
     def _complete_single(self, job: _Job) -> None:
-        from ..api import _steady_nsps
+        from ..bench.metrics import nsps_from_steps
         from ..core.stepping import state_digest
 
         spec = job.spec
@@ -613,9 +613,9 @@ class PushService:
         report = job.report
         report.device_seconds = job.banked
         report.steps = job.step
-        report.nsps = _steady_nsps(job.step_seconds,
-                                   spec.config.n_particles,
-                                   spec.config.warmup)
+        report.nsps, _ = nsps_from_steps(job.step_seconds,
+                                         spec.config.n_particles,
+                                         spec.config.warmup)
         report.digest = state_digest(job.ensemble)
         report.finished = job.node.free_at
         # The completion event truly happens when the node frees — the

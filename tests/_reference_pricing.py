@@ -73,9 +73,7 @@ def walk_domains(model: CostModel, spec: KernelSpec, schedule: Schedule,
         exec_domain = topo.domain_of(chunk.thread)
         for stream in spec.streams:
             span = stream.span_bytes_per_item
-            traffic = (chunk.size * span
-                       * model._stream_multiplier(stream)
-                       / model._stream_efficiency(stream))
+            traffic = model._traffic(stream, chunk.size)
             if stream.allocation is None:
                 dram_bytes[exec_domain] += traffic
                 local_total += traffic
@@ -102,8 +100,10 @@ def time_launch(model: CostModel, spec: KernelSpec, schedule: Schedule,
                 precision: Precision = Precision.DOUBLE,
                 jit_compiled: bool = True,
                 update_pages: bool = True) -> LaunchTiming:
-    """``model.time_launch`` of a multi-domain launch, priced by the
-    reference walk."""
-    return model._finish(LaunchTiming(), spec, schedule, precision,
-                         jit_compiled,
-                         *walk_domains(model, spec, schedule, update_pages))
+    """``model.time_launch`` of a multi-domain launch: the reference
+    walk's totals, priced by the model's own core."""
+    load = model._schedule_load(
+        schedule, *walk_domains(model, spec, schedule, update_pages))
+    jit = 0.0 if jit_compiled else model.device.jit_compile_seconds
+    return model._price(spec, load, precision,
+                        model._measured_launch_overhead(spec), jit)

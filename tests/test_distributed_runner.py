@@ -103,6 +103,23 @@ def test_reset_measurement_excludes_jit_warmup():
     assert steady < cold
 
 
+def test_unfused_shard_busy_time_counts_every_launch():
+    # An unfused step is two launches (field eval, push); a shard's
+    # busy time and NSPS samples must cover both, not just the last.
+    runner = _runner("2x iris-xe-max", fusion=False)
+    report = runner.run(STEPS)
+    for shard, member in zip(report.shards, runner.group.members):
+        records = member.queue.records
+        assert len(records) == 2 * STEPS
+        assert shard.busy_seconds == pytest.approx(
+            sum(r.simulated_seconds for r in records), rel=1e-12)
+        assert shard.mean_nsps == pytest.approx(
+            np.mean([(a.simulated_seconds + b.simulated_seconds) * 1.0e9
+                     / shard.particles
+                     for a, b in zip(records[::2], records[1::2])]),
+            rel=1e-12)
+
+
 def test_overlap_beats_bulk_synchronous():
     overlapped = _runner("2x iris-xe-max", n=50_000, overlap=True)
     synchronous = _runner("2x iris-xe-max", n=50_000, overlap=False)

@@ -205,10 +205,6 @@ class TestFusionPass:
         assert plan.groups == [[0], [1]]
         assert "layout" in plan.refusals[("a", "b")]
 
-    def test_negative_margin_rejected(self):
-        with pytest.raises(GraphError):
-            FusionPass(cost_model_for(device_by_name("cpu")), margin=-0.1)
-
 
 # -- program cache --------------------------------------------------------
 

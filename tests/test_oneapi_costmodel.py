@@ -5,11 +5,18 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backends.registry import (cost_model_for_descriptor,
+                                     descriptor_for, resolve_device)
+from repro.bench import paper_time_step, paper_wave
+from repro.bench.scenarios import paper_ensemble
 from repro.errors import KernelError
 from repro.fp import Precision
 from repro.oneapi import (CostModel, DynamicScheduler, KernelSpec,
                           MemoryStream, NumaArenaScheduler, StaticScheduler,
                           StreamKind, ThreadTopology, UsmMemoryManager)
+from repro.oneapi.graph import fuse_nodes, group_spec
+from repro.oneapi.runtime import PushEngine, build_virtual_step_graph
+from repro.particles import Layout
 from tests.test_oneapi_device import make_device
 
 N_ITEMS = 1_000_000
@@ -316,3 +323,72 @@ class TestValidation:
         assert timing.nsps(N_ITEMS) > 0.0
         with pytest.raises(KernelError):
             timing.nsps(0)
+
+
+# -- the analytic estimate ------------------------------------------------
+
+#: ``estimate_spec_seconds`` of one fused SoA precalculated push step
+#: over 200k particles, as ``float.hex``.  A change here moves every
+#: autotune ``predicted_nsps`` and can move fusion decisions, so it
+#: must be deliberate.
+PINNED_ESTIMATES = (
+    ("cpu", Precision.SINGLE, None, "0x1.0dd931501ebcep-13"),
+    ("cpu", Precision.SINGLE, 1, "0x1.0f00109df10bep-13"),
+    ("cpu", Precision.DOUBLE, None, "0x1.f70e70c5f9840p-13"),
+    ("cpu", Precision.DOUBLE, 1, "0x1.f952045eef283p-13"),
+    ("iris-xe-max", Precision.SINGLE, None, "0x1.b4e81b4e81b4fp-13"),
+    ("iris-xe-max", Precision.SINGLE, 1, "0x1.b4e81b4e81b4fp-13"),
+    ("iris-xe-max", Precision.DOUBLE, None, "0x1.67cffff5d4fd5p-10"),
+    ("iris-xe-max", Precision.DOUBLE, 1, "0x1.d16cbcd542961p-11"),
+    ("cuda:gpu0", Precision.SINGLE, None, "0x1.4427029606e12p-16"),
+    ("cuda:gpu0", Precision.SINGLE, 1, "0x1.4427029606e12p-16"),
+    ("cuda:gpu0", Precision.DOUBLE, None, "0x1.16111b2a002d1p-15"),
+    ("cuda:gpu0", Precision.DOUBLE, 1, "0x1.16111b2a002d1p-15"),
+)
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("device_spec,precision,threads_per_unit,"
+                             "expected", PINNED_ESTIMATES)
+    def test_estimate_is_pinned(self, device_spec, precision,
+                                threads_per_unit, expected):
+        model = cost_model_for_descriptor(descriptor_for(device_spec))
+        graph = build_virtual_step_graph(200_000, Layout.SOA, precision,
+                                         "precalculated")
+        spec, _ = fuse_nodes(list(graph.nodes))
+        seconds = model.estimate_spec_seconds(
+            spec, 200_000, precision, threads_per_unit=threads_per_unit)
+        assert float.hex(seconds) == expected
+
+    @pytest.mark.parametrize("device_spec", ["iris-xe-max", "p630"])
+    @pytest.mark.parametrize("precision", [Precision.SINGLE,
+                                           Precision.DOUBLE])
+    @pytest.mark.parametrize("fusion", [None, False, True])
+    def test_warm_launch_equals_estimate(self, device_spec, precision,
+                                         fusion):
+        # On the Intel GPUs the analytic load is exactly what a warm
+        # launch puts on the device: one memory domain, 256-item
+        # work-groups, no JIT and no cold pages left to pay.
+        backend, descriptor = resolve_device(device_spec)
+        queue = backend.make_queue(descriptor)
+        engine = PushEngine(queue,
+                            paper_ensemble(200_000, Layout.SOA, precision),
+                            "precalculated", paper_wave(),
+                            paper_time_step(), fusion=fusion)
+        engine.run(3)
+        graph = engine.record_graph()
+        groups = engine.executor.last_plan.groups
+        for group, record in zip(groups, queue.records[-len(groups):]):
+            spec, _ = group_spec([graph.nodes[i] for i in group])
+            assert record.kernel_name == spec.name
+            assert record.simulated_seconds == \
+                queue.cost_model.estimate_spec_seconds(
+                    spec, record.n_items, precision)
+
+    def test_bad_arguments_rejected(self, device):
+        model = CostModel(device)
+        with pytest.raises(KernelError):
+            model.estimate_spec_seconds(simple_spec(), -1)
+        with pytest.raises(KernelError):
+            model.estimate_spec_seconds(simple_spec(), 10,
+                                        threads_per_unit=0)

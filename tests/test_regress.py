@@ -187,6 +187,25 @@ def test_compare_cells_at_bound_and_over():
     assert "fake/oneapi:cpu/c" in over[0].label
 
 
+def test_metric_tolerance_overrides_the_cells():
+    class _Exact(_Fake):
+        metric_tolerances = {"nsps": 0.0}
+
+    test = _Exact()
+    same = compare_cells(test, [_cell(100.0)], [_ref(100.0)])
+    assert [(c.status, c.tolerance) for c in same] == [("ok", 0.0)]
+    ulp = compare_cells(
+        test, [_cell(math.nextafter(100.0, math.inf))], [_ref(100.0)])
+    assert [c.status for c in ulp] == ["drift"]
+
+
+def test_portability_gates_predicted_nsps_exactly():
+    from repro.regress.suites import PortabilitySuite
+
+    assert "predicted_nsps" in PortabilitySuite.compared_metrics
+    assert PortabilitySuite.metric_tolerances["predicted_nsps"] == 0.0
+
+
 def test_compare_cells_missing_and_new():
     test = _Fake()
     results = compare_cells(
