@@ -16,8 +16,23 @@ system").  Two current schemes are provided:
 Both work at any of the implemented form-factor orders (NGP, CIC, TSC
 — the paper's "fixed localized shape function"); the Esirkepov density
 decomposition is shape-agnostic, only the stencil window widens.  All
-deposition is periodic and vectorized over particles (the stencil
-loops are fixed small iteration counts of ``np.add.at``).
+deposition is periodic and vectorized over particles.
+
+**Scatter order contract.**  Floating-point addition is not
+associative, so the order in which a cell's contributions are summed
+is part of every PIC digest.  The scatter sums each cell exactly as a
+sequence of ``np.add.at`` calls would — target value first, then the
+contributions window point by window point, particles in order within
+a point — but does it with one ``np.bincount`` per window slab (all
+window points sharing the first window index).  The slab's input
+starts with every cell's flat index weighted by the target's current
+value, then the slab's contributions in window-point-major,
+particle-minor order; ``np.bincount`` adds its weights sequentially,
+so each cell sums ``target + v1 + v2 + ...`` in ``np.add.at``'s order.
+Seeding with the target matters because several species deposit into
+one grid after a single ``clear_currents()``.  Chunking by slab keeps
+the flattened index and weight arrays a window's width smaller than
+one bincount over the whole window would.
 
 **Accumulation precision contract.**  Deposition always *accumulates*
 in float64 (:data:`ACCUMULATION_DTYPE`), whatever the ensemble's
@@ -91,11 +106,20 @@ def invalidate_charge_weight(ensemble: Optional[ParticleEnsemble] = None
 
 
 def _fractions(positions: np.ndarray, origin, spacing) -> np.ndarray:
-    """Particle coordinates in cell units (may be any real value)."""
+    """Particle coordinates in cell units (may be any finite value).
+
+    Every deposition converts its positions here, so a NaN or infinite
+    position is rejected before it can reach the grid.
+    """
     pos = np.asarray(positions, dtype=np.float64)
     org = np.asarray(origin, dtype=np.float64)
     spc = np.asarray(spacing, dtype=np.float64)
-    return (pos - org) / spc
+    frac = (pos - org) / spc
+    if not np.isfinite(frac).all():
+        raise SimulationError(
+            "deposition needs finite particle positions; got NaN or "
+            "infinite coordinates")
+    return frac
 
 
 def _check_accumulator(target: np.ndarray) -> None:
@@ -106,23 +130,57 @@ def _check_accumulator(target: np.ndarray) -> None:
             f"(see repro.pic.deposition); got a {target.dtype} target")
 
 
+def _flat_strides(dims) -> Tuple[int, int, int]:
+    """Flat-index stride of each grid axis (``(i*ny + j)*nz + k``)."""
+    return dims[1] * dims[2], dims[2], 1
+
+
+def _scatter_add(target: np.ndarray, slabs) -> None:
+    """``np.add.at(target.flat, index, values)`` for each slab, in order.
+
+    ``slabs`` yields ``(index, values)`` array pairs of one shape:
+    flat cell indices and the contributions to add there.  Each slab
+    is one ``np.bincount`` seeded with the target (see the module
+    docstring), which leaves every cell bit-identical to the
+    ``np.add.at`` sequence.
+    """
+    _check_accumulator(target)
+    size = target.size
+    cells = np.arange(size)
+    sums = target.ravel()
+    # bincount starts each cell at +0.0, and 0.0 + -0.0 is +0.0, so a
+    # -0.0 cell is restored while only -0.0 contributions reach it.
+    negative_zero = np.signbit(sums) & (sums == 0.0)
+    for index, values in slabs:
+        index = index.ravel()
+        values = values.ravel()
+        sums = np.bincount(np.concatenate((cells, index)),
+                           weights=np.concatenate((sums, values)),
+                           minlength=size)
+        if negative_zero.any():
+            hit = ~(np.signbit(values) & (values == 0.0))
+            negative_zero &= np.bincount(index[hit], minlength=size) == 0
+            sums[negative_zero] = -0.0
+    target[...] = sums.reshape(target.shape)
+
+
 def _deposit_scalar(target: np.ndarray, frac: np.ndarray,
                     values: np.ndarray, dims,
                     staggers: Tuple[float, float, float],
                     shape: Shape) -> None:
     """Scatter ``values`` onto ``target`` with the given form factor."""
-    _check_accumulator(target)
-    stencils = []
+    strides = _flat_strides(dims)
+    cells, weights = [], []
     for axis in range(3):
         idx, wgt = shape_weights(shape, frac[:, axis] - staggers[axis])
-        stencils.append((np.mod(idx, dims[axis]), wgt))
-    (ix, wx), (iy, wy), (iz, wz) = stencils
-    for a in range(ix.shape[1]):
-        for b in range(iy.shape[1]):
-            for c in range(iz.shape[1]):
-                weight = wx[:, a] * wy[:, b] * wz[:, c]
-                np.add.at(target, (ix[:, a], iy[:, b], iz[:, c]),
-                          values * weight)
+        cells.append(np.mod(idx, dims[axis]).T * strides[axis])
+        weights.append(wgt.T)
+    (ix, iy, iz), (wx, wy, wz) = cells, weights
+    # Window point (a, b, c) of particle p sits at [a][b, c, p].
+    yz = iy[:, None, :] + iz[None, :, :]
+    _scatter_add(target, (
+        (ix[a] + yz, values * (wx[a] * wy[:, None, :] * wz[None, :, :]))
+        for a in range(ix.shape[0])))
 
 
 def deposit_charge(grid: YeeGrid, ensemble: ParticleEnsemble,
@@ -211,8 +269,8 @@ def deposit_current_esirkepov(grid: YeeGrid, ensemble: ParticleEnsemble,
     equation holds against :func:`deposit_charge` (with the same
     ``shape``) evaluated at the old and new positions.
     """
-    if dt <= 0.0:
-        raise SimulationError(f"dt must be positive, got {dt!r}")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise SimulationError(f"dt must be positive and finite, got {dt!r}")
     new_pos = ensemble.positions()
     old = np.asarray(old_positions, dtype=np.float64)
     if old.shape != new_pos.shape:
@@ -254,26 +312,27 @@ def deposit_current_esirkepov(grid: YeeGrid, ensemble: ParticleEnsemble,
     names = ("jx", "jy", "jz")
     for name in names:
         _check_accumulator(grid.currents[name])
+    # Flat-index contribution of every window point along each axis,
+    # shape (w, N).
+    strides = _flat_strides(dims)
+    offsets = (np.arange(width) - margin)[:, None]
+    cells = [np.mod(base[x][None, :] + offsets, dims[x]) * strides[x]
+             for x in range(3)]
     # Transverse axis order per component keeps the (l, m, n) index
     # meaning (a-axis, b-axis, c-axis).
     transverse = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-    offsets = np.arange(width) - margin
     for a in range(3):
         b, c = transverse[a]
-        w = w_factor(a, b, c)
-        flux = -np.cumsum(w, axis=0) * (qw * spacing[a]
-                                        / (cell_volume * dt))[None, None, None, :]
-        target = grid.currents[names[a]]
-        # Map the (l, m, n) window onto grid axes: l runs along axis a,
+        flux = w_factor(a, b, c)
+        # In-place cumulative sum along l: the same additions, in the
+        # same order, as np.cumsum(axis=0).
+        for l in range(1, width):
+            flux[l] += flux[l - 1]
+        np.negative(flux, out=flux)
+        flux *= (qw * spacing[a] / (cell_volume * dt))[None, None, None, :]
+        # Slab l holds the window points (l, m, n): l runs along axis a,
         # m along axis b, n along axis c.
-        for li, l_off in enumerate(offsets):
-            ga = np.mod(base[a] + l_off, dims[a])
-            for mi, m_off in enumerate(offsets):
-                gb = np.mod(base[b] + m_off, dims[b])
-                for ni, n_off in enumerate(offsets):
-                    gc = np.mod(base[c] + n_off, dims[c])
-                    index = [None, None, None]
-                    index[a] = ga
-                    index[b] = gb
-                    index[c] = gc
-                    np.add.at(target, tuple(index), flux[li, mi, ni, :])
+        transverse_cells = cells[b][:, None, :] + cells[c][None, :, :]
+        _scatter_add(grid.currents[names[a]], (
+            (cells[a][l] + transverse_cells, flux[l])
+            for l in range(width)))

@@ -68,6 +68,15 @@ class TestChargeDeposition:
         rho = deposit_charge(grid, ensemble)
         assert rho[2, 2, 2] == pytest.approx(-5.0 * ELEMENTARY_CHARGE)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_position(self, bad):
+        ensemble = electrons_at([[2.0, 2.0, 2.0], [3.0, bad, 3.0]])
+        with pytest.raises(SimulationError, match="finite"):
+            deposit_charge(grid8(), ensemble)
+        with pytest.raises(SimulationError, match="finite"):
+            deposit_charge(grid8(), electrons_at([[2.0, 2.0, 2.0]]),
+                           positions=np.array([[bad, 5.0, 5.0]]))
+
     def test_positions_override(self):
         grid = grid8()
         ensemble = electrons_at([[2.0, 2.0, 2.0]])
@@ -96,6 +105,13 @@ class TestDirectCurrent:
         once = grid.currents["jx"].sum()
         deposit_current_direct(grid, ensemble)
         assert grid.currents["jx"].sum() == pytest.approx(2.0 * once)
+
+    def test_rejects_non_finite_position(self):
+        grid = grid8()
+        ensemble = electrons_at([[3.0, 3.0, 3.0], [np.nan, 3.0, 3.0]])
+        with pytest.raises(SimulationError, match="finite"):
+            deposit_current_direct(grid, ensemble)
+        assert not any(grid.currents[n].any() for n in grid.currents)
 
 
 class TestEsirkepovContinuity:
@@ -145,6 +161,33 @@ class TestEsirkepovContinuity:
         with pytest.raises(SimulationError):
             deposit_current_esirkepov(grid, ensemble, np.zeros((2, 3)),
                                       dt=1.0)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_rejects_non_finite_dt(self, dt):
+        grid = grid8()
+        ensemble = electrons_at([[3.0, 3.0, 3.0]])
+        with pytest.raises(SimulationError, match="finite"):
+            deposit_current_esirkepov(grid, ensemble,
+                                      ensemble.positions() - 0.1, dt=dt)
+        assert not any(grid.currents[n].any() for n in grid.currents)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_old_position(self, bad):
+        grid = grid8()
+        ensemble = electrons_at([[3.0, 3.0, 3.0], [5.0, 5.0, 5.0]])
+        old = ensemble.positions() - 0.1
+        old[1, 2] = bad
+        with pytest.raises(SimulationError, match="finite"):
+            deposit_current_esirkepov(grid, ensemble, old, dt=1.0)
+        assert not any(grid.currents[n].any() for n in grid.currents)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_new_position(self, bad):
+        grid = grid8()
+        ensemble = electrons_at([[3.0, 3.0, 3.0], [bad, 5.0, 5.0]])
+        old = np.array([[2.9, 3.0, 3.0], [5.0, 5.0, 5.0]])
+        with pytest.raises(SimulationError, match="finite"):
+            deposit_current_esirkepov(grid, ensemble, old, dt=1.0)
 
     def test_axis_motion_deposits_on_that_axis_only(self):
         grid = grid8()

@@ -1,0 +1,69 @@
+"""Pinned PIC state digests.
+
+Deposition scatters thousands of per-particle contributions into each
+grid cell, and floating-point addition is not associative: any change
+to the order in which those contributions are summed moves the grid
+currents by a few ULPs and so the state digest.  These digests were
+recorded with the reference ``np.add.at`` scatter; every faster
+scatter must reproduce them bit for bit.
+"""
+
+import pytest
+
+from repro.api import PicConfig, run_pic
+from repro.backends.registry import queue_for
+from repro.fields.interpolation import Shape
+from repro.pic import (PicEngine, PicSimulation, build_scenario,
+                       pic_state_digest, scenario_names)
+
+# Dense enough that cells collect several contributions per window
+# point, so a reordered sum shows in every digest below.
+N = 512
+STEPS = 3
+
+SCENARIO_DIGESTS = {
+    "laser-slab":
+        "e552f5aacc3be7cba2bb13c7d64e69b98a74425b08dea29e02b02af1348d5e9e",
+    "magnetic-mirror":
+        "538b28f635246f798a12213f6f32d6a9e95ea381e5cd3a8f9fe7aff2cbdcbd6c",
+    "relativistic-beam":
+        "21f9bf717cd578c84dd3d8fe032cc7b9bcf0628923df5a74a1c139f02fc3192f",
+}
+
+DIRECT_DIGEST = (
+    "77bb53ed0629e9cfeb3c6289fb8dd0d58232114c67be074c7043c566177ebb39")
+
+TSC_TWO_SPECIES_DIGEST = (
+    "d9d44549135a222a751645daf7edef9eebd7ed5916390238a18a146e4374dc78")
+
+
+def run_facade(scenario, **kwargs):
+    config = PicConfig(scenario=scenario, n_particles=N, steps=STEPS,
+                       warmup=1, seed=0, fusion=True, **kwargs)
+    return run_pic(config).digest
+
+
+def test_every_scenario_is_pinned():
+    assert tuple(SCENARIO_DIGESTS) == scenario_names()
+
+
+@pytest.mark.parametrize("scenario", tuple(SCENARIO_DIGESTS))
+def test_scenario_digest_pinned(scenario):
+    assert run_facade(scenario) == SCENARIO_DIGESTS[scenario]
+
+
+def test_direct_deposition_digest_pinned():
+    assert run_facade("laser-slab", deposition="direct") == DIRECT_DIGEST
+
+
+def test_tsc_two_species_digest_pinned():
+    # Two beams deposit one after the other into one grid, so the
+    # second species' scatter starts from a non-zero current.
+    first = build_scenario("relativistic-beam", n_particles=N, seed=0)
+    second = build_scenario("relativistic-beam", n_particles=N, seed=1)
+    simulation = PicSimulation(first.grid,
+                               first.ensembles + second.ensembles,
+                               first.dt, interpolation=Shape.TSC)
+    PicEngine(queue_for("iris-xe-max"), simulation,
+              fusion=True).run(STEPS + 1)
+    assert pic_state_digest(simulation) == TSC_TWO_SPECIES_DIGEST
