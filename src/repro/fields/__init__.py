@@ -17,7 +17,8 @@ from .base import FieldValues, FieldSource
 from .uniform import NullField, UniformField, CrossedField
 from .plane_wave import PlaneWave, StandingPlaneWave
 from .gaussian_beam import GaussianBeam
-from .dipole import MDipoleWave, dipole_f1, dipole_f2, dipole_f3, dipole_amplitude
+from .dipole import (MDipoleWave, dipole_radial, dipole_f1, dipole_f2,
+                     dipole_f3, dipole_amplitude)
 from .grid import RegularGrid3D, YeeGrid
 from .interpolation import (
     Shape,
@@ -37,6 +38,7 @@ __all__ = [
     "StandingPlaneWave",
     "GaussianBeam",
     "MDipoleWave",
+    "dipole_radial",
     "dipole_f1",
     "dipole_f2",
     "dipole_f3",

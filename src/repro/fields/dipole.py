@@ -27,6 +27,9 @@ The radial functions are spherical Bessel combinations,
 (the paper's eq. (15) prints the third one with the label ``f2``; it is
 ``f3``).  Each is evaluated by series near ``x = 0`` to avoid
 catastrophic cancellation, making the fields smooth through the focus.
+:func:`dipole_radial` evaluates all three at once, computing ``sin``,
+``cos`` and the powers of ``x`` once for the three; the field and the
+single-function forms both go through it.
 
 Setting ``paper_typos=True`` reproduces the literal printed equations
 for comparison.
@@ -35,6 +38,7 @@ for comparison.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -42,12 +46,54 @@ from ..constants import SPEED_OF_LIGHT
 from ..errors import ConfigurationError
 from .base import FieldSource, FieldValues
 
-__all__ = ["dipole_f1", "dipole_f2", "dipole_f3", "dipole_amplitude",
-           "MDipoleWave"]
+__all__ = ["dipole_radial", "dipole_f1", "dipole_f2", "dipole_f3",
+           "dipole_amplitude", "MDipoleWave"]
 
 #: Below this argument the closed forms lose digits to cancellation and
 #: the Taylor series (error < 1e-16 at the threshold) is used instead.
 _SERIES_THRESHOLD = 1.0e-2
+
+
+def _closed_forms(safe: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms of ``f1``, ``f2``, ``f3`` at ``safe`` (no zeros).
+
+    ``sin``, ``cos``, ``1/x`` and the powers are computed once and
+    freed on return, before the series are built, so sharing them does
+    not raise the peak memory of a field evaluation.
+    """
+    sin = np.sin(safe)
+    cos = np.cos(safe)
+    safe2 = safe ** 2
+    safe3 = safe ** 3
+    inv = 1.0 / safe
+    return (sin / safe2 - cos / safe,
+            (3.0 / safe3 - inv) * sin - 3.0 * cos / safe2,
+            (inv - 1.0 / safe3) * sin + cos / safe2)
+
+
+def dipole_radial(x: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three radial functions ``(f1, f2, f3)`` of one argument.
+
+    Every value goes through the same operations, in the same order, as
+    evaluating each function on its own, with the trig and powers of
+    ``x`` shared.  Every element is evaluated by both the closed form
+    and the series (``sin`` and ``cos`` of a masked subset need not
+    round the same way as of the whole array).
+    """
+    xv = np.asarray(x, dtype=np.float64)
+    small = np.abs(xv) < _SERIES_THRESHOLD
+    closed1, closed2, closed3 = _closed_forms(np.where(small, 1.0, xv))
+    x2 = xv * xv
+    f1 = np.where(small, xv * (1.0 / 3.0 + x2 * (-1.0 / 30.0 + x2 / 840.0)),
+                  closed1)
+    f2 = np.where(small,
+                  x2 * (1.0 / 15.0 + x2 * (-1.0 / 210.0 + x2 / 7560.0)),
+                  closed2)
+    f3 = np.where(small, 2.0 / 3.0 + x2 * (-2.0 / 15.0 + x2 / 140.0),
+                  closed3)
+    return f1, f2, f3
 
 
 def dipole_f1(x: np.ndarray) -> np.ndarray:
@@ -55,13 +101,7 @@ def dipole_f1(x: np.ndarray) -> np.ndarray:
 
     Series near 0: ``x/3 - x^3/30 + x^5/840``.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    small = np.abs(xv) < _SERIES_THRESHOLD
-    safe = np.where(small, 1.0, xv)
-    closed = np.sin(safe) / safe ** 2 - np.cos(safe) / safe
-    x2 = xv * xv
-    series = xv * (1.0 / 3.0 + x2 * (-1.0 / 30.0 + x2 / 840.0))
-    return np.where(small, series, closed)
+    return dipole_radial(x)[0]
 
 
 def dipole_f2(x: np.ndarray) -> np.ndarray:
@@ -69,14 +109,7 @@ def dipole_f2(x: np.ndarray) -> np.ndarray:
 
     Series near 0: ``x^2/15 - x^4/210 + x^6/7560``.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    small = np.abs(xv) < _SERIES_THRESHOLD
-    safe = np.where(small, 1.0, xv)
-    closed = (3.0 / safe ** 3 - 1.0 / safe) * np.sin(safe) \
-        - 3.0 * np.cos(safe) / safe ** 2
-    x2 = xv * xv
-    series = x2 * (1.0 / 15.0 + x2 * (-1.0 / 210.0 + x2 / 7560.0))
-    return np.where(small, series, closed)
+    return dipole_radial(x)[1]
 
 
 def dipole_f3(x: np.ndarray) -> np.ndarray:
@@ -84,14 +117,7 @@ def dipole_f3(x: np.ndarray) -> np.ndarray:
 
     Series near 0: ``2/3 - 2 x^2/15 + x^4/140``.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    small = np.abs(xv) < _SERIES_THRESHOLD
-    safe = np.where(small, 1.0, xv)
-    closed = (1.0 / safe - 1.0 / safe ** 3) * np.sin(safe) \
-        + np.cos(safe) / safe ** 2
-    x2 = xv * xv
-    series = 2.0 / 3.0 + x2 * (-2.0 / 15.0 + x2 / 140.0)
-    return np.where(small, series, closed)
+    return dipole_radial(x)[2]
 
 
 def dipole_amplitude(power: float, omega: float) -> float:
@@ -179,20 +205,18 @@ class MDipoleWave(FieldSource):
         yv = np.asarray(y, dtype=np.float64)
         zv = np.asarray(z, dtype=np.float64)
 
-        r2 = xv * xv + yv * yv + zv * zv
-        r = np.sqrt(r2)
-        kr = self.wavenumber * r
-        f1 = dipole_f1(kr)
-        f2 = dipole_f2(kr)
-        f3 = dipole_f3(kr)
+        r = np.sqrt(xv * xv + yv * yv + zv * zv)
+        f1, f2, f3 = dipole_radial(self.wavenumber * r)
 
         # f1/R and f2/R^2 are finite at the origin (f1 ~ kR/3,
         # f2 ~ (kR)^2/15); substitute R = 1 where R = 0 — the series
         # numerators vanish there at the same order.
-        safe_r = np.where(r == 0.0, 1.0, r)
-        f1_over_r = np.where(r == 0.0, self.wavenumber / 3.0, f1 / safe_r)
-        f2_over_r2 = np.where(r == 0.0, self.wavenumber ** 2 / 15.0,
-                              f2 / (safe_r * safe_r))
+        origin = r == 0.0
+        safe_r = np.where(origin, 1.0, r)
+        safe_r2 = safe_r * safe_r
+        f1_over_r = np.where(origin, self.wavenumber / 3.0, f1 / safe_r)
+        f2_over_r2 = np.where(origin, self.wavenumber ** 2 / 15.0,
+                              f2 / safe_r2)
 
         two_a0 = 2.0 * self.amplitude * self.envelope(t)
         cos_t = math.cos(self.omega * t)
@@ -205,7 +229,7 @@ class MDipoleWave(FieldSource):
         bx = -two_a0 * xv * zv * sin_t * f2_over_r2
         if self.paper_typos:
             by = -two_a0 * xv * yv * sin_t * f2_over_r2
-            z2_over_r2 = np.where(r == 0.0, 0.0, zv * zv / (safe_r * safe_r))
+            z2_over_r2 = np.where(origin, 0.0, zv * zv / safe_r2)
             bz = -two_a0 * z2_over_r2 * sin_t * (z2_over_r2 * f2 + f3)
         else:
             by = -two_a0 * yv * zv * sin_t * f2_over_r2
