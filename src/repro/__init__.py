@@ -8,7 +8,7 @@ al., PACT 2021):
 * :mod:`repro.core` — the Boris pusher (scalar reference and vectorized
   kernels) plus the Vay and Higuera-Cary alternatives;
 * :mod:`repro.particles` — AoS / SoA particle ensembles, proxies,
-  species table, initializers and locality sorting;
+  species table and initializers;
 * :mod:`repro.fields` — analytical sources including the paper's
   standing m-dipole wave, grid fields and per-particle precalculated
   field arrays;
@@ -79,7 +79,6 @@ from .fields import (
     UniformField,
     CrossedField,
     PlaneWave,
-    StandingPlaneWave,
     MDipoleWave,
     PrecalculatedField,
     YeeGrid,
@@ -164,7 +163,6 @@ __all__ = [
     "UniformField",
     "CrossedField",
     "PlaneWave",
-    "StandingPlaneWave",
     "MDipoleWave",
     "PrecalculatedField",
     "YeeGrid",

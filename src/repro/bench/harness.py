@@ -14,10 +14,12 @@ them):
 * :func:`fig1_series` — Fig. 1 (strong-scaling speedup, 1-48 cores);
   returns ``series["OpenMP/AoS"] -> [(cores, speedup), ...]``;
 * :func:`first_iteration_ratio` — the in-text "first iteration takes
-  50% longer"; returns the dimensionless ratio as a ``float``;
+  50% longer"; returns ``{parallelization: ratio}`` (dimensionless
+  ``float``) for DPC++ NUMA, plain DPC++ and OpenMP;
 * :func:`thread_sweep` — the in-text "96 threads is empirically best"
-  hyperthreading observation; returns ``{48: nsps, 96: nsps}``
-  (thread count -> modelled NSPS, both as plain ``int``/``float``).
+  hyperthreading observation; returns
+  ``sweep[cores][threads_per_core] -> nsps`` over 12/24/36/48 cores at
+  1 and 2 threads per core (plain ``int`` keys, ``float`` NSPS).
 
 All runners work on the *modelled* device times (the paper's hardware
 does not exist here); the real numpy kernels can be measured separately
@@ -223,41 +225,54 @@ def fig1_series(core_counts: Optional[Sequence[int]] = None,
     return series
 
 
+#: First-iteration configurations: the paper's DPC++ NUMA benchmark
+#: plus the plain DPC++ and OpenMP builds it is compared against.
+FIRST_ITERATION_CONFIGS = ("DPC++ NUMA", "DPC++", "OpenMP")
+
+#: Core counts of the hyperthreading sweep (one socket to two).
+THREAD_SWEEP_CORES = (12, 24, 36, 48)
+
+
 def first_iteration_ratio(n: int = PAPER_PARTICLES,
                           steps: int = DEFAULT_MODEL_STEPS,
                           steps_per_iteration: int =
-                          PAPER_STEPS_PER_ITERATION) -> float:
-    """Modelled first-iteration slowdown of the paper's DPC++ benchmark.
+                          PAPER_STEPS_PER_ITERATION) -> Dict[str, float]:
+    """Modelled first-iteration slowdown of the paper's CPU builds.
 
     The paper: "the first iteration takes 50% longer time than the
     subsequent ones" (JIT + cold memory).  Returns the modelled ratio
-    for the DPC++ NUMA / SoA / float / precalculated configuration.
+    per parallelization in :data:`FIRST_ITERATION_CONFIGS` (SoA, float,
+    precalculated); OpenMP pays the cold pages but no JIT.
     """
-    case = BenchmarkCase("precalculated", Layout.SOA, Precision.SINGLE,
-                         "DPC++ NUMA")
+    ratios: Dict[str, float] = {}
     with trace_span("first-iter", "bench", n_particles=n):
-        return model_push_nsps(case, n, steps).first_iteration_ratio(
-            steps_per_iteration)
+        for parallelization in FIRST_ITERATION_CONFIGS:
+            case = BenchmarkCase("precalculated", Layout.SOA,
+                                 Precision.SINGLE, parallelization)
+            ratios[parallelization] = model_push_nsps(
+                case, n, steps).first_iteration_ratio(steps_per_iteration)
+    return ratios
 
 
 def thread_sweep(n: int = PAPER_PARTICLES,
                  steps: int = DEFAULT_MODEL_STEPS
-                 ) -> Dict[int, float]:
-    """NSPS of the OpenMP build at 48 vs 96 threads (hyperthreading).
+                 ) -> Dict[int, Dict[int, float]]:
+    """NSPS of the OpenMP build at 1 vs 2 threads per core.
 
     The paper: "employing 96 threads is empirically the best, that is,
     the use of hyperthreading technology improves performance".
-    Returns ``{48: nsps, 96: nsps}``.
+    Returns ``sweep[cores][threads_per_core] -> nsps`` for every core
+    count in :data:`THREAD_SWEEP_CORES`; ``sweep[48][2]`` is the
+    96-thread run.
     """
     case = BenchmarkCase("precalculated", Layout.SOA, Precision.SINGLE,
                          "OpenMP")
     with trace_span("threads", "bench", n_particles=n):
-        return {
-            48: model_push_nsps(case, n, steps, units=48,
-                                threads_per_unit=1).nsps,
-            96: model_push_nsps(case, n, steps, units=48,
-                                threads_per_unit=2).nsps,
-        }
+        return {cores: {threads: model_push_nsps(
+                            case, n, steps, units=cores,
+                            threads_per_unit=threads).nsps
+                        for threads in (1, 2)}
+                for cores in THREAD_SWEEP_CORES}
 
 
 def fusion_rows(n: int = 200_000, steps: int = 8, warmup: int = 2,

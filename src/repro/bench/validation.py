@@ -37,7 +37,8 @@ from .tables import PAPER_TABLE2, PAPER_TABLE3
 __all__ = ["Check", "ValidationReport", "validate_against_paper",
            "check_table2_claims", "check_table3_claims",
            "check_fig1_claims", "check_first_iteration_claim",
-           "check_threads_claim", "check_memory_bound"]
+           "check_openmp_first_iteration_milder", "check_threads_claim",
+           "check_memory_bound"]
 
 
 @dataclass
@@ -128,6 +129,16 @@ def check_table2_claims(rows) -> List[Check]:
         "Analytical double faster than precalculated double (finding 5)",
         f"{analytical_double:.2f} vs {double:.2f} NSPS",
         analytical_double < double))
+    gaps = {f"{layout} {scenario}/{precision}":
+            rows[(layout, "DPC++ NUMA")][(scenario, precision)]
+            / rows[(layout, "OpenMP")][(scenario, precision)]
+            for layout in ("AoS", "SoA")
+            for scenario, precision in rows[(layout, "OpenMP")]}
+    worst = max(gaps, key=gaps.get)
+    checks.append(Check(
+        "Optimized DPC++ within 1.45x of OpenMP in every column",
+        f"worst {worst}: DPC++ NUMA / OpenMP = {gaps[worst]:.2f}x",
+        gaps[worst] < 1.45))
     return checks
 
 
@@ -139,11 +150,13 @@ def check_table3_claims(rows) -> List[Check]:
         "Table 3: all 12 GPU cells within 2x of the paper",
         f"worst cell {worst_cell}: {worst_ratio:.2f}x off",
         worst_ratio < 2.0))
-    p630_gap = rows["AoS"][("precalculated", "p630")] \
-        / rows["SoA"][("precalculated", "p630")]
+    p630_gap, iris_gap = (rows["AoS"][("precalculated", device)]
+                          / rows["SoA"][("precalculated", device)]
+                          for device in ("p630", "iris-xe-max"))
     checks.append(Check(
         "Layout matters on GPUs (AoS up to ~2x slower)",
-        f"P630 AoS/SoA = {p630_gap:.2f}x", p630_gap > 1.4))
+        f"AoS/SoA = {p630_gap:.2f}x on P630, {iris_gap:.2f}x on "
+        f"Iris Xe Max", min(p630_gap, iris_gap) > 1.4))
     cpu = rows["SoA"][("precalculated", "cpu")]
     p630_slow = rows["SoA"][("precalculated", "p630")] / cpu
     iris_slow = rows["SoA"][("precalculated", "iris-xe-max")] / cpu
@@ -159,12 +172,12 @@ def check_table3_claims(rows) -> List[Check]:
 def check_fig1_claims(series) -> List[Check]:
     """Judge the Fig. 1 scaling claims over ``fig1_series`` output.
 
-    Needs the 4-, 24- and 48-core points of the OpenMP/SoA and
-    DPC++ NUMA/SoA series.
+    Needs the 4-, 24- and 48-core points of every series.
     """
     checks: List[Check] = []
-    openmp_points = dict(series["OpenMP/SoA"])
-    dpcpp_points = dict(series["DPC++ NUMA/SoA"])
+    points = {name: dict(values) for name, values in series.items()}
+    openmp_points = points["OpenMP/SoA"]
+    dpcpp_points = points["DPC++ NUMA/SoA"]
     checks.append(Check(
         "Fig. 1: OpenMP near-linear at low core counts",
         f"speedup {openmp_points[4]:.1f} on 4 cores",
@@ -173,32 +186,70 @@ def check_fig1_claims(series) -> List[Check]:
         "Fig. 1: DPC++ super-linear at low core counts",
         f"speedup {dpcpp_points[4]:.1f} on 4 cores",
         dpcpp_points[4] > 4.0))
+    falling = [name for name, values in series.items()
+               if any(b < a - 1e-6 for (_, a), (_, b)
+                      in zip(values, values[1:]))]
     checks.append(Check(
-        "Fig. 1: second socket resumes scaling",
-        f"{openmp_points[48]:.1f}x at 48 vs "
-        f"{openmp_points[24]:.1f}x at 24 cores",
-        openmp_points[48] > 1.4 * openmp_points[24]))
-    efficiency = dpcpp_points[48] / 48.0
+        "Fig. 1: every series' speedup grows with the core count",
+        f"falling series: {', '.join(falling) or 'none'}",
+        not falling))
+    resume = {name: p[48] / p[24] for name, p in points.items()}
+    weakest = min(resume, key=resume.get)
+    checks.append(Check(
+        "Fig. 1: second socket resumes scaling in every series",
+        f"weakest {weakest}: {points[weakest][48]:.1f}x at 48 vs "
+        f"{points[weakest][24]:.1f}x at 24 cores",
+        resume[weakest] > 1.4))
+    efficiency = {name: p[48] / 48.0 for name, p in points.items()}
+    low = min(efficiency.values())
+    high = max(efficiency.values())
     checks.append(Check(
         "Fig. 1: ~63% strong-scaling efficiency at 48 cores",
-        f"model {100 * efficiency:.0f}%", 0.45 < efficiency < 0.9))
+        f"model {100 * low:.0f}-{100 * high:.0f}% across series",
+        0.45 < low and high < 0.9))
     return checks
 
 
-def check_first_iteration_claim(ratio: float) -> List[Check]:
-    """Judge the in-text "first iteration ~50% slower" claim."""
+def check_first_iteration_claim(ratios: Dict[str, float]) -> List[Check]:
+    """Judge the in-text "first iteration ~50% slower" claim over
+    ``first_iteration_ratio`` output, for both DPC++ builds."""
+    numa, plain = ratios["DPC++ NUMA"], ratios["DPC++"]
     return [Check(
         "First iteration ~50% slower (JIT + cold memory)",
-        f"model {100 * (ratio - 1):.0f}% slower",
-        1.25 < ratio < 1.8)]
+        f"model {100 * (numa - 1):.0f}% slower with NUMA placement, "
+        f"{100 * (plain - 1):.0f}% without",
+        1.25 < numa < 1.8 and 1.25 < plain < 1.8)]
 
 
-def check_threads_claim(sweep: Dict[int, float]) -> List[Check]:
-    """Judge the in-text hyperthreading claim over ``thread_sweep``."""
+def check_openmp_first_iteration_milder(ratios: Dict[str, float]
+                                        ) -> List[Check]:
+    """Judge "OpenMP's first iteration is milder than DPC++'s" over
+    ``first_iteration_ratio`` output.
+
+    Not part of :func:`validate_against_paper`: the model upholds it at
+    the ``first-iter`` suite's 4e6 particles (OpenMP 1.42x vs DPC++ NUMA
+    1.45x) but not at the paper's 1e7 (1.421x vs 1.413x), where the
+    fixed JIT cost is a smaller share of the DPC++ iteration.
+    """
+    numa, openmp = ratios["DPC++ NUMA"], ratios["OpenMP"]
     return [Check(
-        "Hyperthreading helps (96 threads beat 48)",
-        f"{sweep[96]:.3f} vs {sweep[48]:.3f} NSPS",
-        sweep[96] < sweep[48])]
+        "OpenMP first iteration milder (cold memory, no JIT)",
+        f"OpenMP {openmp:.2f}x vs DPC++ NUMA {numa:.2f}x",
+        1.0 < openmp < numa)]
+
+
+def check_threads_claim(sweep: Dict[int, Dict[int, float]]) -> List[Check]:
+    """Judge the in-text hyperthreading claims over ``thread_sweep``."""
+    worst = max(sweep, key=lambda cores: sweep[cores][2] / sweep[cores][1])
+    slowdown = sweep[worst][2] / sweep[worst][1]
+    return [
+        Check("Hyperthreading helps (96 threads beat 48)",
+              f"{sweep[48][2]:.3f} vs {sweep[48][1]:.3f} NSPS",
+              sweep[48][2] < sweep[48][1]),
+        Check("2 threads per core never hurt at any core count",
+              f"worst at {worst} cores: 2 vs 1 threads/core = "
+              f"{slowdown:.3f}x NSPS", slowdown <= 1.001),
+    ]
 
 
 def check_memory_bound(n: int = 4_000_000) -> List[Check]:
@@ -223,8 +274,7 @@ def validate_against_paper(n: int = 4_000_000) -> ValidationReport:
     report = ValidationReport()
     report.checks.extend(check_table2_claims(table2_rows(n=n)))
     report.checks.extend(check_table3_claims(table3_rows(n=n)))
-    report.checks.extend(check_fig1_claims(
-        fig1_series(core_counts=(1, 2, 4, 24, 48), n=n)))
+    report.checks.extend(check_fig1_claims(fig1_series(n=n)))
     report.checks.extend(check_first_iteration_claim(
         first_iteration_ratio(n=n)))
     report.checks.extend(check_threads_claim(thread_sweep(n=n)))

@@ -15,8 +15,7 @@ Grid-based fields (:mod:`~repro.fields.grid`,
 
 from .base import FieldValues, FieldSource
 from .uniform import NullField, UniformField, CrossedField
-from .plane_wave import PlaneWave, StandingPlaneWave
-from .gaussian_beam import GaussianBeam
+from .plane_wave import PlaneWave
 from .dipole import (MDipoleWave, dipole_radial, dipole_f1, dipole_f2,
                      dipole_f3, dipole_amplitude)
 from .grid import RegularGrid3D, YeeGrid
@@ -35,8 +34,6 @@ __all__ = [
     "UniformField",
     "CrossedField",
     "PlaneWave",
-    "StandingPlaneWave",
-    "GaussianBeam",
     "MDipoleWave",
     "dipole_radial",
     "dipole_f1",

@@ -1,4 +1,4 @@
-"""Linearly polarised plane waves (travelling and standing)."""
+"""A linearly polarised travelling plane wave."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from ..constants import SPEED_OF_LIGHT
 from ..errors import ConfigurationError
 from .base import FieldSource, FieldValues
 
-__all__ = ["PlaneWave", "StandingPlaneWave"]
+__all__ = ["PlaneWave"]
 
 
 class PlaneWave(FieldSource):
@@ -41,33 +41,3 @@ class PlaneWave(FieldSource):
         return FieldValues(zero, wave, zero.copy(),
                            zero.copy(), zero.copy(), wave.copy())
 
-
-class StandingPlaneWave(FieldSource):
-    """Standing wave along x: two counter-propagating plane waves.
-
-    ``E_y = 2 a cos(k x) cos(omega t)``, ``B_z = 2 a sin(k x) sin(omega t)``.
-    E-nodes sit at ``k x = pi/2 + n pi`` where the field is purely
-    magnetic — a classic trapping configuration.
-    """
-
-    flops_per_evaluation = 16
-
-    def __init__(self, amplitude: float, omega: float) -> None:
-        if omega <= 0.0:
-            raise ConfigurationError(f"omega must be positive, got {omega!r}")
-        self.amplitude = float(amplitude)
-        self.omega = float(omega)
-
-    @property
-    def wavenumber(self) -> float:
-        """``k = omega / c`` [1/cm]."""
-        return self.omega / SPEED_OF_LIGHT
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                 t: float) -> FieldValues:
-        xv = np.asarray(x, dtype=np.float64)
-        kx = self.wavenumber * xv
-        ey = 2.0 * self.amplitude * np.cos(kx) * np.cos(self.omega * t)
-        bz = 2.0 * self.amplitude * np.sin(kx) * np.sin(self.omega * t)
-        zero = np.zeros_like(xv)
-        return FieldValues(zero, ey, zero.copy(), zero.copy(), zero.copy(), bz)

@@ -24,7 +24,6 @@ from .initializers import (
     maxwellian_momenta,
     paper_benchmark_ensemble,
 )
-from .sorting import cell_indices, morton_codes, sort_by_cell, sort_by_morton
 
 __all__ = [
     "ParticleSpecies",
@@ -41,8 +40,4 @@ __all__ = [
     "uniform_box",
     "maxwellian_momenta",
     "paper_benchmark_ensemble",
-    "cell_indices",
-    "morton_codes",
-    "sort_by_cell",
-    "sort_by_morton",
 ]

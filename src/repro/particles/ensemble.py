@@ -236,8 +236,7 @@ class ParticleEnsemble(abc.ABC):
     def permute(self, order: np.ndarray) -> None:
         """Reorder particles in place by the index array ``order``.
 
-        ``order`` must be a permutation of ``range(size)`` (used by the
-        cache-locality sorting pass described in Section 3).
+        ``order`` must be a permutation of ``range(size)``.
         """
         idx = np.asarray(order)
         if idx.shape != (self._size,):

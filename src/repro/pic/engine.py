@@ -16,14 +16,19 @@ step as a :class:`~repro.oneapi.graph.KernelGraph`:
   IR's docstring);
 * **field-advance** — the Maxwell solve over the grid cells (barrier).
 
-Because the executor runs node bodies in recorded order whether or not
-launches are fused, fused and unfused runs are bit-exact; because the
-Monte Carlo draws are keyed on the logical step, they also match the
-host-side reference :meth:`~repro.pic.simulation.PicSimulation.step`
-to the bit.  The declared read/write sets make the whole step
-visible to the fusion pass, the hazard detector, the roofline
-analyzer, tracing and fault injection — the same machinery the push
-engines enjoy.
+The gather, push and deposit bodies call the simulation's own stage
+methods (:meth:`~repro.pic.simulation.PicSimulation.gather`,
+:meth:`~repro.pic.simulation.PicSimulation.push`,
+:meth:`~repro.pic.simulation.PicSimulation.deposit`) — the same ones
+:meth:`~repro.pic.simulation.PicSimulation.step` calls — so there is
+one implementation of each stage.  Because the executor runs node
+bodies in recorded order whether or not launches are fused, fused and
+unfused runs are bit-exact; because the Monte Carlo draws are keyed on
+the logical step, they also match the host-side
+:meth:`~repro.pic.simulation.PicSimulation.step` to the bit.  The
+declared read/write sets make the whole step visible to the fusion
+pass, the hazard detector, the roofline analyzer, tracing and fault
+injection — the same machinery the push engines enjoy.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import List
 
 import numpy as np
 
-from ..fields.interpolation import interpolate_from_yee_grid
+from ..errors import SimulationError
 from ..observability.tracer import trace_span
 from ..oneapi.graph import GraphExecutor, KernelGraph, KernelNode
 from ..oneapi.kernelspec import KernelSpec, MemoryStream, StreamKind
@@ -41,7 +46,10 @@ from ..oneapi.queue import Queue
 from ..oneapi.runtime import PUSH_FLOPS
 from ..particles.ensemble import COMPONENTS, Layout, ParticleEnsemble
 from ..resilience.faults import active_fault_injector
-from .deposition import deposit_current_direct, deposit_current_esirkepov
+# Not called here (the deposit body calls PicSimulation.deposit); kept as
+# a module attribute because benchmarks/host/test_host_bench.py checks
+# that the host recorder patches and restores this imported copy.
+from .deposition import deposit_current_esirkepov  # noqa: F401
 from .simulation import PicSimulation
 
 __all__ = ["GATHER_FLOPS", "DEPOSIT_FLOPS", "ADVANCE_FLOPS",
@@ -334,23 +342,14 @@ class PicEngine:
     # -- stage bodies ------------------------------------------------------
 
     def _gather_body(self, species: int):
-        simulation = self.simulation
-        ensemble = simulation.ensembles[species]
-
         def body() -> None:
-            self._gathered[species] = interpolate_from_yee_grid(
-                simulation.grid, ensemble.positions(),
-                simulation.interpolation)
+            self._gathered[species] = self.simulation.gather(species)
         return body
 
     def _push_body(self, species: int):
-        simulation = self.simulation
-        ensemble = simulation.ensembles[species]
-
         def body() -> None:
-            self._old_positions[species] = ensemble.positions()
-            simulation.pusher.push(ensemble, self._gathered[species],
-                                   simulation.dt)
+            self._old_positions[species] = self.simulation.push(
+                species, self._gathered[species])
         return body
 
     def _operator_body(self, species: int, operator, step: int):
@@ -363,19 +362,8 @@ class PicEngine:
         return body
 
     def _deposit_body(self, species: int):
-        simulation = self.simulation
-        ensemble = simulation.ensembles[species]
-
         def body() -> None:
-            if simulation.deposition == "esirkepov":
-                deposit_current_esirkepov(
-                    simulation.grid, ensemble,
-                    self._old_positions[species], simulation.dt,
-                    shape=simulation.interpolation)
-            elif simulation.deposition == "direct":
-                deposit_current_direct(simulation.grid, ensemble,
-                                       shape=simulation.interpolation)
-            simulation._wrap(ensemble)
+            self.simulation.deposit(species, self._old_positions[species])
         return body
 
     # -- graph recording ---------------------------------------------------
@@ -442,6 +430,8 @@ class PicEngine:
 
     def run(self, steps: int):
         """Run ``steps`` full PIC steps; returns the last records."""
+        if steps < 0:
+            raise SimulationError(f"steps must be >= 0, got {steps}")
         return [self.step() for _ in range(steps)]
 
     def queues(self) -> tuple:

@@ -73,8 +73,9 @@ class FdtdSolver:
 
     def __init__(self, grid: YeeGrid, dt: float) -> None:
         limit = max_stable_dt(grid.spacing, safety=1.0)
-        if dt <= 0.0:
-            raise SimulationError(f"dt must be positive, got {dt!r}")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise SimulationError(
+                f"dt must be positive and finite, got {dt!r}")
         if dt > limit:
             raise SimulationError(
                 f"dt = {dt:.4g} violates the CFL limit {limit:.4g} "

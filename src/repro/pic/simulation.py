@@ -11,6 +11,12 @@ One :class:`PicSimulation` step performs the conventional four stages
 
 Positions are wrapped into the periodic box *after* deposition, since
 the Esirkepov scheme needs the unwrapped displacement.
+
+The per-species stages are public methods (:meth:`PicSimulation.gather`,
+:meth:`PicSimulation.push`, :meth:`PicSimulation.deposit`).
+:meth:`PicSimulation.step` calls them in order, and the graph-lowered
+:class:`~repro.pic.engine.PicEngine` calls the same methods from its
+kernel bodies, so both drivers share one implementation of each stage.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from ..errors import SimulationError
 from ..fields.grid import YeeGrid
 from ..fields.interpolation import Shape, interpolate_from_yee_grid
 from ..observability.tracer import trace_span
-from ..particles.ensemble import ParticleEnsemble
+from ..particles.ensemble import COMPONENTS, ParticleEnsemble
 from .deposition import deposit_current_direct, deposit_current_esirkepov
 from .fdtd import FdtdSolver
 
@@ -109,9 +115,33 @@ class PicSimulation:
         """Current simulation time [s]."""
         return self.solver.time
 
-    def _wrap(self, ensemble: ParticleEnsemble) -> None:
-        wrapped = self.grid.wrap_positions(ensemble.positions())
-        ensemble.set_positions(wrapped)
+    # -- per-species stages (shared with the graph-lowered PicEngine) ---
+
+    def gather(self, species: int):
+        """Interpolate E and B from the grid to ensemble ``species``."""
+        return interpolate_from_yee_grid(
+            self.grid, self.ensembles[species].positions(),
+            self.interpolation)
+
+    def push(self, species: int, fields):
+        """Push ensemble ``species``; returns its pre-push positions."""
+        ensemble = self.ensembles[species]
+        old_positions = ensemble.positions()
+        self.pusher.push(ensemble, fields, self.dt)
+        return old_positions
+
+    def deposit(self, species: int, old_positions) -> None:
+        """Deposit the current of ensemble ``species``'s last move, then
+        wrap its positions into the periodic box."""
+        ensemble = self.ensembles[species]
+        if self.deposition == "esirkepov":
+            deposit_current_esirkepov(self.grid, ensemble, old_positions,
+                                      self.dt, shape=self.interpolation)
+        elif self.deposition == "direct":
+            deposit_current_direct(self.grid, ensemble,
+                                   shape=self.interpolation)
+        ensemble.set_positions(
+            self.grid.wrap_positions(ensemble.positions()))
 
     def step(self) -> None:
         """Advance fields and particles by one time step.
@@ -121,31 +151,21 @@ class PicSimulation:
         nested wall-clock span — the per-stage breakdown a VTune
         timeline would show for the real Hi-Chi loop.
         """
-        grid = self.grid
         with trace_span("pic-step", "pic", step=self.step_count):
-            grid.clear_currents()
+            self.grid.clear_currents()
             for species, ensemble in enumerate(self.ensembles):
                 with trace_span("interpolate", "pic",
                                 n_particles=ensemble.size):
-                    fields = interpolate_from_yee_grid(
-                        grid, ensemble.positions(), self.interpolation)
-                old_positions = ensemble.positions()
+                    fields = self.gather(species)
                 with trace_span("push", "pic",
                                 n_particles=ensemble.size):
-                    self.pusher.push(ensemble, fields, self.dt)
+                    old_positions = self.push(species, fields)
                 for operator in self.operators:
                     with trace_span(f"mc:{operator.tag}", "pic"):
                         operator.apply(ensemble, fields, self.step_count,
                                        self.dt, stream=species)
                 with trace_span(f"deposit:{self.deposition}", "pic"):
-                    if self.deposition == "esirkepov":
-                        deposit_current_esirkepov(grid, ensemble,
-                                                  old_positions, self.dt,
-                                                  shape=self.interpolation)
-                    elif self.deposition == "direct":
-                        deposit_current_direct(grid, ensemble,
-                                               shape=self.interpolation)
-                self._wrap(ensemble)
+                    self.deposit(species, old_positions)
             with trace_span("field-solve", "pic"):
                 self.solver.step()
         self.step_count += 1
@@ -196,12 +216,17 @@ class PicSimulation:
         return io.load_simulation(path, pusher=pusher)
 
     def check_state(self) -> None:
-        """Raise :class:`SimulationError` on NaN/inf fields or particles."""
-        for name, array in self.grid.fields.items():
+        """Raise :class:`SimulationError` on a NaN/inf anywhere in the
+        state: grid fields, grid currents, or any particle component."""
+        arrays = [(f"field component {name!r}", array)
+                  for name, array in self.grid.fields.items()]
+        arrays += [(f"current {name!r}", array)
+                   for name, array in self.grid.currents.items()]
+        for species, ensemble in enumerate(self.ensembles):
+            arrays += [(f"particle component {name!r} of ensemble "
+                        f"{species}", ensemble.component(name))
+                       for name in COMPONENTS]
+        for what, array in arrays:
             if not np.all(np.isfinite(array)):
-                raise SimulationError(f"non-finite field component {name!r} "
-                                      f"at step {self.step_count}")
-        for ensemble in self.ensembles:
-            if not np.all(np.isfinite(ensemble.component("x"))):
                 raise SimulationError(
-                    f"non-finite particle positions at step {self.step_count}")
+                    f"non-finite {what} at step {self.step_count}")

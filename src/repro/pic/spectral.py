@@ -50,8 +50,9 @@ class SpectralSolver:
     """
 
     def __init__(self, grid: YeeGrid, dt: float) -> None:
-        if dt <= 0.0:
-            raise SimulationError(f"dt must be positive, got {dt!r}")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise SimulationError(
+                f"dt must be positive and finite, got {dt!r}")
         self.grid = grid
         self.dt = float(dt)
         self.time = 0.0

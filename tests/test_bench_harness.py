@@ -142,12 +142,12 @@ class TestFig1Claims:
 
 class TestInTextEffects:
     def test_first_iteration_about_fifty_percent_slower(self):
-        ratio = first_iteration_ratio(n=N)
+        ratio = first_iteration_ratio(n=N)["DPC++ NUMA"]
         assert 1.25 < ratio < 1.8
 
     def test_hyperthreading_helps(self):
         sweep = thread_sweep(n=N)
-        assert sweep[96] < sweep[48]
+        assert sweep[48][2] < sweep[48][1]
 
     def test_model_requires_warmup_steps(self):
         case = BenchmarkCase("precalculated", Layout.SOA, Precision.SINGLE,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.constants import SPEED_OF_LIGHT
 from repro.errors import ConfigurationError
-from repro.fields import PlaneWave, StandingPlaneWave
+from repro.fields import PlaneWave
 
 
 def _numerical_maxwell_residual(source, point, t, h=1e-9, dt=1e-20):
@@ -79,32 +79,3 @@ class TestPlaneWave:
         with pytest.raises(ConfigurationError):
             PlaneWave(1.0, 0.0)
 
-
-class TestStandingPlaneWave:
-    def test_node_structure(self):
-        wave = StandingPlaneWave(1.0, OMEGA)
-        quarter = np.pi / 2 / wave.wavenumber
-        values = wave.evaluate(np.array([quarter]), np.zeros(1),
-                               np.zeros(1), 0.0)
-        assert values.ey[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_e_b_quadrature_in_time(self):
-        wave = StandingPlaneWave(1.0, OMEGA)
-        x = np.array([0.3e-5])
-        t_e = 0.0                               # cos(0) = 1: E maximal
-        t_b = np.pi / 2 / OMEGA                 # sin: B maximal
-        v_e = wave.evaluate(x, np.zeros(1), np.zeros(1), t_e)
-        v_b = wave.evaluate(x, np.zeros(1), np.zeros(1), t_b)
-        assert abs(v_e.bz[0]) < 1e-12
-        assert abs(v_b.ey[0]) < 1e-9 * abs(v_b.bz[0] + 1e-30) or \
-            abs(v_b.ey[0]) < 1e-6
-
-    def test_maxwell_consistent(self):
-        wave = StandingPlaneWave(1.0e8, OMEGA)
-        residual = _numerical_maxwell_residual(
-            wave, np.array([0.9e-5, 0.0, 0.0]), 0.9e-15)
-        assert residual < 1e-5
-
-    def test_rejects_bad_omega(self):
-        with pytest.raises(ConfigurationError):
-            StandingPlaneWave(1.0, -1.0)

@@ -17,8 +17,7 @@ from repro.constants import ELECTRON_MASS, ELEMENTARY_CHARGE
 from repro.fields import MDipoleWave
 from repro.fp import Precision
 from repro.particles import Layout
-from repro.particles.initializers import (PAPER_SPHERE_RADIUS,
-                                          paper_benchmark_ensemble)
+from repro.particles.initializers import paper_benchmark_ensemble
 
 
 class TestDipoleTrajectories:
@@ -96,24 +95,6 @@ class TestScenarioConsistencyAcrossLayouts:
         reference = results[0]
         for other in results[1:]:
             np.testing.assert_allclose(other, reference, rtol=2e-5)
-
-
-class TestSortingImprovesNothingButOrder:
-    def test_sorted_ensemble_same_physics(self):
-        # Locality sorting is a pure permutation: pushing a sorted
-        # ensemble gives the same set of final states.
-        wave = paper_wave()
-        dt = paper_time_step()
-        a = paper_benchmark_ensemble(200, seed=14)
-        b = a.copy()
-        from repro.particles import sort_by_morton
-        sort_by_morton(b, (-PAPER_SPHERE_RADIUS,) * 3,
-                       (PAPER_SPHERE_RADIUS / 4,) * 3, (8, 8, 8))
-        repro.advance(a, wave, dt, 5)
-        repro.advance(b, wave, dt, 5)
-        gammas_a = np.sort(a.component("gamma"))
-        gammas_b = np.sort(b.component("gamma"))
-        np.testing.assert_allclose(gammas_a, gammas_b, rtol=1e-12)
 
 
 class TestPublicApi:

@@ -5,7 +5,9 @@ grid cell, and floating-point addition is not associative: any change
 to the order in which those contributions are summed moves the grid
 currents by a few ULPs and so the state digest.  These digests were
 recorded with the reference ``np.add.at`` scatter; every faster
-scatter must reproduce them bit for bit.
+scatter must reproduce them bit for bit, and so must both drivers of
+the loop: the kernel-graph engine behind ``run_pic`` and the host loop
+``PicSimulation.step``.
 """
 
 import pytest
@@ -47,9 +49,23 @@ def test_every_scenario_is_pinned():
     assert tuple(SCENARIO_DIGESTS) == scenario_names()
 
 
-@pytest.mark.parametrize("scenario", tuple(SCENARIO_DIGESTS))
-def test_scenario_digest_pinned(scenario):
-    assert run_facade(scenario) == SCENARIO_DIGESTS[scenario]
+def run_host(scenario):
+    # The same warmup + measured steps without the kernel graph: the
+    # host loop PicSimulation.step must match the engine bit for bit.
+    simulation = build_scenario(scenario, n_particles=N, seed=0)
+    simulation.run(STEPS + 1)
+    return pic_state_digest(simulation)
+
+
+DRIVERS = [pytest.param(run_facade, scenario, id=scenario)
+           for scenario in SCENARIO_DIGESTS] + \
+          [pytest.param(run_host, scenario, id=f"{scenario}-host")
+           for scenario in SCENARIO_DIGESTS]
+
+
+@pytest.mark.parametrize("driver,scenario", DRIVERS)
+def test_scenario_digest_pinned(driver, scenario):
+    assert driver(scenario) == SCENARIO_DIGESTS[scenario]
 
 
 def test_direct_deposition_digest_pinned():

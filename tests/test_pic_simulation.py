@@ -8,9 +8,11 @@ import pytest
 from repro.constants import ELECTRON_MASS, SPEED_OF_LIGHT
 from repro.errors import SimulationError
 from repro.fields import UniformField, YeeGrid
+from repro.backends.registry import queue_for
 from repro.particles import ParticleEnsemble
-from repro.pic import (EnergyHistory, PicSimulation, max_stable_dt,
-                       plasma_frequency)
+from repro.particles.ensemble import COMPONENTS
+from repro.pic import (EnergyHistory, PicEngine, PicSimulation,
+                       max_stable_dt, plasma_frequency)
 from repro.constants import ELEMENTARY_CHARGE
 
 
@@ -43,6 +45,14 @@ class TestConstruction:
         ensemble = ParticleEnsemble.from_arrays([[1e-5] * 3], [[0] * 3])
         with pytest.raises(SimulationError):
             PicSimulation(grid, ensemble, 1.0)
+
+    @pytest.mark.parametrize("solver", ["fdtd", "spectral"])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_dt(self, solver, dt):
+        grid = small_grid()
+        ensemble = ParticleEnsemble.from_arrays([[1e-5] * 3], [[0] * 3])
+        with pytest.raises(SimulationError):
+            PicSimulation(grid, ensemble, dt, field_solver=solver)
 
     def test_single_ensemble_promoted_to_list(self):
         grid = small_grid()
@@ -133,12 +143,31 @@ class TestSelfConsistentPlasma:
         simulation.check_state()
 
     def test_check_state_detects_nan(self):
+        # One case per grid field, per current and per particle
+        # component: a single NaN anywhere in the state is caught.
         simulation, _ = self._build()
-        simulation.grid.component("ex")[0, 0, 0] = np.nan
-        with pytest.raises(SimulationError):
-            simulation.check_state()
+        grid, ensemble = simulation.grid, simulation.ensembles[0]
+        arrays = [grid.fields[name] for name in sorted(grid.fields)]
+        arrays += [grid.currents[name] for name in sorted(grid.currents)]
+        arrays += [ensemble.component(name) for name in COMPONENTS]
+        assert len(arrays) == 6 + 3 + len(COMPONENTS)
+        for array in arrays:
+            index = (0,) * array.ndim
+            saved = array[index]
+            array[index] = np.nan
+            with pytest.raises(SimulationError):
+                simulation.check_state()
+            array[index] = saved
+        simulation.check_state()
 
     def test_negative_steps_rejected(self):
         simulation, _ = self._build()
         with pytest.raises(SimulationError):
             simulation.run(-1)
+
+    def test_engine_negative_steps_rejected(self):
+        simulation, _ = self._build()
+        engine = PicEngine(queue_for("iris-xe-max"), simulation)
+        with pytest.raises(SimulationError):
+            engine.run(-1)
+        assert simulation.step_count == 0

@@ -43,7 +43,7 @@ class TestFullValidation:
         assert "Hyperthreading" in text
 
     def test_check_count(self, report):
-        assert len(report.checks) == 17
+        assert len(report.checks) == 20
 
 
 class TestCliValidate:
