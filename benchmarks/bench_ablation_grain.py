@@ -14,7 +14,7 @@ from repro.bench.calibration import cost_model_for, xeon_8260l_node
 from repro.fields import MDipoleWave
 from repro.fp import Precision
 from repro.oneapi import (DynamicScheduler, Queue, RuntimeConfig)
-from repro.oneapi.runtime import build_virtual_push_spec
+from repro.oneapi.runtime import build_push_spec
 from repro.particles import Layout
 
 from conftest import once
@@ -26,10 +26,10 @@ def _nsps_with_grain(model_n, grain_size):
                            scheduler=DynamicScheduler(grain_size=grain_size,
                                                       seed=9))
     queue = Queue(device, config, cost_model_for(device))
-    spec = build_virtual_push_spec(model_n, Layout.SOA, Precision.SINGLE,
-                                   "analytical", queue.memory,
-                                   field_flops=MDipoleWave
-                                   .flops_per_evaluation)
+    spec = build_push_spec(model_n, Layout.SOA, Precision.SINGLE,
+                           "analytical", queue.memory,
+                           field_flops=MDipoleWave
+                           .flops_per_evaluation)
     records = [queue.parallel_for(model_n, spec,
                                   precision=Precision.SINGLE)
                for _ in range(4)]

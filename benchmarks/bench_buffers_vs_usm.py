@@ -18,7 +18,7 @@ from repro.bench.calibration import cost_model_for, iris_xe_max
 from repro.fp import Precision
 from repro.oneapi import AccessMode, Queue
 from repro.oneapi.builders import make_gpu_descriptor
-from repro.oneapi.runtime import build_virtual_push_spec
+from repro.oneapi.runtime import build_push_spec
 from repro.particles import Layout
 
 from conftest import once
@@ -44,8 +44,8 @@ def test_buffers_free_on_shared_memory_device(benchmark):
     def run():
         device = iris_xe_max()
         queue = Queue(device, cost_model=cost_model_for(device))
-        spec = build_virtual_push_spec(N, Layout.SOA, Precision.SINGLE,
-                                       "precalculated", queue.memory)
+        spec = build_push_spec(N, Layout.SOA, Precision.SINGLE,
+                               "precalculated", queue.memory)
         usm = _steady_nsps(queue, spec)
         particle_buffer = queue.create_buffer(np.zeros(N, dtype=np.float32))
         buffered = _steady_nsps(
@@ -66,8 +66,8 @@ def test_host_sync_every_step_hurts_discrete_card(benchmark):
         device = make_gpu_descriptor("discrete-xe", 96, 1.65, 60.0,
                                      discrete=True, pcie_gbps=12.0)
         queue = Queue(device)
-        spec = build_virtual_push_spec(N, Layout.SOA, Precision.SINGLE,
-                                       "precalculated", queue.memory)
+        spec = build_push_spec(N, Layout.SOA, Precision.SINGLE,
+                               "precalculated", queue.memory)
         data = queue.create_buffer(np.zeros((N, 8), dtype=np.float32),
                                    name="particles")
 

@@ -15,7 +15,7 @@ from repro.oneapi import (Queue, RuntimeConfig, UsmMemoryManager,
                           analyze_kernel, make_cpu_descriptor,
                           make_gpu_descriptor)
 from repro.oneapi.costmodel import CostModel
-from repro.oneapi.runtime import build_virtual_push_spec
+from repro.oneapi.runtime import build_push_spec
 from repro.particles import Layout
 
 N = 4_000_000
@@ -46,9 +46,9 @@ def predicted_nsps(device, scenario):
                   CostModel(device))
     field_flops = (MDipoleWave.flops_per_evaluation
                    if scenario == "analytical" else 0.0)
-    spec = build_virtual_push_spec(N, Layout.SOA, Precision.SINGLE,
-                                   scenario, queue.memory,
-                                   field_flops=field_flops)
+    spec = build_push_spec(N, Layout.SOA, Precision.SINGLE,
+                           scenario, queue.memory,
+                           field_flops=field_flops)
     records = [queue.parallel_for(N, spec, precision=Precision.SINGLE)
                for _ in range(4)]
     return sum(r.nsps() for r in records[2:]) / 2.0
@@ -56,7 +56,7 @@ def predicted_nsps(device, scenario):
 
 def main() -> None:
     rows = []
-    spec = build_virtual_push_spec(
+    spec = build_push_spec(
         N, Layout.SOA, Precision.SINGLE, "precalculated",
         UsmMemoryManager())
     for device in MACHINES:

@@ -43,7 +43,7 @@ from ..observability.tracer import active_tracer
 from ..oneapi.costmodel import CostModel
 from ..oneapi.device import DeviceDescriptor, DeviceType
 from ..oneapi.graph import FusionPass, KernelGraph, unfused_plan
-from ..oneapi.runtime import PRECALCULATED, build_virtual_step_graph
+from ..oneapi.runtime import PRECALCULATED, build_step_graph
 from ..particles.ensemble import Layout
 from .roofline import GraphRoofline, analyze_graph
 
@@ -243,7 +243,7 @@ def _candidate_graph(candidate: Candidate, config, n: int,
     """The per-step kernel graph ``candidate`` would launch over ``n``
     particles — the same graph the engine records for its fusion mode."""
     scenario = config.scenario
-    return build_virtual_step_graph(
+    return build_step_graph(
         n, candidate.layout, candidate.precision, scenario,
         field_flops=(field_flops if scenario != PRECALCULATED else 0.0),
         diagnostics=config.diagnostics,

@@ -41,6 +41,7 @@ Quickstart::
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -118,7 +119,7 @@ class RunConfig:
         warmup: Warm-up steps excluded from the steady NSPS (they carry
             JIT and cold-page cost; the paper's "first iteration is
             ~1.5x slower" effect).
-        dt: Time step [s]; None means the paper's T/100.
+        dt: Time step [s], finite; None means the paper's T/100.
         device: Device spec for single-device runs — a bare oneAPI key
             ("cpu", "p630", "iris-xe-max") or a backend-qualified spec
             ("cuda:gpu0"); see :mod:`repro.backends.registry`.
@@ -134,7 +135,7 @@ class RunConfig:
             None is the paper's harness — the field refresh is an
             untimed staging node and the push the one timed launch.
         diagnostics: Append the kinetic-energy diagnostic kernel to the
-            per-step graph.
+            per-step graph (single-device runs only).
         trace_path: Write a Chrome ``trace_event`` JSON here.
         checkpoint_every: Step-granular checkpoint cadence for the
             resilient/sharded engines (0 = no checkpointing).
@@ -218,6 +219,8 @@ class RunConfig:
         if self.warmup < 0:
             raise ConfigurationError(
                 f"warmup must be >= 0, got {self.warmup}")
+        if self.dt is not None and not math.isfinite(self.dt):
+            raise ConfigurationError(f"dt must be finite, got {self.dt}")
         if self.group is not None and self.devices is not None:
             raise ConfigurationError(
                 "group and devices are mutually exclusive: a sharded "
@@ -244,6 +247,11 @@ class RunConfig:
                     "threads_per_unit applies to single-device runs "
                     "only; the resilient and sharded engines do not "
                     "expose SMT tiling")
+        if self.diagnostics and self.mode != "single":
+            raise ConfigurationError(
+                "diagnostics applies to single-device runs only; the "
+                "resilient and sharded engines do not record the "
+                "kinetic-energy node")
         if self.strategy is not None:
             from .distributed.sharding import STRATEGY_NAMES
             if self.strategy not in STRATEGY_NAMES:

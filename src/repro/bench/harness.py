@@ -46,7 +46,7 @@ from ..observability.tracer import trace_span
 from ..fp import Precision
 from ..oneapi.device import DeviceDescriptor
 from ..oneapi.queue import Queue, RuntimeConfig
-from ..oneapi.runtime import build_virtual_push_spec
+from ..oneapi.runtime import build_push_spec
 from ..particles.ensemble import Layout
 from ..resilience.recovery import allocate_with_retry, launch_with_retry
 from .calibration import cost_model_for, device_by_name, xeon_8260l_node
@@ -128,9 +128,9 @@ def model_push_nsps(case: BenchmarkCase,
         # spec construction registers USM allocations, so under
         # --fault-plan it can hit an injected alloc-failure too
         spec = allocate_with_retry(
-            lambda: build_virtual_push_spec(n, case.layout, case.precision,
-                                            case.scenario, queue.memory,
-                                            field_flops=field_flops),
+            lambda: build_push_spec(n, case.layout, case.precision,
+                                    case.scenario, queue.memory,
+                                    field_flops=field_flops),
             queue)
         # launch_with_retry is a 1:1 parallel_for when no fault injector
         # is installed; under --fault-plan it retries transient faults,

@@ -198,7 +198,7 @@ def _cmd_escape(args: argparse.Namespace) -> None:
 
 def _cmd_roofline(args: argparse.Namespace) -> None:
     from .oneapi import UsmMemoryManager, analyze_kernel
-    from .oneapi.runtime import build_virtual_push_spec
+    from .oneapi.runtime import build_push_spec
     from .fields import MDipoleWave
 
     rows = []
@@ -207,7 +207,7 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
         for scenario in ("precalculated", "analytical"):
             field_flops = (MDipoleWave.flops_per_evaluation
                            if scenario == "analytical" else 0.0)
-            spec = build_virtual_push_spec(
+            spec = build_push_spec(
                 1_000_000, Layout.SOA, Precision.SINGLE, scenario,
                 UsmMemoryManager(), field_flops=field_flops)
             point = analyze_kernel(spec, device, Precision.SINGLE)
@@ -861,7 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "docs/TUNING.md)")
     push.add_argument("--diagnostics", action="store_true",
                       help="append the kinetic-energy diagnostic kernel "
-                           "to each step's graph")
+                           "to each step's graph (single-device runs "
+                           "only)")
     push.add_argument("--checkpoint-every", type=int, default=0,
                       help="step-granular checkpoint cadence for "
                            "resilient/sharded modes (default 0 = off)")

@@ -469,12 +469,8 @@ class ShardedPushEngine:
         reset = getattr(self.strategy, "reset", None)
         if callable(reset):
             reset()
-        step, time, restored = self.checkpointer.load_push()
-        for name in COMPONENTS:
-            self.ensemble.component(name)[:] = restored.component(name)
-        self.ensemble.type_ids[:] = restored.type_ids
-        self.steps_done = int(step)
-        self.time = float(time)
+        self.steps_done, self.time = self.checkpointer.restore_push(
+            self.ensemble)
         self.counts = list(self.strategy.initial_counts(
             self.ensemble.size, group.devices))
         self.shards = self._partition(self.counts)

@@ -135,7 +135,8 @@ class KernelError(DeviceError):
     Usage: raised when a :class:`~repro.oneapi.kernelspec.KernelSpec`
     is self-inconsistent (negative sizes, span smaller than payload) or
     a launch is malformed; validate specs once at build time and reuse
-    them, as :func:`repro.oneapi.runtime.build_virtual_push_spec` does.
+    them, as :func:`repro.oneapi.runtime.PushEngine` does with the step
+    graph :func:`repro.oneapi.runtime.build_step_graph` builds.
     """
 
 

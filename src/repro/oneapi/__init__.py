@@ -50,9 +50,7 @@ from .graph import (FusionPass, FusionPlan, GraphExecutor, KernelGraph,
 from .runtime import (
     PUSH_FLOPS,
     build_push_spec,
-    build_virtual_push_spec,
-    build_field_eval_spec,
-    build_diagnostics_spec,
+    build_step_graph,
     PushEngine,
 )
 
@@ -68,9 +66,7 @@ __all__ = [
     "Timeline",
     "PUSH_FLOPS",
     "build_push_spec",
-    "build_virtual_push_spec",
-    "build_field_eval_spec",
-    "build_diagnostics_spec",
+    "build_step_graph",
     "PushEngine",
     "CacheStats",
     "ProgramCache",

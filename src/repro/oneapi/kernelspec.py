@@ -12,6 +12,7 @@ field scenario under study (see
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
@@ -93,8 +94,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise KernelError("kernel spec needs a non-empty name")
-        if self.flops_per_item < 0:
-            raise KernelError(f"flops_per_item must be >= 0, "
+        if not (math.isfinite(self.flops_per_item)
+                and self.flops_per_item >= 0):
+            raise KernelError(f"flops_per_item must be finite and >= 0, "
                               f"got {self.flops_per_item}")
         if self.working_set_bytes_per_item == 0.0:
             object.__setattr__(

@@ -1,23 +1,31 @@
-"""Bridging kernels to the simulated runtime: spec builders and runners.
+"""Bridging kernels to the simulated runtime: the push step and its engine.
 
-Builds :class:`~repro.oneapi.kernelspec.KernelSpec` objects for the
-Boris push under the paper's two scenarios, in either layout and
-precision, and provides :class:`PushEngine`, which drives the *real*
-numpy kernels through a :class:`~repro.oneapi.queue.Queue` so each
-step produces both physics and a simulated launch time.
+Builds the :class:`~repro.oneapi.kernelspec.KernelSpec` of each kernel
+of one Boris push step (field evaluation, push, kinetic-energy
+diagnostics) under the paper's two scenarios, in either layout and
+precision; lays them out as the step's
+:class:`~repro.oneapi.graph.KernelGraph` (:func:`build_step_graph`);
+and provides :class:`PushEngine`, which drives the *real* numpy kernels
+through a :class:`~repro.oneapi.queue.Queue` so each step produces both
+physics and a simulated launch time.
 
-Two spec flavours:
+Each kernel has one builder, whatever the caller; the arguments decide
+what a stream's allocation is (:func:`_allocation`):
 
-* *bound* specs (:func:`build_push_spec`) reference the live USM
-  allocations of an actual ensemble, enabling genuine first-touch NUMA
-  accounting while the kernels run;
-* *virtual* specs (:func:`build_virtual_push_spec`) describe the
-  paper's full 1e7-particle working set without allocating it — used
-  by the table/figure harnesses where only timing matters.
+* ``memory`` plus the live ``ensemble`` (and its ``precalc`` field
+  array): the streams reference registered USM allocations, enabling
+  genuine first-touch NUMA accounting while the kernels run — the
+  engine's graph;
+* ``memory`` alone: *virtual* allocations describe the paper's full
+  1e7-particle working set without allocating it — the table/figure
+  harnesses, where only timing matters;
+* neither: no allocations, a pure traffic/flop description — the
+  planning estimators and the autotuner.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -28,20 +36,17 @@ from ..core.kernels import (BORIS_FLOPS, DIAGNOSTIC_FLOPS,
                             kinetic_energy_diagnostic, sample_fields)
 from ..errors import ConfigurationError
 from ..fields.base import FieldSource
-from ..fields.precalculated import PrecalculatedField
+from ..fields.precalculated import FIELD_COMPONENTS, PrecalculatedField
 from ..fp import Precision
 from ..observability.tracer import trace_span
 from ..resilience.faults import active_fault_injector
 from ..particles.ensemble import Layout, ParticleEnsemble
 from .graph import GraphExecutor, KernelGraph, KernelNode
 from .kernelspec import KernelSpec, MemoryStream, StreamKind
-from .memory import UsmMemoryManager
+from .memory import UsmAllocation, UsmMemoryManager
 from .queue import KernelLaunchRecord, Queue
 
-__all__ = ["PUSH_FLOPS", "build_push_spec", "build_virtual_push_spec",
-           "build_field_eval_spec", "build_diagnostics_spec",
-           "build_virtual_field_eval_spec", "build_virtual_diagnostics_spec",
-           "build_virtual_step_graph", "PushEngine"]
+__all__ = ["PUSH_FLOPS", "build_push_spec", "build_step_graph", "PushEngine"]
 
 #: Arithmetic of the Boris push per particle-step (single-precision
 #: equivalent flops): momentum update + two gamma evaluations +
@@ -53,340 +58,243 @@ PRECALCULATED = "precalculated"
 ANALYTICAL = "analytical"
 SCENARIOS = (PRECALCULATED, ANALYTICAL)
 
-#: Components the push kernel reads and writes in SoA layout.
-_SOA_READ_WRITE = ("x", "y", "z", "px", "py", "pz")
+#: SoA components each kernel of the step touches, with its access.
+_PUSH_SOA = {**dict.fromkeys(("x", "y", "z", "px", "py", "pz"),
+                             StreamKind.READ_WRITE),
+             "gamma": StreamKind.WRITE, "type": StreamKind.READ}
+_FIELD_EVAL_SOA = dict.fromkeys(("x", "y", "z"), StreamKind.READ)
+_DIAGNOSTICS_SOA = {"gamma": StreamKind.READ}
 
 
-def _check_scenario(scenario: str) -> None:
+def _check_step(n: int, layout: Layout, precision: Precision,
+                scenario: str, ensemble: Optional[ParticleEnsemble]) -> None:
     if scenario not in SCENARIOS:
         raise ConfigurationError(
             f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    if ensemble is not None and (ensemble.size != n
+                                 or ensemble.layout is not layout
+                                 or ensemble.precision is not precision):
+        raise ConfigurationError(
+            "ensemble must match the spec's size, layout and precision")
 
 
-def _particle_streams(layout: Layout, precision: Precision,
-                      n: int, memory: Optional[UsmMemoryManager],
-                      ensemble: Optional[ParticleEnsemble]):
-    """Memory streams for the particle data in the given layout."""
-    fp = precision.itemsize
-    streams = []
+def _allocation(memory: Optional[UsmMemoryManager], name: str,
+                array: Optional[np.ndarray],
+                nbytes: int) -> Optional[UsmAllocation]:
+    """The allocation behind one stream.
+
+    With ``memory`` and an ``array``: that array, registered (which is
+    idempotent, so every kernel's stream over one array shares its
+    allocation).  With ``memory`` alone: a virtual allocation of
+    ``nbytes``.  Without ``memory``: none.
+    """
+    if memory is None:
+        return None
+    if array is not None:
+        return memory.register(array, name=name)
+    return memory.virtual(nbytes, name=name)
+
+
+def _particle_streams(aos_kind: StreamKind, soa_kinds: dict, n: int,
+                      layout: Layout, precision: Precision,
+                      memory: Optional[UsmMemoryManager],
+                      ensemble: Optional[ParticleEnsemble]
+                      ) -> List[MemoryStream]:
+    """Streams of the particle data a kernel touches.
+
+    AoS: the one record stream, declared with the full record span
+    whichever members the kernel touches — reading a few members pulls
+    the whole cache-line-spanning record anyway, and identical
+    declarations are what makes neighbouring kernels' streams
+    mergeable.  SoA: one stream per component of ``soa_kinds``
+    (``"type"`` is the int16 type ids).
+    """
     if layout is Layout.AOS:
-        if ensemble is not None and memory is not None:
-            allocation = memory.register(ensemble.records,  # type: ignore[attr-defined]
-                                         name="particles-aos")
-        elif memory is not None:
-            allocation = memory.virtual(
-                n * precision.particle_bytes_aligned, name="particles-aos")
-        else:
-            allocation = None
-        streams.append(MemoryStream(
-            name="particles-aos", kind=StreamKind.READ_WRITE,
+        records = None if ensemble is None else ensemble.records  # type: ignore[attr-defined]
+        return [MemoryStream(
+            name="particles-aos", kind=aos_kind,
             bytes_per_item=precision.particle_bytes,
             span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False, allocation=allocation))
-        return streams
-
-    def alloc(name, component, nbytes):
-        if ensemble is not None and memory is not None:
-            return memory.register(ensemble.component(component)
-                                   if component != "type"
-                                   else ensemble.type_ids, name=name)
-        if memory is not None:
-            return memory.virtual(nbytes, name=name)
-        return None
-
-    for component in _SOA_READ_WRITE:
-        streams.append(MemoryStream(
-            name=f"soa-{component}", kind=StreamKind.READ_WRITE,
-            bytes_per_item=fp, contiguous=True,
-            allocation=alloc(f"soa-{component}", component, n * fp)))
-    streams.append(MemoryStream(
-        name="soa-gamma", kind=StreamKind.WRITE, bytes_per_item=fp,
-        contiguous=True,
-        allocation=alloc("soa-gamma", "gamma", n * fp)))
-    streams.append(MemoryStream(
-        name="soa-type", kind=StreamKind.READ, bytes_per_item=2,
-        contiguous=True, allocation=alloc("soa-type", "type", n * 2)))
-    return streams
-
-
-def _field_streams(layout: Layout, precision: Precision, n: int,
-                   memory: Optional[UsmMemoryManager],
-                   precalc: Optional[PrecalculatedField]):
-    """Memory streams for the precalculated field arrays."""
-    fp = precision.itemsize
-    if layout is Layout.AOS:
-        if precalc is not None and memory is not None:
-            # The AoS PrecalculatedField stores one structured array.
-            allocation = memory.register(precalc.component("ex"),
-                                         name="fields-aos")
-        elif memory is not None:
-            allocation = memory.virtual(n * 6 * fp, name="fields-aos")
-        else:
-            allocation = None
-        return [MemoryStream(
-            name="fields-aos", kind=StreamKind.READ,
-            bytes_per_item=6 * fp, span_bytes_per_item=6 * fp,
-            contiguous=False, allocation=allocation)]
+            contiguous=False,
+            allocation=_allocation(memory, "particles-aos", records,
+                                   n * precision.particle_bytes_aligned))]
     streams = []
-    for component in ("ex", "ey", "ez", "bx", "by", "bz"):
-        if precalc is not None and memory is not None:
-            allocation = memory.register(precalc.component(component),
-                                         name=f"fields-{component}")
-        elif memory is not None:
-            allocation = memory.virtual(n * fp, name=f"fields-{component}")
-        else:
-            allocation = None
+    for component, kind in soa_kinds.items():
+        itemsize = 2 if component == "type" else precision.itemsize
+        array = None
+        if ensemble is not None:
+            array = (ensemble.type_ids if component == "type"
+                     else ensemble.component(component))
         streams.append(MemoryStream(
-            name=f"fields-{component}", kind=StreamKind.READ,
-            bytes_per_item=fp, contiguous=True, allocation=allocation))
+            name=f"soa-{component}", kind=kind, bytes_per_item=itemsize,
+            contiguous=True,
+            allocation=_allocation(memory, f"soa-{component}", array,
+                                   n * itemsize)))
     return streams
 
 
-def build_push_spec(ensemble: ParticleEnsemble, scenario: str,
-                    memory: UsmMemoryManager,
-                    precalc: Optional[PrecalculatedField] = None,
-                    field_flops: float = 0.0) -> KernelSpec:
-    """Kernel spec for the Boris push bound to a live ensemble.
+def _field_streams(kind: StreamKind, n: int, layout: Layout,
+                   precision: Precision, memory: Optional[UsmMemoryManager],
+                   ensemble: Optional[ParticleEnsemble],
+                   precalc: Optional[PrecalculatedField]
+                   ) -> List[MemoryStream]:
+    """Streams of the six per-particle field components.
 
-    For the precalculated scenario pass the matching ``precalc`` array;
-    for the analytical scenario pass the source's
-    ``flops_per_evaluation`` as ``field_flops``.
+    A bound spec (``ensemble`` given) needs the matching ``precalc``.
     """
-    _check_scenario(scenario)
-    layout = ensemble.layout
-    precision = ensemble.precision
-    streams = _particle_streams(layout, precision, ensemble.size,
-                                memory, ensemble)
-    flops = float(PUSH_FLOPS)
-    if scenario == PRECALCULATED:
+    if ensemble is not None:
         if precalc is None:
             raise ConfigurationError(
                 "precalculated scenario needs the precalc field array")
-        if precalc.layout is not layout or precalc.size != ensemble.size:
+        if precalc.layout is not layout or precalc.size != n:
             raise ConfigurationError(
                 "precalc array must match the ensemble's layout and size")
-        streams += _field_streams(layout, precision, ensemble.size,
-                                  memory, precalc)
-    else:
-        flops += float(field_flops)
-    name = f"boris-{scenario}-{layout.value}-{precision.value}"
-    return KernelSpec(name=name, streams=tuple(streams),
-                      flops_per_item=flops)
+    fp = precision.itemsize
+    if layout is Layout.AOS:
+        # The AoS PrecalculatedField stores one structured array.
+        array = None if precalc is None else precalc.component("ex")
+        return [MemoryStream(
+            name="fields-aos", kind=kind,
+            bytes_per_item=6 * fp, span_bytes_per_item=6 * fp,
+            contiguous=False,
+            allocation=_allocation(memory, "fields-aos", array, n * 6 * fp))]
+    return [MemoryStream(
+        name=f"fields-{component}", kind=kind, bytes_per_item=fp,
+        contiguous=True,
+        allocation=_allocation(
+            memory, f"fields-{component}",
+            None if precalc is None else precalc.component(component),
+            n * fp))
+        for component in FIELD_COMPONENTS]
 
 
-def build_virtual_push_spec(n: int, layout: Layout, precision: Precision,
-                            scenario: str,
-                            memory: Optional[UsmMemoryManager],
-                            field_flops: float = 0.0) -> KernelSpec:
-    """Kernel spec over *virtual* allocations of ``n`` particles.
+def build_push_spec(n: int, layout: Layout, precision: Precision,
+                    scenario: str,
+                    memory: Optional[UsmMemoryManager] = None,
+                    field_flops: float = 0.0,
+                    ensemble: Optional[ParticleEnsemble] = None,
+                    precalc: Optional[PrecalculatedField] = None
+                    ) -> KernelSpec:
+    """Kernel spec of the Boris push over ``n`` particles.
 
-    Used to model the paper's 1e7-particle runs without allocating the
-    arrays; first-touch NUMA accounting still works because virtual
-    allocations carry page state.  ``memory=None`` drops even the
-    virtual allocations (no page state): a pure traffic/flop
-    description, enough for the planning estimators and the autotuner.
+    The push reads and writes the particle data.  In the precalculated
+    scenario it also loads the six per-particle field components; in
+    the analytical scenario it carries the source's per-particle
+    evaluation cost ``field_flops`` (``flops_per_evaluation``) instead.
+    Allocations follow the module's rule: pass ``memory`` and the live
+    ``ensemble`` (plus, for the precalculated scenario, its matching
+    ``precalc``) for a bound spec, ``memory`` alone for a virtual one.
     """
-    _check_scenario(scenario)
-    streams = _particle_streams(layout, precision, n, memory, None)
+    _check_step(n, layout, precision, scenario, ensemble)
+    streams = _particle_streams(StreamKind.READ_WRITE, _PUSH_SOA, n, layout,
+                                precision, memory, ensemble)
     flops = float(PUSH_FLOPS)
     if scenario == PRECALCULATED:
-        streams += _field_streams(layout, precision, n, memory, None)
+        streams += _field_streams(StreamKind.READ, n, layout, precision,
+                                  memory, ensemble, precalc)
     else:
         flops += float(field_flops)
-    name = f"boris-{scenario}-{layout.value}-{precision.value}"
-    return KernelSpec(name=name, streams=tuple(streams),
-                      flops_per_item=flops)
+    return KernelSpec(name=f"boris-{scenario}-{layout.value}-{precision.value}",
+                      streams=tuple(streams), flops_per_item=flops)
 
 
-def _field_stream_names(layout: Layout) -> tuple:
-    """Names of the per-particle field streams in the given layout."""
-    if layout is Layout.AOS:
-        return ("fields-aos",)
-    return tuple(f"fields-{c}" for c in ("ex", "ey", "ez", "bx", "by", "bz"))
+def _field_eval_spec(n: int, layout: Layout, precision: Precision,
+                     scenario: str, memory: Optional[UsmMemoryManager],
+                     field_flops: float,
+                     ensemble: Optional[ParticleEnsemble],
+                     precalc: Optional[PrecalculatedField]) -> KernelSpec:
+    """Kernel spec of the field-evaluation node.
 
+    Reads the particle positions, writes the six per-particle field
+    components.  ``field_flops`` is the per-particle evaluation cost
+    (the source's ``flops_per_evaluation`` in the analytical scenario;
+    0 for the precalculated scenario, where the values are given and
+    the node is pure staging traffic).
 
-def build_virtual_field_eval_spec(n: int, layout: Layout,
-                                  precision: Precision,
-                                  scenario: str,
-                                  field_flops: float = 0.0) -> KernelSpec:
-    """Allocation-free twin of :func:`build_field_eval_spec`.
-
-    Same stream names, kinds, sizes and flops as the bound spec the
-    graph path launches — so a fusion pass planning over it makes the
-    same decisions — but without an ensemble or memory manager.
+    The position streams carry the push's names, sizes and access
+    shape, so the fusion pass can merge the two nodes; the field
+    streams are ``WRITE`` here and ``READ`` in the push — the pair
+    fusion elides.
     """
-    _check_scenario(scenario)
-    fp = precision.itemsize
-    streams: List[MemoryStream] = []
-    if layout is Layout.AOS:
-        streams.append(MemoryStream(
-            name="particles-aos", kind=StreamKind.READ,
-            bytes_per_item=precision.particle_bytes,
-            span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False))
-    else:
-        for component in ("x", "y", "z"):
-            streams.append(MemoryStream(
-                name=f"soa-{component}", kind=StreamKind.READ,
-                bytes_per_item=fp, contiguous=True))
-    for stream in _field_streams(layout, precision, n, None, None):
-        streams.append(MemoryStream(
-            name=stream.name, kind=StreamKind.WRITE,
-            bytes_per_item=stream.bytes_per_item,
-            span_bytes_per_item=stream.span_bytes_per_item,
-            contiguous=stream.contiguous))
-    name = f"field-eval-{scenario}-{layout.value}-{precision.value}"
-    return KernelSpec(name=name, streams=tuple(streams),
-                      flops_per_item=(float(FIELD_STAGE_FLOPS)
-                                      + float(field_flops)))
+    streams = _particle_streams(StreamKind.READ, _FIELD_EVAL_SOA, n, layout,
+                                precision, memory, ensemble)
+    streams += _field_streams(StreamKind.WRITE, n, layout, precision,
+                              memory, ensemble, precalc)
+    return KernelSpec(
+        name=f"field-eval-{scenario}-{layout.value}-{precision.value}",
+        streams=tuple(streams),
+        flops_per_item=float(FIELD_STAGE_FLOPS) + float(field_flops))
 
 
-def build_virtual_diagnostics_spec(layout: Layout,
-                                   precision: Precision) -> KernelSpec:
-    """Allocation-free twin of :func:`build_diagnostics_spec`."""
+def _diagnostics_spec(n: int, layout: Layout, precision: Precision,
+                      memory: Optional[UsmMemoryManager],
+                      ensemble: Optional[ParticleEnsemble],
+                      out: Optional[np.ndarray]) -> KernelSpec:
+    """Kernel spec of the kinetic-energy diagnostics node.
+
+    Reads the gamma component the push stored, writes the per-particle
+    energy array ``out`` — elementwise, so it fuses onto the push.
+    """
+    gamma, = _particle_streams(StreamKind.READ, _DIAGNOSTICS_SOA, n, layout,
+                               precision, memory, ensemble)
     fp = precision.itemsize
-    if layout is Layout.AOS:
-        gamma = MemoryStream(
-            name="particles-aos", kind=StreamKind.READ,
-            bytes_per_item=precision.particle_bytes,
-            span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False)
-    else:
-        gamma = MemoryStream(name="soa-gamma", kind=StreamKind.READ,
-                             bytes_per_item=fp, contiguous=True)
-    energy = MemoryStream(name="diag-energy", kind=StreamKind.WRITE,
-                          bytes_per_item=fp, contiguous=True)
+    energy = MemoryStream(
+        name="diag-energy", kind=StreamKind.WRITE, bytes_per_item=fp,
+        contiguous=True,
+        allocation=_allocation(memory, "diag-energy", out, n * fp))
     return KernelSpec(name=f"diag-energy-{layout.value}-{precision.value}",
                       streams=(gamma, energy),
                       flops_per_item=float(DIAGNOSTIC_FLOPS))
 
 
-def build_virtual_step_graph(n: int, layout: Layout, precision: Precision,
-                             scenario: str, field_flops: float = 0.0,
-                             diagnostics: bool = False,
-                             untimed_fields: bool = False) -> KernelGraph:
-    """Timing-only :class:`KernelGraph` of one push step.
+def build_step_graph(n: int, layout: Layout, precision: Precision,
+                     scenario: str, field_flops: float = 0.0,
+                     diagnostics: bool = False,
+                     untimed_fields: bool = False,
+                     memory: Optional[UsmMemoryManager] = None,
+                     ensemble: Optional[ParticleEnsemble] = None,
+                     precalc: Optional[PrecalculatedField] = None,
+                     diag_out: Optional[np.ndarray] = None) -> KernelGraph:
+    """The :class:`KernelGraph` of one push step, without kernel bodies.
 
-    Mirrors :meth:`PushEngine.record_graph` without constructing an
-    engine: the same node order (field-eval, push, optional
-    diagnostics), the same stream declarations, transient and untimed
-    flags, but with no bodies and no allocations.  The autotuner plans
-    fusion over this graph and prices its groups exactly as the
-    executor would launch them.
+    Nodes in execution order: field evaluation, the push, and (with
+    ``diagnostics``) the kinetic-energy diagnostics.  ``field_flops``
+    is the analytical source's per-particle evaluation cost
+    (``flops_per_evaluation``); pass 0 for the precalculated scenario.
+    ``untimed_fields`` builds the paper harness's graph (the engine's
+    ``fusion=None``): the field-eval node is untimed staging and the
+    push prices its own scenario.  Otherwise the field-eval node is
+    timed and the push loads the staged fields in both scenarios.
 
-    ``field_flops`` is the analytical source's per-particle evaluation
-    cost (``flops_per_evaluation``); pass 0 for the precalculated
-    scenario, as the engine does.  ``untimed_fields`` builds the paper
-    harness's graph (the engine's ``fusion=None``): the field-eval node
-    is untimed staging and the push prices its own scenario.
+    :class:`PushEngine` builds its graph here once, bound to its
+    ensemble (``memory``, ``ensemble``, ``precalc`` and the diagnostics
+    output ``diag_out``), and attaches the bodies each step; the
+    autotuner plans fusion over the unbound graph and prices its groups
+    exactly as the executor launches them.
     """
-    _check_scenario(scenario)
+    _check_step(n, layout, precision, scenario, ensemble)
+    field_spec = _field_eval_spec(n, layout, precision, scenario, memory,
+                                  field_flops, ensemble, precalc)
+    node = dict(n_items=n, layout=layout.value, precision=precision)
     graph = KernelGraph()
     graph.add(KernelNode(
-        spec=build_virtual_field_eval_spec(n, layout, precision, scenario,
-                                           field_flops=field_flops),
-        n_items=n, layout=layout.value, precision=precision,
-        transient=frozenset(_field_stream_names(layout)),
+        spec=field_spec,
+        transient=frozenset(s.name for s in field_spec.streams
+                            if s.kind is StreamKind.WRITE),
         tag="field-refresh" if untimed_fields else "field-eval",
-        untimed=untimed_fields))
+        untimed=untimed_fields, **node))
     graph.add(KernelNode(
-        spec=build_virtual_push_spec(
+        spec=build_push_spec(
             n, layout, precision,
-            scenario if untimed_fields else PRECALCULATED, None,
-            field_flops=field_flops),
-        n_items=n, layout=layout.value, precision=precision, tag="push"))
+            scenario if untimed_fields else PRECALCULATED, memory,
+            field_flops, ensemble, precalc),
+        tag="push", **node))
     if diagnostics:
         graph.add(KernelNode(
-            spec=build_virtual_diagnostics_spec(layout, precision),
-            n_items=n, layout=layout.value, precision=precision,
-            tag="diagnostics"))
+            spec=_diagnostics_spec(n, layout, precision, memory, ensemble,
+                                   diag_out),
+            tag="diagnostics", **node))
     return graph
-
-
-def build_field_eval_spec(ensemble: ParticleEnsemble,
-                          precalc: PrecalculatedField,
-                          memory: UsmMemoryManager,
-                          field_flops: float = 0.0,
-                          scenario: str = PRECALCULATED) -> KernelSpec:
-    """Kernel spec of the field-evaluation graph node.
-
-    Reads the particle positions, writes the six per-particle field
-    components of ``precalc``.  ``field_flops`` is the per-particle
-    evaluation cost (the source's ``flops_per_evaluation`` in the
-    analytical scenario; ~0 for the precalculated scenario, where the
-    values are given and the node is pure staging traffic).
-
-    The position streams are declared exactly as the push node declares
-    them (same names, sizes, access shape) so the fusion pass can merge
-    the two nodes; the field streams are declared ``WRITE`` here and
-    ``READ`` by the push — the pair fusion elides.
-    """
-    layout = ensemble.layout
-    precision = ensemble.precision
-    fp = precision.itemsize
-    streams: List[MemoryStream] = []
-    if layout is Layout.AOS:
-        # The record stream is declared with the full particle span,
-        # like the push node: reading three position members pulls the
-        # whole cache-line-spanning record anyway, and identical
-        # declarations are what makes the streams mergeable.
-        allocation = memory.register(ensemble.records,  # type: ignore[attr-defined]
-                                     name="particles-aos")
-        streams.append(MemoryStream(
-            name="particles-aos", kind=StreamKind.READ,
-            bytes_per_item=precision.particle_bytes,
-            span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False, allocation=allocation))
-    else:
-        for component in ("x", "y", "z"):
-            streams.append(MemoryStream(
-                name=f"soa-{component}", kind=StreamKind.READ,
-                bytes_per_item=fp, contiguous=True,
-                allocation=memory.register(ensemble.component(component),
-                                           name=f"soa-{component}")))
-    for stream in _field_streams(layout, precision, ensemble.size,
-                                 memory, precalc):
-        streams.append(MemoryStream(
-            name=stream.name, kind=StreamKind.WRITE,
-            bytes_per_item=stream.bytes_per_item,
-            span_bytes_per_item=stream.span_bytes_per_item,
-            contiguous=stream.contiguous, allocation=stream.allocation))
-    _check_scenario(scenario)
-    name = f"field-eval-{scenario}-{layout.value}-{precision.value}"
-    return KernelSpec(name=name, streams=tuple(streams),
-                      flops_per_item=float(FIELD_STAGE_FLOPS) + float(field_flops))
-
-
-def build_diagnostics_spec(ensemble: ParticleEnsemble,
-                           memory: UsmMemoryManager,
-                           out: np.ndarray) -> KernelSpec:
-    """Kernel spec of the kinetic-energy diagnostics graph node.
-
-    Reads the gamma component the push stored, writes the per-particle
-    energy array ``out`` — elementwise, so it fuses onto the push.
-    """
-    precision = ensemble.precision
-    fp = precision.itemsize
-    if ensemble.layout is Layout.AOS:
-        gamma = MemoryStream(
-            name="particles-aos", kind=StreamKind.READ,
-            bytes_per_item=precision.particle_bytes,
-            span_bytes_per_item=precision.particle_bytes_aligned,
-            contiguous=False,
-            allocation=memory.register(ensemble.records,  # type: ignore[attr-defined]
-                                       name="particles-aos"))
-    else:
-        gamma = MemoryStream(
-            name="soa-gamma", kind=StreamKind.READ, bytes_per_item=fp,
-            contiguous=True,
-            allocation=memory.register(ensemble.component("gamma"),
-                                       name="soa-gamma"))
-    energy = MemoryStream(
-        name="diag-energy", kind=StreamKind.WRITE, bytes_per_item=fp,
-        contiguous=True, allocation=memory.register(out, name="diag-energy"))
-    name = f"diag-energy-{ensemble.layout.value}-{precision.value}"
-    return KernelSpec(name=name, streams=(gamma, energy),
-                      flops_per_item=float(DIAGNOSTIC_FLOPS))
 
 
 class PushEngine:
@@ -429,7 +337,6 @@ class PushEngine:
                  scenario: str, source: FieldSource, dt: float,
                  fusion: Optional[bool] = None,
                  diagnostics: bool = False) -> None:
-        _check_scenario(scenario)
         self.queue = queue
         self.ensemble = ensemble
         self.scenario = scenario
@@ -446,53 +353,41 @@ class PushEngine:
         self.step_seconds: List[float] = []
         self.precalc = PrecalculatedField(ensemble.size, ensemble.precision,
                                           ensemble.layout)
-        field_flops = (source.flops_per_evaluation
-                       if scenario == ANALYTICAL else 0.0)
-        self._field_spec = build_field_eval_spec(
-            ensemble, self.precalc, queue.memory, field_flops=field_flops,
-            scenario=scenario)
-        # The timed graph stages fields in both scenarios, so its push
-        # always loads them; the harness push prices its own scenario.
-        push_scenario = scenario if self.untimed_fields else PRECALCULATED
-        self.spec = build_push_spec(ensemble, push_scenario, queue.memory,
-                                    precalc=self.precalc,
-                                    field_flops=field_flops)
         self.diag_energy: Optional[np.ndarray] = None
         if self.diagnostics:
             self.diag_energy = np.zeros(ensemble.size,
                                         dtype=ensemble.precision.dtype)
-            self._diag_spec = build_diagnostics_spec(
-                ensemble, queue.memory, self.diag_energy)
+        # Built once, bound to this ensemble's USM allocations; each
+        # step's recorded graph is this one with the bodies attached.
+        self._graph = build_step_graph(
+            ensemble.size, ensemble.layout, ensemble.precision, scenario,
+            field_flops=(source.flops_per_evaluation
+                         if scenario == ANALYTICAL else 0.0),
+            diagnostics=self.diagnostics,
+            untimed_fields=self.untimed_fields, memory=queue.memory,
+            ensemble=ensemble, precalc=self.precalc,
+            diag_out=self.diag_energy)
+        #: The push node's spec, which retry wrappers scrub of poisoned
+        #: allocations.
+        self.spec = self._graph.nodes[1].spec
         self.executor = GraphExecutor(queue, fusion=bool(fusion))
 
     # -- graph recording ---------------------------------------------------
 
     def record_graph(self) -> KernelGraph:
-        """Record this step's kernel graph."""
+        """Record this step's kernel graph: the engine's graph, with the
+        field-eval, push and diagnostics bodies attached."""
         ensemble = self.ensemble
-        layout = ensemble.layout.value
-        precision = ensemble.precision
         time_now = self.time
+        bodies = (
+            lambda: sample_fields(self.precalc, self.source, ensemble,
+                                  time_now),
+            lambda: boris_push_precalculated(ensemble, self.precalc,
+                                             self.dt),
+            lambda: kinetic_energy_diagnostic(ensemble, self.diag_energy))
         graph = KernelGraph()
-        graph.add(KernelNode(
-            spec=self._field_spec, n_items=ensemble.size,
-            body=lambda: sample_fields(self.precalc, self.source,
-                                       ensemble, time_now),
-            layout=layout, precision=precision,
-            transient=frozenset(_field_stream_names(ensemble.layout)),
-            tag="field-refresh" if self.untimed_fields else "field-eval",
-            untimed=self.untimed_fields))
-        graph.add(KernelNode(
-            spec=self.spec, n_items=ensemble.size,
-            body=lambda: boris_push_precalculated(ensemble, self.precalc,
-                                                  self.dt),
-            layout=layout, precision=precision, tag="push"))
-        if self.diagnostics:
-            graph.add(KernelNode(
-                spec=self._diag_spec, n_items=ensemble.size,
-                body=lambda: kinetic_energy_diagnostic(ensemble,
-                                                       self.diag_energy),
-                layout=layout, precision=precision, tag="diagnostics"))
+        for node, body in zip(self._graph.nodes, bodies):
+            graph.add(replace(node, body=body))
         return graph
 
     def step(self, depends_on=None) -> KernelLaunchRecord:

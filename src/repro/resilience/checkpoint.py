@@ -38,6 +38,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..observability.tracer import active_tracer
+from ..particles.ensemble import COMPONENTS
 from .. import io
 
 __all__ = ["Checkpointer"]
@@ -151,6 +152,19 @@ class Checkpointer:
             raise ConfigurationError(
                 f"no checkpoints in {self.directory}")
         return io.load_push_state(self.path_for(step))
+
+    def restore_push(self, ensemble) -> Tuple[int, float]:
+        """Overwrite ``ensemble`` in place with the latest push
+        checkpoint; returns its ``(step, time)``.
+
+        In place, so every engine and view sharing the ensemble's
+        arrays sees the restored state.
+        """
+        step, time, restored = self.load_push()
+        for name in COMPONENTS:
+            ensemble.component(name)[:] = restored.component(name)
+        ensemble.type_ids[:] = restored.type_ids
+        return step, time
 
     # -- whole-simulation flavour ----------------------------------------
 

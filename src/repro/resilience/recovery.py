@@ -32,7 +32,7 @@ from ..observability.tracer import active_tracer
 from .faults import active_fault_injector
 
 __all__ = ["RetryPolicy", "Watchdog", "RecoveryStats", "run_with_retry",
-           "launch_with_retry", "allocate_with_retry"]
+           "launch_with_retry", "allocate_with_retry", "rebuild_with_retry"]
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,8 @@ def allocate_with_retry(build: Callable[[], object], queue,
                         stats: Optional[RecoveryStats] = None):
     """Run an allocating ``build`` callable, retrying USM exhaustion.
 
-    Spec construction (:func:`repro.oneapi.runtime.build_virtual_push_spec`)
+    Spec construction with a memory manager
+    (:func:`repro.oneapi.runtime.build_push_spec` given ``memory``)
     registers USM allocations *before* any launch exists, so an injected
     ``alloc-failure`` there cannot be caught by :func:`run_with_retry`
     — it has no spec to scrub and no launch record to charge.  This
@@ -251,3 +252,34 @@ def allocate_with_retry(build: Callable[[], object], queue,
                             error=type(exc).__name__)
     raise AssertionError("unreachable: retry loop neither returned "
                          "nor raised")
+
+
+def rebuild_with_retry(build: Callable[[], object], policy: RetryPolicy,
+                       stats: RecoveryStats):
+    """Build a fresh engine on a fresh queue, retrying USM exhaustion.
+
+    ``build`` makes a new queue and an engine on it (whose constructor
+    registers the USM allocations) and returns the engine.  An injected
+    ``alloc-failure`` discards that attempt's queue, so the summed
+    backoff is charged to the engine's final queue as one
+    ``backoff:rebuild`` slice.  Giving up re-raises the
+    :class:`~repro.errors.AllocationFailedError`.
+    """
+    delays = policy.delay_sequence()
+    penalty = 0.0
+    for attempt in range(policy.max_attempts):
+        try:
+            engine = build()
+        except AllocationFailedError:
+            if attempt + 1 >= policy.max_attempts:
+                stats.giveups += 1
+                raise
+            delay = next(delays)
+            penalty += delay
+            stats.retries += 1
+            stats.backoff_seconds += delay
+        else:
+            break
+    if penalty > 0.0:
+        engine.queue.timeline.schedule("backoff:rebuild", penalty)
+    return engine

@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, DeviceLostError
-from ..errors import AllocationFailedError
 from ..observability.tracer import active_tracer, trace_span
-from ..particles.ensemble import COMPONENTS
 from .checkpoint import Checkpointer
 from .faults import active_fault_injector
-from .recovery import RecoveryStats, RetryPolicy, Watchdog, run_with_retry
+from .recovery import (RecoveryStats, RetryPolicy, Watchdog,
+                       rebuild_with_retry, run_with_retry)
 
 __all__ = ["DEVICE_LADDER", "RecoveryReport", "ResilientPushEngine"]
 
@@ -152,30 +151,15 @@ class ResilientPushEngine:
         from ..oneapi.runtime import PushEngine
 
         backend, device = resolve_device(device_name)
-        delays = self.policy.delay_sequence()
-        penalty = 0.0
-        for attempt in range(self.policy.max_attempts):
-            try:
-                queue = backend.make_queue(
-                    device, program_cache=self.program_cache)
-                runner = PushEngine(queue, self.ensemble, self.scenario,
-                                    self.source, self.dt,
-                                    fusion=self.fusion)
-            except AllocationFailedError:
-                if attempt + 1 >= self.policy.max_attempts:
-                    self.stats.giveups += 1
-                    raise
-                delay = next(delays)
-                penalty += delay
-                self.stats.retries += 1
-                self.stats.backoff_seconds += delay
-            else:
-                break
-        if penalty > 0.0:
-            queue.timeline.schedule("backoff:rebuild", penalty)
+        runner = rebuild_with_retry(
+            lambda: PushEngine(
+                backend.make_queue(device, program_cache=self.program_cache),
+                self.ensemble, self.scenario, self.source, self.dt,
+                fusion=self.fusion),
+            self.policy, self.stats)
         runner.time = self.time
         self.device_name = device_name
-        self.queue = queue
+        self.queue = runner.queue
         self.runner = runner
 
     # -- recovery ----------------------------------------------------------
@@ -193,10 +177,7 @@ class ResilientPushEngine:
                 f"{tuple(self.devices_lost)}")
         if self.checkpointer is not None \
                 and self.checkpointer.latest_step() is not None:
-            step, time, restored = self.checkpointer.load_push()
-            for name in COMPONENTS:
-                self.ensemble.component(name)[:] = restored.component(name)
-            self.ensemble.type_ids[:] = restored.type_ids
+            step, time = self.checkpointer.restore_push(self.ensemble)
             self.replayed_steps += self.step_index - step
             self.step_index = step
             self.time = time

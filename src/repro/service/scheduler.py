@@ -47,17 +47,16 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import (AllocationFailedError, ConfigurationError,
-                      DeviceLostError, JobDeadlineError, JobPreemptedError,
-                      JobRejectedError, ReproError, ServiceError)
+from ..errors import (ConfigurationError, DeviceLostError,
+                      JobDeadlineError, JobPreemptedError, JobRejectedError,
+                      ReproError, ServiceError)
 from ..observability.tracer import active_tracer
-from ..particles.ensemble import COMPONENTS
 from ..resilience.checkpoint import Checkpointer
 from ..resilience.faults import (FaultInjector, FaultPlan,
                                  install_fault_injector)
 from ..resilience.plans import named_plan
 from ..resilience.recovery import (RecoveryStats, RetryPolicy, Watchdog,
-                                   run_with_retry)
+                                   rebuild_with_retry, run_with_retry)
 from .cluster import DeviceFleet, Node
 from .job import JobEvent, JobReport, JobSpec, JobState
 from .queue import JobQueue
@@ -446,29 +445,14 @@ class PushService:
         config = job.spec.config
         source, dt = self._physics(config)
         backend = get_backend(node.device.backend)
-        delays = self.retry_policy.delay_sequence()
-        penalty = 0.0
-        for attempt in range(self.retry_policy.max_attempts):
-            try:
-                queue = backend.make_queue(
-                    node.device,
-                    threads_per_unit=config.threads_per_unit,
-                    program_cache=self.program_cache)
-                engine = PushEngine(queue, job.ensemble, config.scenario,
-                                    source, dt, fusion=config.fusion,
-                                    diagnostics=config.diagnostics)
-            except AllocationFailedError:
-                if attempt + 1 >= self.retry_policy.max_attempts:
-                    job.stats.giveups += 1
-                    raise
-                delay = next(delays)
-                penalty += delay
-                job.stats.retries += 1
-                job.stats.backoff_seconds += delay
-            else:
-                break
-        if penalty > 0.0:
-            queue.timeline.schedule("backoff:rebuild", penalty)
+        engine = rebuild_with_retry(
+            lambda: PushEngine(
+                backend.make_queue(node.device,
+                                   threads_per_unit=config.threads_per_unit,
+                                   program_cache=self.program_cache),
+                job.ensemble, config.scenario, source, dt,
+                fusion=config.fusion, diagnostics=config.diagnostics),
+            self.retry_policy, job.stats)
         engine.time = job.time
         return engine
 
@@ -579,10 +563,7 @@ class PushService:
         node.job = None
         job.node = None
         job.engine = None
-        step, time, restored = job.checkpointer.load_push()
-        for name in COMPONENTS:
-            job.ensemble.component(name)[:] = restored.component(name)
-        job.ensemble.type_ids[:] = restored.type_ids
+        step, time = job.checkpointer.restore_push(job.ensemble)
         job.report.replayed_steps += job.step - step
         job.report.restores += 1
         del job.step_seconds[step:]

@@ -161,6 +161,21 @@ class TestErrorSurfacing:
         with pytest.raises(ConfigurationError):
             run_push(_config(group="7 teapots"))
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"),
+                                    float("-inf")])
+    def test_non_finite_dt_is_configuration_error(self, dt):
+        with pytest.raises(ConfigurationError, match="dt must be finite"):
+            run_push(_config(n_particles=64, steps=2, dt=dt))
+
+    @pytest.mark.parametrize("mode", [dict(devices=("iris-xe-max",)),
+                                      dict(fault_plan="none"),
+                                      dict(group="1x iris-xe-max")])
+    def test_diagnostics_outside_single_mode_rejected(self, mode):
+        # The resilient and sharded engines never record the node, so
+        # the flag would be dropped silently.
+        with pytest.raises(ConfigurationError, match="diagnostics"):
+            run_push(_config(diagnostics=True, **mode))
+
     def test_foreign_exceptions_are_wrapped(self, monkeypatch):
         # a bug deep in a kernel body must not escape as a bare
         # RuntimeError: the facade wraps it into the documented

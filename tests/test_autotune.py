@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError, GraphError
 from repro.fp import Precision
 from repro.observability import Tracer, tracing
 from repro.oneapi.graph import KernelGraph
-from repro.oneapi.runtime import build_virtual_step_graph
+from repro.oneapi.runtime import build_step_graph
 from repro.particles.ensemble import Layout
 
 N = 4096
@@ -44,8 +44,8 @@ def _config(**kwargs):
 
 
 def _step_graph(scenario, n=1_000_000, field_flops=0.0):
-    return build_virtual_step_graph(n, Layout.SOA, Precision.SINGLE,
-                                    scenario, field_flops=field_flops)
+    return build_step_graph(n, Layout.SOA, Precision.SINGLE,
+                            scenario, field_flops=field_flops)
 
 
 #: A deliberately wrong device description — fantasy bandwidth,

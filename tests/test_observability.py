@@ -210,12 +210,12 @@ class TestRetryAccounting:
     def _queue_and_spec(self, n=4096):
         from repro.bench.calibration import cost_model_for, device_by_name
         from repro.oneapi.queue import Queue, RuntimeConfig
-        from repro.oneapi.runtime import build_virtual_push_spec
+        from repro.oneapi.runtime import build_push_spec
         device = device_by_name("cpu")
         queue = Queue(device, RuntimeConfig(runtime="dpcpp"),
                       cost_model_for(device))
-        spec = build_virtual_push_spec(n, Layout.SOA, Precision.SINGLE,
-                                       "precalculated", queue.memory)
+        spec = build_push_spec(n, Layout.SOA, Precision.SINGLE,
+                               "precalculated", queue.memory)
         return queue, spec, n
 
     def test_two_failures_add_exactly_the_backoff_delays(self):

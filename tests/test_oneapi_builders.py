@@ -64,12 +64,12 @@ class TestGpuBuilder:
     def test_usable_with_cost_model(self):
         from repro.fp import Precision as P
         from repro.oneapi import Queue
-        from repro.oneapi.runtime import build_virtual_push_spec
+        from repro.oneapi.runtime import build_push_spec
         from repro.particles import Layout
         device = make_gpu_descriptor("custom", 64, 1.4, 50.0)
         queue = Queue(device)
-        spec = build_virtual_push_spec(1_000_000, Layout.SOA, P.SINGLE,
-                                       "precalculated", queue.memory)
+        spec = build_push_spec(1_000_000, Layout.SOA, P.SINGLE,
+                               "precalculated", queue.memory)
         queue.parallel_for(1_000_000, spec, precision=P.SINGLE)  # warm-up
         record = queue.parallel_for(1_000_000, spec, precision=P.SINGLE)
         # 82 effective bytes / 50 GB/s ~ 1.6 ns.

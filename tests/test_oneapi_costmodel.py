@@ -15,7 +15,7 @@ from repro.oneapi import (CostModel, DynamicScheduler, KernelSpec,
                           MemoryStream, NumaArenaScheduler, StaticScheduler,
                           StreamKind, ThreadTopology, UsmMemoryManager)
 from repro.oneapi.graph import fuse_nodes, group_spec
-from repro.oneapi.runtime import PushEngine, build_virtual_step_graph
+from repro.oneapi.runtime import PushEngine, build_step_graph
 from repro.particles import Layout
 from tests.test_oneapi_device import make_device
 
@@ -353,8 +353,8 @@ class TestEstimate:
     def test_estimate_is_pinned(self, device_spec, precision,
                                 threads_per_unit, expected):
         model = cost_model_for_descriptor(descriptor_for(device_spec))
-        graph = build_virtual_step_graph(200_000, Layout.SOA, precision,
-                                         "precalculated")
+        graph = build_step_graph(200_000, Layout.SOA, precision,
+                                 "precalculated")
         spec, _ = fuse_nodes(list(graph.nodes))
         seconds = model.estimate_spec_seconds(
             spec, 200_000, precision, threads_per_unit=threads_per_unit)

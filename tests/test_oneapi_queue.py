@@ -18,6 +18,12 @@ def spec(name="k", flops=10):
         flops_per_item=flops)
 
 
+@pytest.mark.parametrize("flops", [-1.0, float("nan"), float("inf")])
+def test_kernel_spec_rejects_bad_flops(flops):
+    with pytest.raises(KernelError, match="flops_per_item"):
+        spec(flops=flops)
+
+
 class TestRuntimeConfig:
     def test_defaults(self):
         config = RuntimeConfig()

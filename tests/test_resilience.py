@@ -36,12 +36,12 @@ from repro.resilience import (Checkpointer, FaultInjector, FaultPlan,
 def cpu_queue(n=2048, scenario="precalculated"):
     from repro.bench.calibration import cost_model_for, device_by_name
     from repro.oneapi.queue import Queue, RuntimeConfig
-    from repro.oneapi.runtime import build_virtual_push_spec
+    from repro.oneapi.runtime import build_push_spec
     device = device_by_name("cpu")
     queue = Queue(device, RuntimeConfig(runtime="dpcpp"),
                   cost_model_for(device))
-    spec = build_virtual_push_spec(n, Layout.SOA, Precision.SINGLE,
-                                   scenario, queue.memory)
+    spec = build_push_spec(n, Layout.SOA, Precision.SINGLE,
+                           scenario, queue.memory)
     return queue, spec, n
 
 
@@ -186,7 +186,7 @@ class TestInjectionSites:
         # timeline) rather than run_with_retry.
         from repro.bench.calibration import cost_model_for, device_by_name
         from repro.oneapi.queue import Queue, RuntimeConfig
-        from repro.oneapi.runtime import build_virtual_push_spec
+        from repro.oneapi.runtime import build_push_spec
         from repro.resilience import allocate_with_retry
         device = device_by_name("cpu")
         queue = Queue(device, RuntimeConfig(runtime="dpcpp"),
@@ -195,7 +195,7 @@ class TestInjectionSites:
             FaultRule("alloc-failure", at_ops=(0, 1)),))
         with fault_injection(plan, seed=0):
             spec = allocate_with_retry(
-                lambda: build_virtual_push_spec(
+                lambda: build_push_spec(
                     512, Layout.SOA, Precision.SINGLE, "precalculated",
                     queue.memory), queue)
         assert spec is not None
@@ -302,6 +302,20 @@ class TestCheckpointer:
         for name in COMPONENTS:
             assert np.array_equal(restored.component(name),
                                   ensemble.component(name))
+
+    def test_restore_push_overwrites_in_place(self, tmp_path):
+        checkpointer = Checkpointer(tmp_path, every=1)
+        ensemble = seeded_ensemble()
+        saved = ensemble.copy()
+        checkpointer.save_push(3, ensemble, 3.0e-12)
+        views = {name: ensemble.component(name) for name in COMPONENTS}
+        for view in views.values():
+            view[:] = 0.0
+        ensemble.type_ids[:] = -1
+        assert checkpointer.restore_push(ensemble) == (3, 3.0e-12)
+        for name, view in views.items():
+            assert np.array_equal(view, saved.component(name))
+        assert np.array_equal(ensemble.type_ids, saved.type_ids)
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(ConfigurationError):

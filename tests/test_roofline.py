@@ -8,14 +8,14 @@ from repro.fields import MDipoleWave
 from repro.fp import Precision
 from repro.oneapi import (KernelSpec, MemoryStream, StreamKind,
                           UsmMemoryManager, analyze_kernel)
-from repro.oneapi.runtime import build_virtual_push_spec
+from repro.oneapi.runtime import build_push_spec
 from repro.particles import Layout
 
 
 def push_spec(scenario, field_flops=0.0):
-    return build_virtual_push_spec(1_000_000, Layout.SOA, Precision.SINGLE,
-                                   scenario, UsmMemoryManager(),
-                                   field_flops=field_flops)
+    return build_push_spec(1_000_000, Layout.SOA, Precision.SINGLE,
+                           scenario, UsmMemoryManager(),
+                           field_flops=field_flops)
 
 
 class TestAnalysis:
