@@ -7,7 +7,7 @@ Usage::
     python -m repro bench --regress --filter smoke   # drift-check matrix
     python -m repro bench fusion --record            # append a v1 snapshot
     python -m repro devices           # device inventory, every backend
-    python -m repro portability       # Pennycook PP score sweep
+    python -m repro bench portability # Pennycook PP score sweep
     python -m repro trace table2 --out t.json   # traced run -> Chrome JSON
 
 ``repro bench`` is the one entry point over every benchmark artefact
@@ -16,12 +16,14 @@ declarative :class:`repro.regress.RegressionTest`, ``--regress`` runs
 the sanity + performance stages of the selected matrix and exits 1
 with a per-cell diff on drift, ``--record`` appends a schema-v1
 snapshot to ``benchmarks/BENCH_<suite>.json``.  ``repro trace SUITE``
-runs ``repro bench SUITE`` under the tracer.
+runs ``repro bench SUITE`` under the tracer.  These two commands are
+the only ones that write a baseline: ``--record/--record-dir`` exist
+nowhere else.
 
 Device flags accept backend-qualified specs (``cuda:gpu0``) anywhere a
 bare key (``cpu``, ``iris-xe-max``) works; ``repro devices --backend
-cuda`` filters the inventory and ``repro portability`` scores the
-portable configuration across the whole matrix (docs/BACKENDS.md).
+cuda`` filters the inventory and ``repro bench portability`` scores
+the portable configuration across the whole matrix (docs/BACKENDS.md).
 
 ``--particles`` scales the modelled ensemble (default: the paper's
 1e7; the model is O(1) in memory, so the default is cheap).
@@ -36,18 +38,18 @@ per-kernel summary table; see ``docs/PROFILING.md``.
 Fault injection (see ``docs/RESILIENCE.md``) follows the same pattern:
 ``--fault-plan PLAN --fault-seed N`` runs any command with the named
 deterministic fault plan installed, and ``python -m repro faults``
-drives a resilient push directly::
+drives a resilient push directly under that plan (``default`` when
+none is given)::
 
-    python -m repro faults --plan device-loss --steps 20
+    python -m repro faults --fault-plan device-loss --steps 20
     python -m repro faults --self-check        # chaos seed matrix
     python -m repro bench table2 --fault-plan transient --fault-seed 7
 
 ``python -m repro push`` is the facade command: one
 :class:`repro.api.RunConfig` driven end to end (single-device,
 resilient or sharded — the mode follows from the flags), with
-``--fusion/--no-fusion`` selecting the kernel-graph execution path and
-``--record`` regenerating the fused-vs-unfused comparison into
-``benchmarks/BENCH_fusion.json``.
+``--fusion/--no-fusion`` selecting the kernel-graph execution path
+(``repro bench fusion`` is the fused-vs-unfused comparison).
 
 ``python -m repro serve`` runs a multi-job demo schedule through the
 fault-tolerant job scheduler (:mod:`repro.service`) — mixed priorities
@@ -60,9 +62,8 @@ For these two commands the global ``--fault-plan`` scopes injection to
 
 Runner commands (``bench shard faults push pic serve submit``, and
 ``trace`` passing through) share one normalized flag set —
-``--device``, ``--group``, ``--precision``, ``--layout``, ``--record``,
-``--record-dir`` — defined once in a parent parser, so every command
-spells them identically.
+``--device``, ``--group``, ``--precision``, ``--layout`` — defined
+once in a parent parser, so every command spells them identically.
 """
 
 from __future__ import annotations
@@ -283,49 +284,6 @@ def _cmd_devices(args: argparse.Namespace) -> None:
           "see docs/DISTRIBUTED.md and docs/BACKENDS.md)")
 
 
-def _cmd_portability(args: argparse.Namespace) -> None:
-    from .backends.portability import (PP_DRIFT_TOLERANCE,
-                                       check_drift, load_baseline,
-                                       measure_portability,
-                                       write_baseline)
-    if args.portability_devices:
-        devices = [d.strip()
-                   for d in args.portability_devices.split(",")]
-    elif getattr(args, "device", None):
-        devices = [args.device]
-    else:
-        devices = None
-    report = measure_portability(
-        devices=devices,
-        n_particles=args.portability_particles,
-        steps=args.steps, warmup=args.warmup)
-    rows = [[row.device, row.backend,
-             f"{row.best_nsps:.3f}", row.best_label,
-             f"{row.portable_nsps:.3f}", f"{row.efficiency:.3f}"]
-            for row in report.devices]
-    print(format_table(
-        ["device", "backend", "best NSPS", "best config",
-         "portable NSPS", "efficiency"],
-        rows,
-        "Performance portability — autotuned vs fixed SoA/float/fused"))
-    print(f"PP score (harmonic mean of efficiencies): {report.pp:.4f} "
-          f"over {len(report.devices)} devices — see docs/BACKENDS.md")
-    if getattr(args, "record", False):
-        directory = getattr(args, "record_dir", None) or "benchmarks"
-        path = write_baseline(
-            report, os.path.join(directory, "BENCH_portability.json"))
-        print(f"recorded baseline -> {path}")
-    elif args.check_baseline:
-        baseline = load_baseline(args.check_baseline)
-        findings = check_drift(report, baseline)
-        if findings:
-            for finding in findings:
-                print(f"drift: {finding}")
-            raise SystemExit(1)
-        print(f"within {PP_DRIFT_TOLERANCE:.0%} of the committed "
-              f"baseline (PP {baseline.pp:.4f})")
-
-
 def _cmd_shard(args: argparse.Namespace) -> None:
     import tempfile
 
@@ -374,22 +332,6 @@ def _cmd_shard(args: argparse.Namespace) -> None:
           f"{report.exchange.stalls} stalls; "
           f"rebalances {report.rebalances}, "
           f"redistributions {report.redistributions}")
-    if getattr(args, "record", False):
-        from .regress import append_snapshot, get_suite
-        suite = get_suite("shard", directory=_baseline_dir(args))
-        cell = suite.make_cell(
-            f"sharded/{report.strategy}", group_spec,
-            {"nsps": float(report.nsps),
-             "n_devices": float(report.n_devices),
-             "imbalance": float(report.imbalance),
-             "exchange_bytes": float(report.exchange.total_bytes)},
-            layout=layout.value, precision=precision.value,
-            scenario="precalculated")
-        path = append_snapshot("shard", [cell], args.shard_particles,
-                               directory=_baseline_dir(args),
-                               params={"steps": args.steps,
-                                       "warmup": warmup})
-        print(f"recorded snapshot -> {path}")
 
 
 def _cmd_faults(args: argparse.Namespace) -> None:
@@ -426,7 +368,8 @@ def _cmd_faults(args: argparse.Namespace) -> None:
     ensemble = paper_ensemble(args.fault_particles, layout, precision)
     with tempfile.TemporaryDirectory() as scratch:
         checkpointer = Checkpointer(scratch, every=args.checkpoint_every)
-        with fault_injection(named_plan(args.plan), seed=args.fault_seed):
+        with fault_injection(named_plan(args.fault_plan or "default"),
+                             seed=args.fault_seed):
             runner = ResilientPushEngine(
                 ensemble, "precalculated", paper_wave(), paper_time_step(),
                 devices=ladder, checkpointer=checkpointer)
@@ -439,32 +382,6 @@ def _cmd_faults(args: argparse.Namespace) -> None:
 
 def _cmd_push(args: argparse.Namespace) -> None:
     from .api import RunConfig, run_push
-
-    if getattr(args, "record", False):
-        # --record regenerates the whole fusion artefact (fused vs
-        # unfused, cold vs warm) — the same convention as table2
-        # --record, which records all 24 cells, not one.
-        from .bench.harness import fusion_rows
-        from .regress import append_snapshot
-        reports = fusion_rows(n=args.push_particles, steps=args.steps,
-                              warmup=args.warmup,
-                              device=args.device or "iris-xe-max")
-        rows = [[name, f"{r.nsps:.3f}", f"{r.first_step_nsps:.3f}",
-                 r.fusion_groups, r.kernels_eliminated, r.digest[:12]]
-                for name, r in reports.items()]
-        print(format_table(
-            ["config", "warm NSPS", "cold NSPS", "groups", "elided",
-             "digest"],
-            rows, "Kernel-graph fusion — fused vs unfused "
-                  "(identical digests = bit-exact)"))
-        cells = [r.as_cell("fusion", config=name)
-                 for name, r in reports.items()]
-        path = append_snapshot("fusion", cells, args.push_particles,
-                               directory=_baseline_dir(args),
-                               params={"steps": args.steps,
-                                       "warmup": args.warmup})
-        print(f"recorded snapshot -> {path}")
-        return
 
     config = RunConfig(
         scenario=args.scenario,
@@ -531,17 +448,6 @@ def _cmd_push(args: argparse.Namespace) -> None:
 
 def _cmd_pic(args: argparse.Namespace) -> None:
     from .api import PicConfig, run_pic
-
-    if getattr(args, "record", False):
-        # --record regenerates the suite's whole artefact (fused +
-        # unfused) through the regress record path, exactly like
-        # `repro bench pic --record`.
-        from .regress import get_suite, record_suite
-        suite = get_suite("pic", directory=_baseline_dir(args))
-        path, artifact = record_suite(suite, n=args.pic_particles)
-        print(suite.render(artifact))
-        print(f"recorded snapshot -> {path}")
-        return
 
     config = PicConfig(
         scenario=args.scenario,
@@ -688,8 +594,9 @@ def _runner_parent() -> argparse.ArgumentParser:
     """The shared flag set of every runner command.
 
     One definition, attached as an argparse *parent*, so ``bench``,
-    ``shard``, ``faults``, ``push`` and ``trace`` all spell
-    device/group/precision/layout/record selection identically.
+    ``shard``, ``faults``, ``push``, ``pic``, ``serve``, ``submit``
+    and ``trace`` all spell device/group/precision/layout selection
+    identically.
     Commands map each flag onto their own semantics (``bench`` filters
     recorded cells; ``shard`` builds its ensemble; ``faults``
     reorders the fallback ladder).
@@ -715,14 +622,20 @@ def _runner_parent() -> argparse.ArgumentParser:
     parent.add_argument("--layout", choices=["AoS", "SoA"], default=None,
                         help="particle storage layout (command-specific "
                              "default)")
-    parent.add_argument("--record", action="store_true",
+    return parent
+
+
+def _add_record_flags(parser: argparse.ArgumentParser) -> None:
+    """``--record/--record-dir`` of the two commands that reach
+    :func:`_run_bench_suite` (``bench`` and ``trace``): the one writer
+    of the ``benchmarks/BENCH_*.json`` baselines."""
+    parser.add_argument("--record", action="store_true",
                         help="append this run's cells as a schema-v1 "
                              "snapshot of the suite's "
                              "benchmarks/BENCH_*.json baseline file")
-    parent.add_argument("--record-dir", default=None, metavar="DIR",
+    parser.add_argument("--record-dir", default=None, metavar="DIR",
                         help="directory of the baseline files "
                              "(default: ./benchmarks)")
-    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -744,6 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", parents=[parent],
         help="the declarative regression farm: run, list, regress or "
              "record any declared suite (see docs/BENCHMARKS.md)")
+    _add_record_flags(bench)
     bench.add_argument("bench_suites", nargs="*", metavar="SUITE",
                        help="declared suite name(s) — see "
                             "'repro bench --list'; optional with "
@@ -783,10 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", parents=[parent],
         help="drive a resilient push under a named fault plan, or run "
              "the chaos self-check matrix")
-    from .resilience.plans import PLAN_NAMES
-    faults.add_argument("--plan", choices=PLAN_NAMES, default="default",
-                        help="which named fault plan to inject "
-                             "(default: 'default')")
     faults.add_argument("--steps", type=int, default=40,
                         help="push steps to run (default 40)")
     faults.add_argument("--fault-particles", type=int, default=4096,
@@ -1006,32 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="show one backend only ('oneapi' or "
                               "'cuda'); validated by the registry, so "
                               "an unknown name exits 2")
-    portability = sub.add_parser(
-        "portability", parents=[parent],
-        help="Pennycook PP sweep: autotuned vs fixed-config NSPS on "
-             "every device of every backend; --record writes "
-             "benchmarks/BENCH_portability.json (see docs/BACKENDS.md)")
-    portability.add_argument("--portability-devices", default=None,
-                             metavar="SPECS",
-                             help="comma-separated device specs to "
-                                  "sweep (default: every registered "
-                                  "device)")
-    portability.add_argument("--portability-particles", type=int,
-                             default=20_000,
-                             help="ensemble size per run (default "
-                                  "20000; physics-carrying, so keep "
-                                  "it modest)")
-    portability.add_argument("--steps", type=int, default=4,
-                             help="measured push steps per run "
-                                  "(default 4)")
-    portability.add_argument("--warmup", type=int, default=2,
-                             help="warm-up steps excluded from steady "
-                                  "NSPS (default 2)")
-    portability.add_argument("--check-baseline", default=None,
-                             metavar="PATH",
-                             help="compare against a committed "
-                                  "baseline and exit 1 on PP-score "
-                                  "drift beyond the tolerance")
     commands = [
         bench,
         escape,
@@ -1039,7 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arithmetic-intensity analysis per device"),
         validate,
         devices,
-        portability,
         faults,
         shard,
         push,
@@ -1057,6 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", parents=[parent],
         help="run a bench suite (or 'validate') under the tracer and "
              "write a Chrome trace_event JSON")
+    _add_record_flags(trace)
     trace.add_argument("trace_command", choices=[*SUITES, "validate"],
                        help="which bench suite to trace")
     trace.add_argument("--out", required=True, metavar="OUT.json",
@@ -1070,7 +954,6 @@ _COMMANDS = {
     "roofline": _cmd_roofline,
     "validate": _cmd_validate,
     "devices": _cmd_devices,
-    "portability": _cmd_portability,
     "faults": _cmd_faults,
     "shard": _cmd_shard,
     "push": _cmd_push,
@@ -1127,11 +1010,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--record cannot be combined with --fault-plan: "
                      "faulted-epoch NSPS must not enter the "
                      "benchmarks/BENCH_*.json trajectory")
-    if getattr(args, "auto", False) and getattr(args, "record", False):
-        # --record replays the fixed fused-vs-unfused artefact; an
-        # autotuned pick would record whichever config won today.
-        parser.error("--record cannot be combined with --auto: "
-                     "trajectory epochs must compare fixed configs")
 
     def run() -> None:
         if args.command == "trace" and command != "validate":
@@ -1150,7 +1028,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if plan_name is not None and command not in ("faults", "push",
                                                      "serve", "submit"):
-            # faults installs its own injector from --plan; push routes
+            # faults installs its own injector from --fault-plan
+            # (default: the 'default' plan); push routes
             # --fault-plan through RunConfig (it selects resilient
             # mode); serve/submit scope injection to per-job injectors
             from .resilience import fault_injection, named_plan

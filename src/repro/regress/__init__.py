@@ -21,7 +21,7 @@ from .baseline import (SCHEMA_VERSION, Baseline, BaselineCell,
                        backend_of_device, baseline_path, baseline_suites,
                        load_baseline, parse_document, write_baseline)
 from .runner import (CellResult, RegressionReport, SuiteResult,
-                     compare_cells, record_suite, render_listing,
+                     compare_cells, render_listing,
                      run_regression, run_suite)
 from .suites import SUITES, all_suites, get_suite
 
@@ -33,6 +33,6 @@ __all__ = [
     "load_baseline", "write_baseline", "append_snapshot",
     "parse_document",
     "CellResult", "SuiteResult", "RegressionReport", "compare_cells",
-    "run_suite", "run_regression", "record_suite", "render_listing",
+    "run_suite", "run_regression", "render_listing",
     "SUITES", "get_suite", "all_suites",
 ]

@@ -34,8 +34,10 @@ v1 is the only schema read or written: a document without
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
+import os
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -240,12 +242,24 @@ def load_baseline(suite: str, directory=None) -> Optional[Baseline]:
 def write_baseline(baseline: Baseline, directory=None) -> Path:
     """Write a whole baseline file — always schema v1, pretty-printed
     with a trailing newline (diff-friendly, like every committed
-    artefact)."""
+    artefact).
+
+    The document goes to ``<path>.tmp`` and is renamed onto ``path``
+    only once complete, so a failed or interrupted write leaves the
+    previous file byte-identical.
+    """
     path = baseline_path(baseline.suite, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(baseline.as_dict(), handle, indent=1)
-        handle.write("\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(baseline.as_dict(), handle, indent=1)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     return path
 
 

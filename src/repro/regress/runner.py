@@ -20,12 +20,12 @@ from typing import Dict, List, Optional, Tuple
 
 from .base import (RegressionTest, SanityCheck, TestFilter, cell_key,
                    cell_label, relative_drift, within_tolerance)
-from .baseline import append_snapshot, load_baseline
+from .baseline import load_baseline
 from .suites import all_suites, get_suite
 
 __all__ = ["CellResult", "SuiteResult", "RegressionReport",
            "compare_cells", "run_suite", "run_regression",
-           "record_suite", "render_listing"]
+           "render_listing"]
 
 #: Cell statuses: only ``drift`` and ``missing`` fail the run.
 OK, DRIFT, MISSING, NEW = "ok", "drift", "missing", "new"
@@ -304,25 +304,6 @@ def run_regression(test_filter: Optional[TestFilter] = None,
                      f" suite)")
         report.results.append(run_suite(test, n=n))
     return report
-
-
-def record_suite(test: RegressionTest, n: Optional[int] = None):
-    """Run one suite and append its cells as a new v1 snapshot.
-
-    Returns ``(path, artifact)`` so the caller can still render the
-    artefact it just recorded.
-    """
-    from ..errors import ConfigurationError
-    if not test.has_baseline:
-        raise ConfigurationError(
-            f"suite {test.suite!r} records no baseline "
-            f"(sanity-only or host-dependent)")
-    artifact = test.run(n=n)
-    cells = test.cells(artifact)
-    path = append_snapshot(test.suite, cells, artifact.n_particles,
-                           directory=test.directory,
-                           params=artifact.params)
-    return path, artifact
 
 
 def render_listing(test_filter: Optional[TestFilter] = None,

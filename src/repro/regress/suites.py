@@ -526,14 +526,6 @@ class PortabilitySuite(_BaselineParamsMixin, RegressionTest):
     compared_metrics = ("pp", "predicted_nsps")
     metric_tolerances = {"predicted_nsps": 0.0}
 
-    def _replay_devices(self) -> Optional[List[str]]:
-        snapshot = self._latest()
-        if snapshot is None:
-            return None
-        devices = [cell.keys["device"] for cell in snapshot.cells
-                   if cell.keys.get("config") == "efficiency"]
-        return devices or None
-
     def run(self, n: Optional[int] = None) -> SuiteArtifact:
         from ..backends.portability import (DEFAULT_N_PARTICLES,
                                             DEFAULT_STEPS, DEFAULT_WARMUP,
@@ -541,7 +533,10 @@ class PortabilitySuite(_BaselineParamsMixin, RegressionTest):
         n = n if n is not None else self.baseline_n(DEFAULT_N_PARTICLES)
         steps = int(self.baseline_param("steps", DEFAULT_STEPS))
         warmup = int(self.baseline_param("warmup", DEFAULT_WARMUP))
-        report = measure_portability(devices=self._replay_devices(),
+        # PP is defined over the whole platform set: the sweep always
+        # covers every registered device, so a baseline missing one
+        # (or a device added to the registry) fails the sanity stage.
+        report = measure_portability(devices=self.devices,
                                      n_particles=n, steps=steps,
                                      warmup=warmup)
         return SuiteArtifact(report, n,

@@ -8,7 +8,7 @@ with margin — chaos testing is about exercising recovery paths, not
 about guaranteed death.
 
 Use :func:`named_plan` to look a plan up by name (``repro faults
---plan chaos``); :data:`PLAN_NAMES` lists what it accepts.
+--fault-plan chaos``); :data:`PLAN_NAMES` lists what it accepts.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ _PLANS = {
     "chaos": _chaos,
 }
 
-#: Plan names :func:`named_plan` accepts (CLI ``--plan`` choices).
+#: Plan names :func:`named_plan` accepts (CLI ``--fault-plan`` choices).
 PLAN_NAMES = tuple(sorted(_PLANS))
 
 

@@ -234,18 +234,20 @@ class TestCliNormalizedFlags:
     def test_runner_commands_share_flag_set(self):
         from repro.cli import build_parser
         parser = build_parser()
-        for command in ("bench", "shard", "faults", "push", "trace"):
+        for command in ("bench", "shard", "faults", "push", "pic",
+                        "serve", "submit", "trace"):
             if command == "trace":
                 argv = [command, "table2", "--out", "/tmp/x.json"]
             else:
                 argv = [command]
             args = parser.parse_args(
-                argv + ["--layout", "SoA", "--precision", "float",
-                        "--record"])
+                argv + ["--layout", "SoA", "--precision", "float"])
             assert args.layout == "SoA"
             assert args.precision == "float"
-            assert args.record is True
             assert hasattr(args, "device") and hasattr(args, "group")
+            # only the two commands that reach the suite runner record
+            assert hasattr(args, "record") == (command in ("bench",
+                                                           "trace"))
 
     def test_push_fusion_flags(self):
         from repro.cli import build_parser

@@ -240,14 +240,16 @@ def test_cli_devices_and_shard(capsys, tmp_path):
     assert "peak DP" in out and "host link" in out
 
     assert main(["shard", "--group", "2x p630", "--steps", "2",
-                 "--shard-particles", "2000", "--record",
-                 "--record-dir", str(tmp_path)]) == 0
+                 "--shard-particles", "2000"]) == 0
     out = capsys.readouterr().out
     assert "group NSPS" in out
-    # shard --record emits the regression farm's schema v1
+    # the shard baseline is written by `bench shard --record` only,
+    # in the regression farm's schema v1
+    assert main(["--particles", "2000", "bench", "shard", "--record",
+                 "--record-dir", str(tmp_path)]) == 0
     from repro.regress import load_baseline
     recorded = load_baseline("shard", tmp_path).latest
     cell = recorded.cells[0]
-    assert cell.keys["device"] == "2x p630"
+    assert cell.keys["device"] == "2x iris-xe-max"
     assert cell.keys["backend"] == "oneapi"
     assert cell.metrics["n_devices"] == 2

@@ -1,37 +1,58 @@
 """Tests for the Pennycook PP score and its committed baseline.
 
-The drift smoke here is the same comparison CI's ``bench-regress``
-job runs through the declared ``portability`` suite: recompute the
-sweep at the committed baseline's parameters and fail if the PP score
-moved beyond the tolerance or the device set changed.  The simulated clock is deterministic, so "within tolerance"
-really means "recomputes exactly" unless a cost model changed.
+The baseline side goes through the regression farm only: the declared
+``portability`` suite turns a sweep into schema-v1 cells,
+``repro bench portability --record`` is the one writer of
+``benchmarks/BENCH_portability.json``, :func:`repro.regress.load_baseline`
+the one reader and ``repro bench portability --regress`` the one
+comparator.  The simulated clock is deterministic, so "within
+tolerance" really means "recomputes exactly" unless a cost model
+changed.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.backends.portability import (DEFAULT_N_PARTICLES,
                                         PORTABLE_CONFIG,
+                                        PP_DRIFT_TOLERANCE,
                                         DeviceEfficiency,
-                                        PortabilityReport, check_drift,
-                                        load_baseline,
-                                        measure_portability, pp_score,
-                                        write_baseline)
+                                        PortabilityReport,
+                                        measure_portability, pp_score)
 from repro.backends.registry import all_device_specs
 from repro.errors import ConfigurationError, ValidationError
+from repro.regress import (BaselineCell, append_snapshot, baseline_path,
+                           compare_cells, load_baseline, run_regression)
+from repro.regress.suites import PortabilitySuite, SuiteArtifact
 
-BASELINE = Path(__file__).resolve().parent.parent \
-    / "benchmarks" / "BENCH_portability.json"
+REPO_BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def _report(pp=0.9, devices=("cpu", "cuda:gpu0")):
     rows = [DeviceEfficiency(device=d, backend=d.split(":")[0]
                              if ":" in d else "oneapi",
                              best_nsps=1.0, portable_nsps=1.1,
-                             efficiency=0.9) for d in devices]
+                             efficiency=0.9, best_label="SoA/float",
+                             predicted_nsps=1.0) for d in devices]
     return PortabilityReport(pp=pp, devices=rows)
+
+
+def _cells(report):
+    """The suite's schema-v1 cells for a report."""
+    return PortabilitySuite().cells(SuiteArtifact(
+        report, report.n_particles,
+        {"steps": report.steps, "warmup": report.warmup}))
+
+
+def _statuses(current, baseline):
+    """compare_cells over two reports: {(device, metric): status}."""
+    reference = [BaselineCell.from_dict(c) for c in _cells(baseline)]
+    return {(r.keys["device"], r.metric): r.status
+            for r in compare_cells(PortabilitySuite(), _cells(current),
+                                   reference)}
 
 
 class TestPpScore:
@@ -55,73 +76,79 @@ class TestPpScore:
 
 class TestReportRoundTrip:
     def test_json_round_trip(self):
-        report = _report()
-        clone = PortabilityReport.from_dict(
-            json.loads(json.dumps(report.as_dict())))
-        assert clone.pp == report.pp
-        assert [r.device for r in clone.devices] \
-            == [r.device for r in report.devices]
-        assert clone.portable_config == dict(PORTABLE_CONFIG)
+        cells = _cells(_report())
+        clone = [BaselineCell.from_dict(c).as_dict()
+                 for c in json.loads(json.dumps(cells))]
+        assert clone == cells
+        assert [c["device"] for c in cells] == ["cpu", "cuda:gpu0", "*"]
+        assert cells[-1]["extra"]["portable_config"] \
+            == dict(PORTABLE_CONFIG)
 
     def test_write_and_load_baseline(self, tmp_path):
-        path = write_baseline(_report(), tmp_path / "sub" / "b.json")
-        loaded = load_baseline(path)
-        assert loaded.pp == pytest.approx(0.9)
+        directory = tmp_path / "sub"
+        path = append_snapshot("portability", _cells(_report()), 20_000,
+                               directory=directory)
+        loaded = load_baseline("portability", directory).latest
+        pp_cell = next(c for c in loaded.cells
+                       if c.keys["config"] == "pp")
+        assert pp_cell.metrics["pp"] == pytest.approx(0.9)
+        assert pp_cell.tolerance == PP_DRIFT_TOLERANCE
         # pretty-printed with a trailing newline, diff-friendly
         text = path.read_text()
         assert text.endswith("\n") and "\n " in text
 
     def test_corrupt_baseline_raises_typed(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        assert load_baseline("portability", tmp_path) is None
+        baseline_path("portability", tmp_path).write_text("{not json")
         with pytest.raises(ValidationError, match="unreadable"):
-            load_baseline(bad)
-        with pytest.raises(ValidationError):
-            load_baseline(tmp_path / "missing.json")
+            load_baseline("portability", tmp_path)
 
 
 class TestDriftCheck:
     def test_identical_reports_have_no_findings(self):
-        assert check_drift(_report(), _report()) == []
+        statuses = _statuses(_report(), _report())
+        assert set(statuses.values()) == {"ok"}
+        assert ("*", "pp") in statuses
 
     def test_small_drift_within_tolerance(self):
-        assert check_drift(_report(pp=0.905), _report(pp=0.9)) == []
+        assert _statuses(_report(pp=0.905), _report(pp=0.9))[
+            ("*", "pp")] == "ok"
 
     def test_pp_drift_is_a_finding(self):
-        findings = check_drift(_report(pp=0.80), _report(pp=0.9))
-        assert any("drifted" in f for f in findings)
+        assert _statuses(_report(pp=0.80), _report(pp=0.9))[
+            ("*", "pp")] == "drift"
 
     def test_device_set_change_is_a_finding(self):
-        findings = check_drift(_report(devices=("cpu",)),
-                               _report(devices=("cpu", "cuda:gpu0")))
-        assert any("in baseline but not in sweep" in f
-                   for f in findings)
-        findings = check_drift(_report(devices=("cpu", "cuda:gpu0")),
-                               _report(devices=("cpu",)))
-        assert any("in sweep but not in baseline" in f
-                   for f in findings)
+        statuses = _statuses(_report(devices=("cpu",)),
+                             _report(devices=("cpu", "cuda:gpu0")))
+        assert statuses[("cuda:gpu0", "predicted_nsps")] == "missing"
+        statuses = _statuses(_report(devices=("cpu", "cuda:gpu0")),
+                             _report(devices=("cpu",)))
+        assert statuses[("cuda:gpu0", "predicted_nsps")] == "new"
 
 
 class TestCommittedBaseline:
     def test_baseline_is_committed_and_sane(self):
-        report = load_baseline(BASELINE)
-        assert 0.0 < report.pp <= 1.0
-        assert [row.device for row in report.devices] \
+        latest = load_baseline("portability", REPO_BENCH).latest
+        efficiency = [c for c in latest.cells
+                      if c.keys["config"] == "efficiency"]
+        (pp_cell,) = [c for c in latest.cells if c.keys["config"] == "pp"]
+        assert 0.0 < pp_cell.metrics["pp"] <= 1.0
+        assert [c.keys["device"] for c in efficiency] \
             == all_device_specs()
-        assert report.portable_config == dict(PORTABLE_CONFIG)
-        for row in report.devices:
-            assert 0.0 < row.efficiency <= 1.0
-            assert row.best_nsps > 0.0 and row.portable_nsps > 0.0
+        assert pp_cell.extra["portable_config"] == dict(PORTABLE_CONFIG)
+        for cell in efficiency:
+            assert 0.0 < cell.metrics["efficiency"] <= 1.0
+            assert cell.metrics["best_nsps"] > 0.0
+            assert cell.metrics["portable_nsps"] > 0.0
 
     def test_sweep_matches_committed_baseline(self):
         # the CI drift smoke, in-process: deterministic clock, so the
-        # recomputed sweep must land within PP_DRIFT_TOLERANCE
-        baseline = load_baseline(BASELINE)
-        current = measure_portability(
-            devices=[row.device for row in baseline.devices],
-            n_particles=baseline.n_particles, steps=baseline.steps,
-            warmup=baseline.warmup)
-        assert check_drift(current, baseline) == []
+        # recomputed sweep must land within the recorded tolerances
+        report = run_regression(directory=REPO_BENCH,
+                                suites=["portability"])
+        assert report.passed, "\n" + report.render()
+        assert report.results[0].n_compared == len(all_device_specs()) + 1
 
 
 class TestMeasurePortability:
@@ -144,30 +171,17 @@ class TestMeasurePortability:
 
 
 class TestPortabilityCli:
-    def test_cli_check_against_committed_baseline(self, capsys):
-        from repro.cli import main
-        code = main(["portability", "--check-baseline", str(BASELINE)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "PP score" in out and "within" in out
-
     def test_cli_record_writes_baseline(self, tmp_path, capsys):
+        # --record appends to the committed trajectory, never replaces it
         from repro.cli import main
-        code = main(["portability", "--portability-devices",
-                     "cpu,cuda:gpu1", "--portability-particles", "2000",
-                     "--steps", "3", "--record",
+        shutil.copy(REPO_BENCH / "BENCH_portability.json", tmp_path)
+        committed = load_baseline("portability", REPO_BENCH)
+        code = main(["bench", "portability", "--record",
                      "--record-dir", str(tmp_path)])
         assert code == 0
-        written = load_baseline(tmp_path / "BENCH_portability.json")
-        assert [row.device for row in written.devices] \
-            == ["cpu", "cuda:gpu1"]
-
-    def test_cli_drift_exits_1(self, tmp_path, capsys):
-        from repro.cli import main
-        doctored = load_baseline(BASELINE)
-        doctored.pp *= 0.5
-        path = write_baseline(doctored, tmp_path / "drifted.json")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["portability", "--check-baseline", str(path)])
-        assert excinfo.value.code == 1
-        assert "drift" in capsys.readouterr().out
+        assert "PP score" in capsys.readouterr().out
+        written = load_baseline("portability", tmp_path)
+        assert len(written.snapshots) == len(committed.snapshots) + 1
+        assert written.snapshots[:-1] == committed.snapshots
+        assert [c.keys["device"] for c in written.latest.cells] \
+            == all_device_specs() + ["*"]

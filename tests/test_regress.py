@@ -12,7 +12,10 @@ Covers the PR 9 surface end to end:
   drifted, missing and new cells;
 * ``repro bench`` exit codes: 0 green, 1 on injected drift (with the
   per-cell diff naming suite/device/backend/config), 2 on bad filters
-  and unknown suites.
+  and unknown suites;
+* ``repro bench SUITE --record`` as the only baseline writer: its
+  output regresses green against itself, every other spelling exits
+  2, and a failed write leaves the previous file byte-identical.
 """
 
 import json
@@ -234,34 +237,63 @@ def test_baseline_cell_requires_identity_and_metrics():
 
 # -- the matrix runner + CLI exit codes --------------------------------
 
-@pytest.fixture()
-def shard_dir(tmp_path):
-    """A baseline directory holding only the committed shard file."""
-    shutil.copy(REPO_BENCH / "BENCH_shard.json",
-                tmp_path / "BENCH_shard.json")
+def _committed(tmp_path, suite):
+    """A baseline directory holding only one committed suite file."""
+    shutil.copy(REPO_BENCH / f"BENCH_{suite}.json",
+                tmp_path / f"BENCH_{suite}.json")
     return tmp_path
 
 
-def test_regress_green_on_committed_baseline(shard_dir):
-    report = run_regression(directory=shard_dir, suites=["shard"])
+def test_regress_green_on_committed_baseline(tmp_path):
+    report = run_regression(directory=_committed(tmp_path, "shard"),
+                            suites=["shard"])
     assert report.passed
     assert report.results[0].n_compared == 1
 
 
-def test_regress_fails_on_injected_drift(shard_dir, capsys):
-    path = shard_dir / "BENCH_shard.json"
+def _scale(config, metric, factor, device=None):
+    """Doctor: scale one metric of the first matching latest cell."""
+    def doctor(cells):
+        cell = next(c for c in cells if c["config"] == config
+                    and device in (None, c["device"]))
+        cell["metrics"][metric] *= factor
+    return doctor
+
+
+def _drop_device(device):
+    def doctor(cells):
+        cells[:] = [c for c in cells if c["device"] != device]
+    return doctor
+
+
+@pytest.mark.parametrize("suite, doctor, expected", [
+    pytest.param("shard", _scale("sharded/even", "nsps", 1.5),
+                 ["shard/oneapi:2x iris-xe-max/sharded/even", "drift",
+                  "±10%"], id="shard-nsps"),
+    pytest.param("portability", _scale("pp", "pp", 0.5),
+                 ["portability/*:*/pp", "drift", "±2%"],
+                 id="portability-pp"),
+    pytest.param("portability",
+                 _scale("efficiency", "predicted_nsps", 1.5, "cpu"),
+                 ["portability/oneapi:cpu/efficiency", "predicted_nsps",
+                  "±0%"], id="portability-predicted-nsps"),
+    pytest.param("portability", _drop_device("cuda:gpu1"),
+                 ["device set matches the baseline",
+                  "added ['cuda:gpu1']"], id="portability-device-removed"),
+])
+def test_regress_fails_on_injected_drift(tmp_path, capsys, suite, doctor,
+                                         expected):
+    path = _committed(tmp_path, suite) / f"BENCH_{suite}.json"
     document = json.loads(path.read_text())
-    cell = document["snapshots"][-1]["cells"][0]
-    cell["metrics"]["nsps"] *= 1.5
+    doctor(document["snapshots"][-1]["cells"])
     path.write_text(json.dumps(document))
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "shard", "--regress",
-              "--record-dir", str(shard_dir)])
+        main(["bench", suite, "--regress", "--record-dir", str(tmp_path)])
     assert exc.value.code == 1
     out = capsys.readouterr().out
     # the per-cell diff names suite, backend, device and config
-    assert "shard/oneapi:2x iris-xe-max/sharded/even" in out
-    assert "drift" in out and "±10%" in out
+    for text in expected:
+        assert text in out
 
 
 def test_regress_fails_on_missing_baseline(tmp_path):
@@ -293,14 +325,49 @@ def test_cli_bench_list_and_errors(capsys):
     assert main(["bench", "shard", "--record", "--regress"]) == 2
 
 
-def test_cli_bench_record_then_regress(tmp_path, capsys):
-    assert main(["bench", "shard", "--record",
+@pytest.mark.parametrize("suite", ["shard", "fusion", "pic",
+                                   "portability"])
+def test_cli_bench_record_then_regress(tmp_path, capsys, suite):
+    """The one writer's output regresses green against itself."""
+    assert main(["bench", suite, "--record",
                  "--record-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "recorded snapshot" in out
-    assert main(["bench", "shard", "--regress",
+    assert main(["bench", suite, "--regress",
                  "--record-dir", str(tmp_path)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["push", "--record"], ["pic", "--record"], ["shard", "--record"],
+    ["faults", "--record"], ["serve", "--record"], ["submit", "--record"],
+    ["portability"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_only_bench_and_trace_write_baselines(argv):
+    """Every other spelling of a baseline write is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_write_baseline_is_atomic(tmp_path, monkeypatch):
+    """A write that fails midway leaves the previous file intact."""
+    import repro.regress.baseline as baseline_module
+
+    cell = {"suite": "demo", "backend": "oneapi", "device": "cpu",
+            "config": "default", "metrics": {"nsps": 1.0}}
+    path = append_snapshot("demo", [cell], 500, directory=tmp_path)
+    before = path.read_bytes()
+
+    def failing_dump(obj, handle, **kwargs):
+        handle.write('{"schema_version": 1, "snap')
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(baseline_module.json, "dump", failing_dump)
+    with pytest.raises(RuntimeError, match="disk full"):
+        append_snapshot("demo", [cell], 500, directory=tmp_path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 def test_cli_bench_smoke_filter_is_green(capsys):

@@ -434,11 +434,24 @@ class TestDeviceFallback:
 class TestCli:
     def test_faults_command_runs(self, capsys):
         from repro.cli import main
-        assert main(["faults", "--plan", "device-loss", "--steps", "12",
-                     "--fault-particles", "512"]) == 0
+        assert main(["faults", "--fault-plan", "device-loss", "--steps",
+                     "12", "--fault-particles", "512"]) == 0
         out = capsys.readouterr().out
         assert "plan=device-loss" in out
         assert "devices lost" in out
+
+    def test_faults_device_loss_plan_loses_iris_xe_max(self, capsys):
+        # the global --fault-plan (either side of the command) drives
+        # the resilient push; without it the 'default' plan runs
+        from repro.cli import main
+        assert main(["--fault-plan", "device-loss", "faults", "--steps",
+                     "10", "--fault-particles", "512"]) == 0
+        out = capsys.readouterr().out
+        assert "plan=device-loss" in out
+        assert "devices lost: iris-xe-max" in out
+        assert main(["faults", "--steps", "10",
+                     "--fault-particles", "512"]) == 0
+        assert "plan=default" in capsys.readouterr().out
 
     def test_fault_flags_accepted_globally(self):
         from repro.cli import build_parser

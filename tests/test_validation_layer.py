@@ -473,11 +473,12 @@ class TestCliExitCodes:
         code = main(["shard", "--group", "0x iris-xe-max"])
         assert code == 2
 
-    def test_record_with_fault_plan_rejected(self, capsys):
+    def test_record_with_fault_plan_rejected(self, capsys, tmp_path):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc_info:
-            main(["push", "--record", "--fault-plan", "transient"])
+            main(["--fault-plan", "transient", "trace", "fusion",
+                  "--out", str(tmp_path / "t.json"), "--record"])
         assert exc_info.value.code == 2
         assert "--record" in capsys.readouterr().err
 
