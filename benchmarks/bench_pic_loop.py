@@ -7,6 +7,8 @@ large number of macroparticles" is checked by construction: with many
 particles per cell, particle stages dwarf the grid stage.
 
 Run:  pytest benchmarks/bench_pic_loop.py --benchmark-only
+Smoke (each stage once, untimed):
+      pytest benchmarks/bench_pic_loop.py --benchmark-disable
 """
 
 import numpy as np
@@ -65,5 +67,7 @@ def test_full_pic_step(benchmark, plasma):
     grid, ensemble, dt = plasma
     simulation = PicSimulation(grid, ensemble, dt)
     benchmark(simulation.step)
-    benchmark.extra_info["ns per particle-step"] = round(
-        benchmark.stats["mean"] * 1e9 / PARTICLES, 1)
+    # ``stats`` is None when benchmarking is disabled (a smoke run).
+    if benchmark.stats:
+        benchmark.extra_info["ns per particle-step"] = round(
+            benchmark.stats["mean"] * 1e9 / PARTICLES, 1)

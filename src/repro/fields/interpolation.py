@@ -18,13 +18,16 @@ from typing import Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from .base import FieldSource, FieldValues
 from .grid import YeeGrid, YEE_STAGGER
 
-__all__ = ["Shape", "shape_weights", "interpolate_cic",
-           "interpolate_component", "interpolate_from_yee_grid",
-           "GridFieldSource"]
+__all__ = ["Shape", "shape_weights", "cell_fractions", "flat_strides",
+           "axis_stencil", "interpolate_cic", "interpolate_component",
+           "interpolate_from_yee_grid", "GridFieldSource"]
+
+#: Bound on ``|fraction|``: at and beyond it a cell index overflows int64.
+_INDEX_LIMIT = 2.0 ** 63
 
 
 class Shape(enum.Enum):
@@ -71,6 +74,78 @@ def shape_weights(shape: Shape, fraction: np.ndarray
     raise ConfigurationError(f"unknown shape {shape!r}")
 
 
+def cell_fractions(positions: np.ndarray, origin, spacing) -> np.ndarray:
+    """Particle coordinates in cell units, shape ``(N, 3)``.
+
+    Every gather and deposition converts its positions here, so a NaN,
+    infinite or astronomically distant position is rejected before it
+    can reach the grid: a fraction must have a cell index that fits in
+    int64, or the stencil's node indices would wrap around.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    org = np.asarray(origin, dtype=np.float64)
+    spc = np.asarray(spacing, dtype=np.float64)
+    frac = (pos - org) / spc
+    # Every comparison with NaN is false, so NaN fails this too.
+    if not (np.abs(frac) < _INDEX_LIMIT).all():
+        raise SimulationError(
+            "particle positions must be finite and less than 2**63 cells "
+            "from the grid origin; got NaN, infinite or out-of-range "
+            "coordinates")
+    return frac
+
+
+def flat_strides(dims) -> Tuple[int, int, int]:
+    """Flat-index stride of each grid axis (``(i*ny + j)*nz + k``)."""
+    return dims[1] * dims[2], dims[2], 1
+
+
+def axis_stencil(shape: Shape, frac: np.ndarray, dims, axis: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """One axis's periodic stencil for particles at ``frac`` (cell units).
+
+    Returns ``(offsets, weights)``, each ``(support, N)``: the wrapped
+    node indices times the axis's flat stride, so the flat index of a
+    3-D stencil point is the sum of one offset per axis.
+    """
+    idx, wgt = shape_weights(shape, frac)
+    # C-ordered rows: the gather streams through one row per point.
+    offsets = np.mod(idx.T, dims[axis], order="C")
+    offsets *= flat_strides(dims)[axis]
+    return offsets, np.ascontiguousarray(wgt.T)
+
+
+def _plane(x, y) -> Tuple[np.ndarray, np.ndarray]:
+    """The (x, y) stencil plane, each ``(sx, sy, N)``: ``ix[a] + iy[b]``
+    and ``wx[a] * wy[b]``."""
+    (ix, wx), (iy, wy) = x, y
+    return ix[:, None] + iy[None], wx[:, None] * wy[None]
+
+
+def _gather(values: np.ndarray, xy, z) -> np.ndarray:
+    """Sum ``(wx[a] * wy[b]) * wz[c] * value`` over the stencil.
+
+    ``xy`` is the plane from :func:`_plane`, ``z`` the z stencil.  The
+    terms are added to zeros in (a, b, c) order, each product
+    associated as written: the PIC state digests fix both orders.
+    """
+    flat = values.ravel()
+    (ixy, wxy), (iz, wz) = xy, z
+    result = np.zeros(iz.shape[1])
+    for a, b in np.ndindex(ixy.shape[:2]):
+        for c in range(iz.shape[0]):
+            result += (wxy[a, b] * wz[c]) * flat.take(ixy[a, b] + iz[c])
+    return result
+
+
+def _positions(positions: np.ndarray) -> np.ndarray:
+    """``positions`` as a float64 ``(N, 3)`` array."""
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ConfigurationError(f"positions must be (N, 3), got {pos.shape}")
+    return pos
+
+
 def interpolate_component(values: np.ndarray,
                           positions: np.ndarray,
                           origin: Tuple[float, float, float],
@@ -82,27 +157,13 @@ def interpolate_component(values: np.ndarray,
     ``values`` is the ``(nx, ny, nz)`` component array whose sample
     points sit at ``origin + (index + stagger) * spacing``.
     """
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ConfigurationError(f"positions must be (N, 3), got {pos.shape}")
+    pos = _positions(positions)
     if values.ndim != 3:
         raise ConfigurationError(f"values must be a 3-D array, got {values.ndim}-D")
-    dims = values.shape
-    result = np.zeros(pos.shape[0])
-
-    stencils = []
-    for axis in range(3):
-        frac = (pos[:, axis] - origin[axis]) / spacing[axis] - stagger[axis]
-        idx, wgt = shape_weights(shape, frac)
-        stencils.append((np.mod(idx, dims[axis]), wgt))
-
-    (ix, wx), (iy, wy), (iz, wz) = stencils
-    for a in range(ix.shape[1]):
-        for b in range(iy.shape[1]):
-            for c in range(iz.shape[1]):
-                weight = wx[:, a] * wy[:, b] * wz[:, c]
-                result += weight * values[ix[:, a], iy[:, b], iz[:, c]]
-    return result
+    frac = cell_fractions(pos, origin, spacing)
+    x, y, z = (axis_stencil(shape, frac[:, axis] - stagger[axis],
+                            values.shape, axis) for axis in range(3))
+    return _gather(values, _plane(x, y), z)
 
 
 def interpolate_cic(values: np.ndarray, positions: np.ndarray,
@@ -118,13 +179,22 @@ def interpolate_from_yee_grid(grid: YeeGrid, positions: np.ndarray,
     """Interpolate all six Yee components to particle positions.
 
     Each component is interpolated from its own staggered sample points,
-    which keeps the second-order accuracy of the Yee scheme.
+    which keeps the second-order accuracy of the Yee scheme.  The
+    staggers give only two stencils per axis (0 and 1/2 cell), so the
+    six are computed once and shared, as is each (x, y) stencil plane
+    that two components use (Ex/By, Ey/Bx).
     """
+    frac = cell_fractions(_positions(positions), grid.origin, grid.spacing)
+    stencils = [{s: axis_stencil(shape, frac[:, axis] - s, grid.dims, axis)
+                 for s in {stagger[axis] for stagger in YEE_STAGGER.values()}}
+                for axis in range(3)]
+    planes = {}
     components = {}
-    for name, stagger in YEE_STAGGER.items():
-        components[name] = interpolate_component(
-            grid.component(name), positions, grid.origin, grid.spacing,
-            stagger=stagger, shape=shape)
+    for name, (sx, sy, sz) in YEE_STAGGER.items():
+        if (sx, sy) not in planes:
+            planes[sx, sy] = _plane(stencils[0][sx], stencils[1][sy])
+        components[name] = _gather(grid.component(name), planes[sx, sy],
+                                   stencils[2][sz])
     return FieldValues(**components)
 
 

@@ -23,16 +23,16 @@ associative, so the order in which a cell's contributions are summed
 is part of every PIC digest.  The scatter sums each cell exactly as a
 sequence of ``np.add.at`` calls would — target value first, then the
 contributions window point by window point, particles in order within
-a point — but does it with one ``np.bincount`` per window slab (all
-window points sharing the first window index).  The slab's input
-starts with every cell's flat index weighted by the target's current
-value, then the slab's contributions in window-point-major,
-particle-minor order; ``np.bincount`` adds its weights sequentially,
-so each cell sums ``target + v1 + v2 + ...`` in ``np.add.at``'s order.
-Seeding with the target matters because several species deposit into
-one grid after a single ``clear_currents()``.  Chunking by slab keeps
-the flattened index and weight arrays a window's width smaller than
-one bincount over the whole window would.
+a point — but does it with one ``np.bincount`` per target.  Its input
+is a pair of preallocated buffers: ``[arange(cells) | window cell
+indices]`` and ``[target | contributions]``, the tails in
+window-point-major, particle-minor order.  The kernels write their
+indices and contributions straight into the tails, so nothing is
+concatenated or copied.  ``np.bincount`` adds its weights
+sequentially, so each cell sums ``target + v1 + v2 + ...`` in
+``np.add.at``'s order.  Seeding with the target matters because
+several species deposit into one grid after a single
+``clear_currents()``.
 
 **Accumulation precision contract.**  Deposition always *accumulates*
 in float64 (:data:`ACCUMULATION_DTYPE`), whatever the ensemble's
@@ -56,7 +56,8 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..fields.grid import YeeGrid
-from ..fields.interpolation import Shape, shape_weights
+from ..fields.interpolation import (Shape, axis_stencil, cell_fractions,
+                                    flat_strides)
 from ..particles.ensemble import ParticleEnsemble
 
 __all__ = ["ACCUMULATION_DTYPE", "charge_weight",
@@ -105,23 +106,6 @@ def invalidate_charge_weight(ensemble: Optional[ParticleEnsemble] = None
         _CHARGE_WEIGHT_CACHE.pop(ensemble, None)
 
 
-def _fractions(positions: np.ndarray, origin, spacing) -> np.ndarray:
-    """Particle coordinates in cell units (may be any finite value).
-
-    Every deposition converts its positions here, so a NaN or infinite
-    position is rejected before it can reach the grid.
-    """
-    pos = np.asarray(positions, dtype=np.float64)
-    org = np.asarray(origin, dtype=np.float64)
-    spc = np.asarray(spacing, dtype=np.float64)
-    frac = (pos - org) / spc
-    if not np.isfinite(frac).all():
-        raise SimulationError(
-            "deposition needs finite particle positions; got NaN or "
-            "infinite coordinates")
-    return frac
-
-
 def _check_accumulator(target: np.ndarray) -> None:
     """Enforce the module's float64 accumulation contract."""
     if target.dtype != ACCUMULATION_DTYPE:
@@ -130,37 +114,43 @@ def _check_accumulator(target: np.ndarray) -> None:
             f"(see repro.pic.deposition); got a {target.dtype} target")
 
 
-def _flat_strides(dims) -> Tuple[int, int, int]:
-    """Flat-index stride of each grid axis (``(i*ny + j)*nz + k``)."""
-    return dims[1] * dims[2], dims[2], 1
+def _scatter_buffers(cells: int, count: int
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``np.bincount`` input for adding ``count`` values to a grid.
+
+    Returns ``(index, weights)``, each ``cells + count`` long.  The
+    head of ``index`` holds every cell's flat index; the caller writes
+    its flat cell indices into ``index[cells:]`` and the contributions
+    into ``weights[cells:]``, then calls :func:`_scatter_add`, which
+    fills the head of ``weights`` with the target.  One pair serves
+    every target of one grid in turn.
+    """
+    index = np.empty(cells + count, dtype=np.intp)
+    index[:cells] = np.arange(cells)
+    return index, np.empty(cells + count)
 
 
-def _scatter_add(target: np.ndarray, slabs) -> None:
-    """``np.add.at(target.flat, index, values)`` for each slab, in order.
+def _scatter_add(target: np.ndarray, index: np.ndarray,
+                 weights: np.ndarray) -> None:
+    """``np.add.at(target.flat, index[cells:], weights[cells:])``.
 
-    ``slabs`` yields ``(index, values)`` array pairs of one shape:
-    flat cell indices and the contributions to add there.  Each slab
-    is one ``np.bincount`` seeded with the target (see the module
-    docstring), which leaves every cell bit-identical to the
-    ``np.add.at`` sequence.
+    The buffers come from :func:`_scatter_buffers`.  One
+    ``np.bincount`` seeded with the target (see the module docstring)
+    leaves every cell bit-identical to the ``np.add.at`` call.
     """
     _check_accumulator(target)
-    size = target.size
-    cells = np.arange(size)
-    sums = target.ravel()
+    cells = target.size
+    weights[:cells] = target.ravel()
+    head, values = weights[:cells], weights[cells:]
     # bincount starts each cell at +0.0, and 0.0 + -0.0 is +0.0, so a
     # -0.0 cell is restored while only -0.0 contributions reach it.
-    negative_zero = np.signbit(sums) & (sums == 0.0)
-    for index, values in slabs:
-        index = index.ravel()
-        values = values.ravel()
-        sums = np.bincount(np.concatenate((cells, index)),
-                           weights=np.concatenate((sums, values)),
-                           minlength=size)
-        if negative_zero.any():
-            hit = ~(np.signbit(values) & (values == 0.0))
-            negative_zero &= np.bincount(index[hit], minlength=size) == 0
-            sums[negative_zero] = -0.0
+    negative_zero = np.signbit(head) & (head == 0.0)
+    sums = np.bincount(index, weights=weights, minlength=cells)
+    if negative_zero.any():
+        hit = ~(np.signbit(values) & (values == 0.0))
+        negative_zero &= np.bincount(index[cells:][hit],
+                                     minlength=cells) == 0
+        sums[negative_zero] = -0.0
     target[...] = sums.reshape(target.shape)
 
 
@@ -169,18 +159,20 @@ def _deposit_scalar(target: np.ndarray, frac: np.ndarray,
                     staggers: Tuple[float, float, float],
                     shape: Shape) -> None:
     """Scatter ``values`` onto ``target`` with the given form factor."""
-    strides = _flat_strides(dims)
-    cells, weights = [], []
-    for axis in range(3):
-        idx, wgt = shape_weights(shape, frac[:, axis] - staggers[axis])
-        cells.append(np.mod(idx, dims[axis]).T * strides[axis])
-        weights.append(wgt.T)
-    (ix, iy, iz), (wx, wy, wz) = cells, weights
-    # Window point (a, b, c) of particle p sits at [a][b, c, p].
-    yz = iy[:, None, :] + iz[None, :, :]
-    _scatter_add(target, (
-        (ix[a] + yz, values * (wx[a] * wy[:, None, :] * wz[None, :, :]))
-        for a in range(ix.shape[0])))
+    (ix, wx), (iy, wy), (iz, wz) = (
+        axis_stencil(shape, frac[:, axis] - staggers[axis], dims, axis)
+        for axis in range(3))
+    # Window point (a, b, c) of particle p sits at [a, b, c, p].
+    window = (ix.shape[0], iy.shape[0], iz.shape[0], values.size)
+    cells = target.size
+    index, weights = _scatter_buffers(cells, int(np.prod(window)))
+    np.add(ix[:, None, None], (iy[:, None] + iz[None])[None],
+           out=index[cells:].reshape(window))
+    contribution = weights[cells:].reshape(window)
+    np.multiply(wx[:, None, None] * wy[None, :, None], wz[None, None],
+                out=contribution)
+    contribution *= values
+    _scatter_add(target, index, weights)
 
 
 def deposit_charge(grid: YeeGrid, ensemble: ParticleEnsemble,
@@ -192,7 +184,7 @@ def deposit_charge(grid: YeeGrid, ensemble: ParticleEnsemble,
     the continuity test to evaluate rho before and after a push).
     """
     pos = ensemble.positions() if positions is None else positions
-    frac = _fractions(pos, grid.origin, grid.spacing)
+    frac = cell_fractions(pos, grid.origin, grid.spacing)
     charge = charge_weight(ensemble) / grid.cell_volume
     rho = np.zeros(grid.dims)
     _deposit_scalar(rho, frac, charge, grid.dims, (0.0, 0.0, 0.0), shape)
@@ -209,7 +201,7 @@ def deposit_current_direct(grid: YeeGrid, ensemble: ParticleEnsemble,
     """
     pos = ensemble.positions()
     vel = ensemble.velocities()
-    frac = _fractions(pos, grid.origin, grid.spacing)
+    frac = cell_fractions(pos, grid.origin, grid.spacing)
     qw = charge_weight(ensemble) / grid.cell_volume
     staggers = {"jx": (0.5, 0.0, 0.0), "jy": (0.0, 0.5, 0.0),
                 "jz": (0.0, 0.0, 0.5)}
@@ -277,8 +269,8 @@ def deposit_current_esirkepov(grid: YeeGrid, ensemble: ParticleEnsemble,
         raise SimulationError(
             f"old_positions shape {old.shape} does not match ensemble "
             f"({new_pos.shape})")
-    f0 = _fractions(old, grid.origin, grid.spacing)
-    f1 = _fractions(new_pos, grid.origin, grid.spacing)
+    f0 = cell_fractions(old, grid.origin, grid.spacing)
+    f1 = cell_fractions(new_pos, grid.origin, grid.spacing)
     if np.any(np.abs(f1 - f0) >= 1.0):
         raise SimulationError(
             "a particle moved a full cell or more in one step; "
@@ -298,13 +290,15 @@ def deposit_current_esirkepov(grid: YeeGrid, ensemble: ParticleEnsemble,
     ds = [s1[a] - s0[a] for a in range(3)]
 
     # Esirkepov density-decomposition weights, shape (w, w, w, N).
-    def w_factor(a: int, b: int, c: int) -> np.ndarray:
+    def w_factor(a: int, b: int, c: int, out: np.ndarray) -> None:
         """W along axis ``a`` with transverse axes ``b`` and ``c``."""
-        return ds[a][:, None, None, :] * (
-            s0[b][None, :, None, :] * s0[c][None, None, :, :]
-            + 0.5 * ds[b][None, :, None, :] * s0[c][None, None, :, :]
-            + 0.5 * s0[b][None, :, None, :] * ds[c][None, None, :, :]
-            + ds[b][None, :, None, :] * ds[c][None, None, :, :] / 3.0)
+        sb, sc = s0[b][:, None, :], s0[c][None, :, :]
+        db, dc = ds[b][:, None, :], ds[c][None, :, :]
+        plane = sb * sc
+        plane += 0.5 * db * sc
+        plane += 0.5 * sb * dc
+        plane += db * dc / 3.0
+        np.multiply(ds[a][:, None, None, :], plane[None], out=out)
 
     # J_a(i+1/2) = J_a(i-1/2) - (q w d_a / (V dt)) W_a  =>  cumulative sum.
     cell_volume = grid.cell_volume
@@ -314,25 +308,31 @@ def deposit_current_esirkepov(grid: YeeGrid, ensemble: ParticleEnsemble,
         _check_accumulator(grid.currents[name])
     # Flat-index contribution of every window point along each axis,
     # shape (w, N).
-    strides = _flat_strides(dims)
+    strides = flat_strides(dims)
     offsets = (np.arange(width) - margin)[:, None]
-    cells = [np.mod(base[x][None, :] + offsets, dims[x]) * strides[x]
-             for x in range(3)]
+    axis_cells = [np.mod(base[x][None, :] + offsets, dims[x]) * strides[x]
+                  for x in range(3)]
+    # One bincount input serves the three currents in turn: window
+    # point (l, m, n) of particle p sits at [l, m, n, p] of its tail.
+    cells = grid.num_cells
+    window = (width, width, width, qw.size)
+    index, weights = _scatter_buffers(cells, int(np.prod(window)))
+    window_cells = index[cells:].reshape(window)
+    flux = weights[cells:].reshape(window)
     # Transverse axis order per component keeps the (l, m, n) index
     # meaning (a-axis, b-axis, c-axis).
     transverse = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
     for a in range(3):
         b, c = transverse[a]
-        flux = w_factor(a, b, c)
+        w_factor(a, b, c, out=flux)
         # In-place cumulative sum along l: the same additions, in the
         # same order, as np.cumsum(axis=0).
         for l in range(1, width):
             flux[l] += flux[l - 1]
-        np.negative(flux, out=flux)
-        flux *= (qw * spacing[a] / (cell_volume * dt))[None, None, None, :]
-        # Slab l holds the window points (l, m, n): l runs along axis a,
-        # m along axis b, n along axis c.
-        transverse_cells = cells[b][:, None, :] + cells[c][None, :, :]
-        _scatter_add(grid.currents[names[a]], (
-            (cells[a][l] + transverse_cells, flux[l])
-            for l in range(width)))
+        # Rounding is symmetric in sign, so W * -s is bit-equal to -(W * s).
+        flux *= -(qw * spacing[a] / (cell_volume * dt))
+        # l runs along axis a, m along axis b, n along axis c.
+        np.add(axis_cells[a][:, None, None],
+               (axis_cells[b][:, None] + axis_cells[c][None])[None],
+               out=window_cells)
+        _scatter_add(grid.currents[names[a]], index, weights)

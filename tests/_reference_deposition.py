@@ -1,6 +1,6 @@
 """Slow reference for the deposition scatter-adds.
 
-``repro.pic.deposition`` scatters each window slab with one
+``repro.pic.deposition`` scatters each target with one
 ``np.bincount`` seeded with the target, which sums every cell in the
 same order as sequential ``np.add.at`` calls.  This module keeps the
 original per-window-point ``np.add.at`` loops it replaced, so tests
@@ -15,11 +15,10 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.fields.grid import YeeGrid
-from repro.fields.interpolation import Shape, shape_weights
+from repro.fields.interpolation import Shape, cell_fractions, shape_weights
 from repro.particles.ensemble import ParticleEnsemble
-from repro.pic.deposition import (_check_accumulator, _fractions,
-                                  _shape_on_window, _window_parameters,
-                                  charge_weight)
+from repro.pic.deposition import (_check_accumulator, _shape_on_window,
+                                  _window_parameters, charge_weight)
 
 __all__ = ["deposit_scalar", "deposit_current_esirkepov"]
 
@@ -56,8 +55,8 @@ def deposit_current_esirkepov(grid: YeeGrid, ensemble: ParticleEnsemble,
         raise SimulationError(
             f"old_positions shape {old.shape} does not match ensemble "
             f"({new_pos.shape})")
-    f0 = _fractions(old, grid.origin, grid.spacing)
-    f1 = _fractions(new_pos, grid.origin, grid.spacing)
+    f0 = cell_fractions(old, grid.origin, grid.spacing)
+    f1 = cell_fractions(new_pos, grid.origin, grid.spacing)
     if np.any(np.abs(f1 - f0) >= 1.0):
         raise SimulationError(
             "a particle moved a full cell or more in one step; "

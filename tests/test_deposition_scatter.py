@@ -1,6 +1,6 @@
 """The bincount scatter reproduces the np.add.at loops bit for bit.
 
-``repro.pic.deposition`` adds each window slab into the grid with one
+``repro.pic.deposition`` adds each target's contributions with one
 ``np.bincount`` seeded with the target; ``tests/_reference_deposition.py``
 keeps the per-window-point ``np.add.at`` loops it replaced.  Summation
 order decides the last bits of every cell, so the two are compared as
@@ -15,7 +15,8 @@ from repro.fields.interpolation import Shape
 from repro.fp import Precision
 from repro.particles import ParticleEnsemble
 from repro.pic import deposit_current_esirkepov
-from repro.pic.deposition import _deposit_scalar, _scatter_add
+from repro.pic.deposition import (_deposit_scalar, _scatter_add,
+                                  _scatter_buffers)
 from tests import _reference_deposition as reference
 
 CURRENTS = ("jx", "jy", "jz")
@@ -115,6 +116,15 @@ def test_scalar_scatter_matches_add_at_reference(params):
     np.testing.assert_array_equal(bits(target), bits(expected))
 
 
+def scatter(target, index, values):
+    """``_scatter_add`` of ``values`` at flat ``index`` into ``target``."""
+    cells = target.size
+    buffers = _scatter_buffers(cells, len(index))
+    buffers[0][cells:] = index
+    buffers[1][cells:] = values
+    _scatter_add(target, *buffers)
+
+
 def test_negative_zero_cell_keeps_its_sign_until_a_positive_zero_lands():
     # np.add.at keeps -0.0 only while every addend is -0.0; bincount
     # starts each cell at +0.0, so the scatter must restore the sign.
@@ -122,7 +132,7 @@ def test_negative_zero_cell_keeps_its_sign_until_a_positive_zero_lands():
     expected = target.copy()
     index = np.array([0, 0, 1, 2])
     values = np.array([-0.0, -0.0, 0.0, 1.5])
-    _scatter_add(target, [(index, values)])
+    scatter(target, index, values)
     np.add.at(expected, index, values)
     np.testing.assert_array_equal(bits(target), bits(expected))
     assert np.signbit(target[[0, 3]]).all()
@@ -132,7 +142,7 @@ def test_negative_zero_cell_keeps_its_sign_until_a_positive_zero_lands():
 def test_scatter_writes_through_a_non_contiguous_target():
     base = np.zeros((4, 6))
     target = base[:, ::2]
-    _scatter_add(target, [(np.array([0, 5, 5]), np.array([1.0, 2.0, 3.0]))])
+    scatter(target, [0, 5, 5], [1.0, 2.0, 3.0])
     assert base[0, 0] == 1.0 and base[1, 4] == 5.0
     assert np.count_nonzero(base) == 2
 
