@@ -56,10 +56,7 @@ def _runner(group_spec, n=N, **kwargs):
 
 def _steady_state_nsps(group_spec, **kwargs):
     """Group NSPS after warm-up (JIT + first-touch excluded)."""
-    runner = _runner(group_spec, **kwargs)
-    runner.run(WARMUP)
-    runner.reset_measurement()
-    return runner.run(WARMUP + STEPS)
+    return _runner(group_spec, **kwargs).run_measured(WARMUP, STEPS)
 
 
 def test_strong_scaling_two_iris(benchmark):

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -299,7 +300,9 @@ class RunReport:
 
     ``nsps`` is the steady-state figure of merit (warm-up excluded);
     ``first_step_nsps`` keeps the cold cost visible so the JIT penalty
-    of a cold program cache can be read off one report.  ``digest`` is
+    of a cold program cache can be read off one report.
+    ``simulated_seconds`` is the whole run: warm-up, measured steps and
+    the epoch of every device a fault took away.  ``digest`` is
     the sha256 of the final particle state
     (:func:`repro.core.stepping.state_digest`) — two configs that must
     agree bit-for-bit (fused vs unfused) compare digests, not floats.
@@ -408,15 +411,53 @@ def _program_cache(config: RunConfig):
     return ProgramCache(persist_path=config.persist_cache)
 
 
-def _plan_stats(executor) -> Tuple[int, int]:
+def _plan_stats(executor) -> Dict[str, int]:
     plan = executor.last_plan
-    return plan.fused_group_count, plan.kernels_eliminated
+    return {"fusion_groups": plan.fused_group_count,
+            "kernels_eliminated": plan.kernels_eliminated}
+
+
+@contextmanager
+def _checkpointer(config: RunConfig):
+    """A step-granular checkpointer in a scratch directory, or None."""
+    if config.checkpoint_every <= 0:
+        yield None
+        return
+    from .resilience import Checkpointer
+    with tempfile.TemporaryDirectory() as scratch:
+        yield Checkpointer(scratch, every=config.checkpoint_every)
+
+
+def _report(config: RunConfig, engine, ensemble, cache,
+            **fields) -> RunReport:
+    """The report of a finished run: every mode's timings in one place.
+
+    ``nsps`` excludes the warm-up.  A group overlaps exchange with
+    pushes, so its steps do not add up: it divides its measured
+    makespan, where the other engines average whole steps.
+    """
+    from .bench.metrics import nsps_from_steps
+    from .core.stepping import state_digest
+
+    n = config.n_particles
+    if config.mode == "sharded":
+        nsps = engine.nsps()
+        first_step_nsps = engine.first_step_seconds * 1.0e9 / n
+    else:
+        nsps, first_step_nsps = nsps_from_steps(engine.step_seconds, n,
+                                                config.warmup)
+    return RunReport(
+        mode=config.mode, scenario=config.scenario,
+        layout=config.layout.value, precision=config.precision.value,
+        n_particles=n, steps=config.steps, nsps=nsps,
+        first_step_nsps=first_step_nsps,
+        simulated_seconds=engine.simulated_seconds,
+        digest=state_digest(ensemble), fusion=config.fusion,
+        cache_stats=cache.stats.as_dict(), **fields)
 
 
 def _run_single(config: RunConfig, source, dt: float) -> "_RunOutcome":
     from .backends.registry import resolve_device
-    from .bench.metrics import nsps_from_steps
-    from .core.stepping import state_digest
     from .oneapi.runtime import PushEngine
 
     ensemble = _make_ensemble(config)
@@ -428,76 +469,39 @@ def _run_single(config: RunConfig, source, dt: float) -> "_RunOutcome":
                         fusion=config.fusion,
                         diagnostics=config.diagnostics)
     engine.run(config.warmup + config.steps)
-    groups, eliminated = _plan_stats(engine.executor)
-    n = config.n_particles
-    nsps, first_step_nsps = nsps_from_steps(engine.step_seconds, n,
-                                            config.warmup)
-    report = RunReport(
-        mode="single", scenario=config.scenario,
-        layout=config.layout.value, precision=config.precision.value,
-        device=config.device, n_particles=n,
-        steps=config.steps,
-        nsps=nsps, first_step_nsps=first_step_nsps,
-        simulated_seconds=queue.timeline.makespan,
-        digest=state_digest(ensemble),
-        fusion=config.fusion, fusion_groups=groups,
-        kernels_eliminated=eliminated,
-        cache_stats=cache.stats.as_dict())
+    report = _report(config, engine, ensemble, cache, device=config.device,
+                     **_plan_stats(engine.executor))
     return report, ensemble, engine.queues()
 
 
 def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
-    from .bench.metrics import nsps_from_steps
-    from .core.stepping import state_digest
-    from .resilience import (Checkpointer, fault_injection, named_plan)
+    from .resilience import fault_injection, named_plan
     from .resilience.runner import DEVICE_LADDER, ResilientPushEngine
 
     ensemble = _make_ensemble(config)
     ladder = tuple(config.devices) if config.devices is not None \
         else DEVICE_LADDER
     cache = _program_cache(config)
-
-    def drive(checkpointer):
+    injection = nullcontext() if config.fault_plan is None else \
+        fault_injection(named_plan(config.fault_plan),
+                        seed=config.fault_seed)
+    with _checkpointer(config) as checkpointer:
         engine = ResilientPushEngine(
             ensemble, config.scenario, source, dt, devices=ladder,
             checkpointer=checkpointer, fusion=config.fusion,
             program_cache=cache)
-        if config.fault_plan is not None:
-            with fault_injection(named_plan(config.fault_plan),
-                                 seed=config.fault_seed):
-                return engine, *engine.run(config.warmup + config.steps)
-        return engine, *engine.run(config.warmup + config.steps)
-
-    if config.checkpoint_every > 0:
-        with tempfile.TemporaryDirectory() as scratch:
-            engine, _, report = drive(
-                Checkpointer(scratch, every=config.checkpoint_every))
-    else:
-        engine, _, report = drive(None)
-    groups, eliminated = _plan_stats(engine.runner.executor)
-    n = config.n_particles
-    nsps, first_step_nsps = nsps_from_steps(engine.step_seconds, n,
-                                            config.warmup)
-    run_report = RunReport(
-        mode="resilient", scenario=config.scenario,
-        layout=config.layout.value, precision=config.precision.value,
-        device=report.final_device, n_particles=n,
-        steps=config.steps,
-        nsps=nsps, first_step_nsps=first_step_nsps,
-        simulated_seconds=engine.queue.timeline.makespan,
-        digest=state_digest(ensemble),
-        fusion=config.fusion, fusion_groups=groups,
-        kernels_eliminated=eliminated,
-        cache_stats=cache.stats.as_dict(), recovery=report)
-    return run_report, ensemble, engine.queues()
+        with injection:
+            _, recovery = engine.run(config.warmup + config.steps)
+    report = _report(config, engine, ensemble, cache,
+                     device=recovery.final_device, recovery=recovery,
+                     **_plan_stats(engine.runner.executor))
+    return report, ensemble, engine.queues()
 
 
 def _run_sharded(config: RunConfig, source, dt: float) -> "_RunOutcome":
-    from .core.stepping import state_digest
     from .distributed.group import DeviceGroup, parse_group_spec
     from .distributed.runner import ShardedPushEngine
     from .distributed.sharding import strategy_by_name
-    from .resilience import Checkpointer
 
     ensemble = _make_ensemble(config)
     cache = _program_cache(config)
@@ -505,37 +509,15 @@ def _run_sharded(config: RunConfig, source, dt: float) -> "_RunOutcome":
                         program_cache=cache)
     strategy = strategy_by_name(config.strategy, config.precision) \
         if config.strategy is not None else None
-
-    def drive(checkpointer):
+    with _checkpointer(config) as checkpointer:
         engine = ShardedPushEngine(
             group, ensemble, config.scenario, source, dt,
             strategy=strategy,
             checkpointer=checkpointer, fusion=config.fusion)
-        engine.run(1)
-        first_seconds = engine.simulated_seconds
-        if config.warmup > 0:
-            engine.run(config.warmup)
-            engine.reset_measurement()
-        return (engine, first_seconds,
-                engine.run(config.warmup + config.steps))
-
-    if config.checkpoint_every > 0:
-        with tempfile.TemporaryDirectory() as scratch:
-            engine, first_seconds, report = drive(Checkpointer(
-                scratch, every=config.checkpoint_every))
-    else:
-        engine, first_seconds, report = drive(None)
-    run_report = RunReport(
-        mode="sharded", scenario=config.scenario,
-        layout=config.layout.value, precision=config.precision.value,
-        device=config.group, n_particles=config.n_particles,
-        steps=config.steps, nsps=report.nsps,
-        first_step_nsps=first_seconds * 1.0e9 / config.n_particles,
-        simulated_seconds=report.simulated_seconds,
-        digest=state_digest(ensemble),
-        fusion=config.fusion,
-        cache_stats=cache.stats.as_dict(), group_report=report)
-    return run_report, ensemble, engine.queues()
+        group_report = engine.run_measured(config.warmup, config.steps)
+    report = _report(config, engine, ensemble, cache, device=config.group,
+                     group_report=group_report)
+    return report, ensemble, engine.queues()
 
 
 #: What every ``_run_*`` returns: the report, the final ensemble, and
@@ -789,7 +771,6 @@ def _execute_pic(config: PicConfig, validate: bool) -> PicReport:
         engine.step()
         history.record(simulation.time, simulation.grid,
                        simulation.ensembles)
-    groups, eliminated = _plan_stats(engine.executor)
     n = simulation.ensembles[0].size
     nsps, first_step_nsps = nsps_from_steps(engine.step_seconds, n,
                                             config.warmup)
@@ -803,9 +784,8 @@ def _execute_pic(config: PicConfig, validate: bool) -> PicReport:
         energy_drift=history.relative_drift(),
         deposition=simulation.deposition,
         solver=simulation.solver_kind,
-        fusion=config.fusion, fusion_groups=groups,
-        kernels_eliminated=eliminated,
-        cache_stats=cache.stats.as_dict())
+        fusion=config.fusion, cache_stats=cache.stats.as_dict(),
+        **_plan_stats(engine.executor))
 
 
 def run_pic(config: PicConfig, validate: bool = False) -> PicReport:

@@ -38,8 +38,8 @@ per-kernel summary table; see ``docs/PROFILING.md``.
 Fault injection (see ``docs/RESILIENCE.md``) follows the same pattern:
 ``--fault-plan PLAN --fault-seed N`` runs any command with the named
 deterministic fault plan installed, and ``python -m repro faults``
-drives a resilient push directly under that plan (``default`` when
-none is given)::
+runs a resilient push under that plan (``default`` when none is
+given)::
 
     python -m repro faults --fault-plan device-loss --steps 20
     python -m repro faults --self-check        # chaos seed matrix
@@ -50,6 +50,9 @@ none is given)::
 resilient or sharded — the mode follows from the flags), with
 ``--fusion/--no-fusion`` selecting the kernel-graph execution path
 (``repro bench fusion`` is the fused-vs-unfused comparison).
+``repro shard`` and ``repro faults`` are facade runs too: each builds
+a ``RunConfig`` (a group, or a fault plan over the fallback ladder)
+and prints the group or recovery report of that one ``run_push``.
 
 ``python -m repro serve`` runs a multi-job demo schedule through the
 fault-tolerant job scheduler (:mod:`repro.service`) — mixed priorities
@@ -73,14 +76,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .bench import (
-    DEVICE_NAMES,
-    device_by_name,
-    format_table,
-    paper_time_step,
-    paper_wave,
-)
-from .bench.scenarios import paper_ensemble
+from .bench import DEVICE_NAMES, device_by_name, format_table
 from .fp import Precision
 from .particles.ensemble import Layout
 
@@ -285,36 +281,15 @@ def _cmd_devices(args: argparse.Namespace) -> None:
 
 
 def _cmd_shard(args: argparse.Namespace) -> None:
-    import tempfile
-
-    from .api import _coerce_layout, _coerce_precision
-    from .bench.scenarios import paper_ensemble
-    from .distributed import (DeviceGroup, ExchangePolicy,
-                              ShardedPushEngine, strategy_by_name)
-    from .resilience import Checkpointer
+    from .api import RunConfig, run_push
 
     group_spec = args.group or "2x iris-xe-max"
-    layout = _coerce_layout(args.layout or Layout.SOA)
-    precision = _coerce_precision(args.precision or Precision.SINGLE)
-    ensemble = paper_ensemble(args.shard_particles, layout, precision)
-    group = DeviceGroup.from_spec(group_spec)
-    runner_args = dict(
-        strategy=strategy_by_name(args.strategy, precision),
-        policy=ExchangePolicy(halo_fraction=args.halo),
-        overlap=not args.no_overlap,
-        rebalance_every=args.rebalance_every,
-    )
-    warmup = min(2, args.steps)
-    with tempfile.TemporaryDirectory() as scratch:
-        runner = ShardedPushEngine(
-            group, ensemble, "precalculated", paper_wave(),
-            paper_time_step(),
-            checkpointer=Checkpointer(scratch,
-                                      every=args.checkpoint_every),
-            **runner_args)
-        runner.run(warmup)
-        runner.reset_measurement()
-        report = runner.run(warmup + args.steps)
+    report = run_push(RunConfig(
+        n_particles=args.shard_particles, steps=args.steps, warmup=2,
+        group=group_spec, strategy=args.strategy,
+        layout=args.layout or Layout.SOA,
+        precision=args.precision or Precision.SINGLE,
+        checkpoint_every=args.checkpoint_every)).group_report
     rows = [[s.name, s.key, s.particles, s.steps,
              f"{s.busy_seconds * 1e3:.2f} ms",
              "-" if s.mean_nsps != s.mean_nsps else f"{s.mean_nsps:.2f}"]
@@ -322,27 +297,20 @@ def _cmd_shard(args: argparse.Namespace) -> None:
     print(format_table(
         ["shard", "key", "particles", "steps", "busy", "NSPS"],
         rows,
-        f"Sharded push — {group_spec!r}, strategy {report.strategy}, "
-        f"{'overlap' if not args.no_overlap else 'bulk-synchronous'}"))
+        f"Sharded push — {group_spec!r}, strategy {report.strategy}"))
     print(f"group NSPS {report.nsps:.3f} over {args.steps} steps "
           f"({report.n_particles} particles on {report.n_devices} "
           f"devices); imbalance {report.imbalance:.2f}")
     print(f"exchange: {report.exchange.transfers} transfers, "
           f"{report.exchange.total_bytes} bytes, "
           f"{report.exchange.stalls} stalls; "
-          f"rebalances {report.rebalances}, "
           f"redistributions {report.redistributions}")
 
 
 def _cmd_faults(args: argparse.Namespace) -> None:
-    from .api import _coerce_layout, _coerce_precision
-    from .bench import paper_time_step, paper_wave
-    from .bench.scenarios import paper_ensemble
-    from .bench.metrics import nsps_from_records
-    from .resilience import (Checkpointer, chaos_self_check,
-                             fault_injection, named_plan)
-    from .resilience.runner import DEVICE_LADDER, ResilientPushEngine
-    import tempfile
+    from .api import RunConfig, run_push
+    from .resilience import chaos_self_check
+    from .resilience.runner import DEVICE_LADDER
 
     if args.self_check:
         results = chaos_self_check(seeds=tuple(range(args.check_seeds)),
@@ -359,25 +327,21 @@ def _cmd_faults(args: argparse.Namespace) -> None:
               f"and kept finite physics")
         return
 
-    layout = _coerce_layout(args.layout or Layout.SOA)
-    precision = _coerce_precision(args.precision or Precision.SINGLE)
     # --device moves that rung to the front of the fallback ladder
     ladder = DEVICE_LADDER if args.device is None else \
         (args.device,) + tuple(d for d in DEVICE_LADDER
                                if d != args.device)
-    ensemble = paper_ensemble(args.fault_particles, layout, precision)
-    with tempfile.TemporaryDirectory() as scratch:
-        checkpointer = Checkpointer(scratch, every=args.checkpoint_every)
-        with fault_injection(named_plan(args.fault_plan or "default"),
-                             seed=args.fault_seed):
-            runner = ResilientPushEngine(
-                ensemble, "precalculated", paper_wave(), paper_time_step(),
-                devices=ladder, checkpointer=checkpointer)
-            records, report = runner.run(args.steps)
-    print(report.summary())
-    if len(records) >= 3:
-        print(f"  NSPS with recovery cost folded in: "
-              f"{nsps_from_records(records):.2f}")
+    warmup = min(2, max(args.steps - 1, 0))
+    report = run_push(RunConfig(
+        n_particles=args.fault_particles, steps=args.steps - warmup,
+        warmup=warmup, devices=ladder,
+        fault_plan=args.fault_plan or "default",
+        fault_seed=args.fault_seed,
+        layout=args.layout or Layout.SOA,
+        precision=args.precision or Precision.SINGLE,
+        checkpoint_every=args.checkpoint_every))
+    print(report.recovery.summary())
+    print(f"  NSPS with recovery cost folded in: {report.nsps:.2f}")
 
 
 def _cmd_push(args: argparse.Namespace) -> None:
@@ -698,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive a resilient push under a named fault plan, or run "
              "the chaos self-check matrix")
     faults.add_argument("--steps", type=int, default=40,
-                        help="push steps to run (default 40)")
+                        help="push steps to run, the first two of them "
+                             "warm-up (default 40)")
     faults.add_argument("--fault-particles", type=int, default=4096,
                         help="ensemble size for the resilient push "
                              "(default 4096; physics-carrying, so keep "
@@ -726,16 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--shard-particles", type=int, default=200_000,
                        help="ensemble size (default 200000; "
                             "physics-carrying, so keep it modest)")
-    shard.add_argument("--no-overlap", action="store_true",
-                       help="bulk-synchronous schedule: pushes wait "
-                            "for the previous exchange")
-    shard.add_argument("--halo", type=float, default=0.02,
-                       help="halo fraction exchanged per neighbour per "
-                            "step (default 0.02)")
-    shard.add_argument("--rebalance-every", type=int, default=0,
-                       help="consult the strategy for a new partition "
-                            "every N steps (0 = never; pair with "
-                            "--strategy nsps)")
     shard.add_argument("--checkpoint-every", type=int, default=5,
                        help="checkpoint cadence enabling device-loss "
                             "redistribution (default 5)")

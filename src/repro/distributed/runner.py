@@ -85,8 +85,9 @@ class GroupReport:
     strategy: str
     n_particles: int
     steps: int
-    #: Simulated wall time of the whole run (sum of group makespans
-    #: across device-set epochs; replayed steps are paid for again).
+    #: Simulated wall time since the last measurement reset (sum of
+    #: group makespans across device-set epochs; replayed steps are
+    #: paid for again).
     simulated_seconds: float
     #: Group NSPS: simulated nanoseconds per particle per step.
     nsps: float
@@ -185,7 +186,10 @@ class ShardedPushEngine:
         #: abandons the old group's timelines, so their cost is banked
         #: here before the new epoch starts at zero).
         self._elapsed_base = 0.0
+        self._seconds_before_reset = 0.0
         self._steps_at_reset = 0
+        #: Simulated seconds when the first step completed.
+        self.first_step_seconds: Optional[float] = None
         self._busy_by_member: Dict[str, float] = {}
         self.exchange = self._make_exchange(group)
         self.counts = list(self.strategy.initial_counts(
@@ -245,16 +249,22 @@ class ShardedPushEngine:
     # -- accounting -------------------------------------------------------
 
     @property
-    def simulated_seconds(self) -> float:
+    def measured_seconds(self) -> float:
         """Simulated wall time since the last measurement reset."""
         return self._elapsed_base + self.group.makespan
+
+    @property
+    def simulated_seconds(self) -> float:
+        """Simulated time of the whole run: warm-up, measured steps and
+        every abandoned device-set epoch."""
+        return self._seconds_before_reset + self.measured_seconds
 
     def nsps(self) -> float:
         """Group NSPS over the steps since the last measurement reset."""
         work = self.ensemble.size * (self.steps_done - self._steps_at_reset)
         if work == 0:
             raise ConfigurationError("no particle-steps completed yet")
-        return self.simulated_seconds * 1.0e9 / work
+        return self.measured_seconds * 1.0e9 / work
 
     def reset_measurement(self) -> None:
         """Start a fresh measurement epoch after warm-up steps.
@@ -263,8 +273,10 @@ class ShardedPushEngine:
         and page state survive, as on a warm process), the exchange and
         busy-time accounting, and the step counter NSPS divides by —
         the group-level analogue of the harness's ``skip_warmup`` rule,
-        so steady-state group NSPS excludes the one-off JIT charge.
+        so steady-state group NSPS excludes the one-off JIT charge.  The
+        cleared epoch's seconds stay in :attr:`simulated_seconds`.
         """
+        self._seconds_before_reset = self.simulated_seconds
         self.group.reset_records()
         self._elapsed_base = 0.0
         self._steps_at_reset = self.steps_done
@@ -302,7 +314,7 @@ class ShardedPushEngine:
             strategy=self.strategy.name,
             n_particles=self.ensemble.size,
             steps=self.steps_done,
-            simulated_seconds=self.simulated_seconds,
+            simulated_seconds=self.measured_seconds,
             nsps=(self.nsps() if self.steps_done > self._steps_at_reset
                   else float("nan")),
             imbalance=load_imbalance(busy) if any(b > 0.0 for b in busy)
@@ -339,6 +351,8 @@ class ShardedPushEngine:
                 continue
             self.steps_done += 1
             self.time += self.dt
+            if self.first_step_seconds is None:
+                self.first_step_seconds = self.simulated_seconds
             if self.checkpointer is not None \
                     and self.checkpointer.should_save(self.steps_done):
                 self._gather()
@@ -350,6 +364,15 @@ class ShardedPushEngine:
                 self._maybe_rebalance()
         self._gather()
         return self.report()
+
+    def run_measured(self, warmup: int, steps: int) -> GroupReport:
+        """The sharded measurement protocol: ``warmup`` steps, a
+        measurement reset, then ``steps`` measured steps, which alone
+        the returned report covers."""
+        if warmup > 0:
+            self.run(warmup)
+            self.reset_measurement()
+        return self.run(warmup + steps)
 
     def _push_dependencies(self, state: _ShardState
                            ) -> Optional[List[SimEvent]]:

@@ -424,6 +424,11 @@ class PushEngine:
         """Run ``steps`` pushes; returns the list of launch records."""
         return [self.step() for _ in range(steps)]
 
+    @property
+    def simulated_seconds(self) -> float:
+        """Simulated time of the whole run: the queue's makespan."""
+        return self.queue.timeline.makespan
+
     def queues(self) -> tuple:
         """Every queue this engine submits to (uniform across engines).
 

@@ -371,25 +371,15 @@ class ShardSuite(_BaselineParamsMixin, RegressionTest):
         return self.DEFAULT_SPEC, "even"
 
     def run(self, n: Optional[int] = None) -> SuiteArtifact:
-        from ..bench import paper_time_step, paper_wave
-        from ..bench.scenarios import paper_ensemble
-        from ..distributed import (DeviceGroup, ShardedPushEngine,
-                                   strategy_by_name)
-        from ..fp import Precision
-        from ..particles.ensemble import Layout
+        from ..api import RunConfig, run_push
         spec, strategy_name = self._replay_config()
         n = n if n is not None else self.baseline_n(self.DEFAULT_N)
         steps = int(self.baseline_param("steps", self.DEFAULT_STEPS))
         warmup = int(self.baseline_param("warmup", self.DEFAULT_WARMUP))
-        ensemble = paper_ensemble(n, Layout.SOA, Precision.SINGLE)
-        group = DeviceGroup.from_spec(spec)
-        engine = ShardedPushEngine(
-            group, ensemble, "precalculated", paper_wave(),
-            paper_time_step(),
-            strategy=strategy_by_name(strategy_name, Precision.SINGLE))
-        engine.run(warmup)
-        engine.reset_measurement()
-        report = engine.run(warmup + steps)
+        report = run_push(RunConfig(
+            n_particles=n, steps=steps, warmup=warmup, group=spec,
+            strategy=strategy_name, layout="SoA", precision="float",
+            scenario="precalculated")).group_report
         return SuiteArtifact((report, spec), n,
                              {"steps": steps, "warmup": warmup})
 

@@ -127,6 +127,9 @@ class ResilientPushEngine:
         self.devices_lost: List[str] = []
         self.restores = 0
         self.replayed_steps = 0
+        #: Makespan of the queues a device loss abandoned (each rebuild
+        #: starts a fresh timeline at zero, so their cost is banked).
+        self._elapsed_base = 0.0
         #: Simulated seconds of each completed step: the push runner's
         #: whole-step ``step_seconds`` (every launch of a graph step)
         #: plus the recovery time of the step's failed attempts.  A
@@ -166,6 +169,7 @@ class ResilientPushEngine:
 
     def _on_device_lost(self) -> None:
         self.devices_lost.append(self.device_name)
+        self._elapsed_base += self.queue.timeline.makespan
         tracer = active_tracer()
         if tracer is not None:
             tracer.recovery("device-fallback", lost=self.device_name,
@@ -209,6 +213,12 @@ class ResilientPushEngine:
                 self.checkpointer.maybe_save_push(
                     self.step_index, self.ensemble, self.time)
             return record
+
+    @property
+    def simulated_seconds(self) -> float:
+        """Simulated time of the whole run, abandoned device epochs
+        included (their replayed steps are paid for again)."""
+        return self._elapsed_base + self.queue.timeline.makespan
 
     def queues(self) -> tuple:
         """Every queue this engine submits to (uniform across engines).

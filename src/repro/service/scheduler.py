@@ -695,10 +695,7 @@ class PushService:
                 strategy=strategy, checkpointer=job.checkpointer,
                 retry_policy=self.retry_policy, watchdog=self.watchdog,
                 fusion=config.fusion)
-            if config.warmup > 0:
-                engine.run(config.warmup)
-                engine.reset_measurement()
-            greport = engine.run(config.warmup + config.steps)
+            greport = engine.run_measured(config.warmup, config.steps)
         except ReproError as exc:
             failure = exc
         finally:

@@ -23,6 +23,13 @@ and each result is judged three ways:
   run identical elementwise arithmetic on identically seeded values.
 * **Hazard freedom** — every queue the combination ran on is replayed
   through :mod:`repro.validation.hazard`.
+* **Timing agreement** — one device driven as a single engine, as a
+  one-rung fallback ladder and as a one-member group, with warm-up
+  steps, must report the same ``nsps``, ``first_step_nsps`` and
+  ``simulated_seconds`` (:func:`_timing_check`).
+
+Every run goes through the facade's per-mode runner, the path
+:func:`repro.api.run_push` takes.
 
 ULP distance is measured against the local floating-point spacing,
 with a floor of ``1e-3`` of the component's magnitude scale so
@@ -36,7 +43,9 @@ plus a reference diff on a particle sample of that one run).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -170,7 +179,8 @@ class ComboResult:
 
 @dataclass(frozen=True)
 class DigestCheck:
-    """One bit-exactness assertion over the sweep's digests."""
+    """One pass/fail assertion over the sweep: a bit-exact digest group
+    or an agreement of engine timings."""
 
     name: str
     passed: bool
@@ -186,11 +196,14 @@ class DifferentialReport:
     tolerances: Dict[str, float]
     results: List[ComboResult] = field(default_factory=list)
     digest_checks: List[DigestCheck] = field(default_factory=list)
+    #: Engines agreeing on their report timings (push sweep only).
+    timing_checks: List[DigestCheck] = field(default_factory=list)
 
     @property
     def all_passed(self) -> bool:
         return (all(r.passed for r in self.results)
-                and all(c.passed for c in self.digest_checks))
+                and all(c.passed for c in self.digest_checks)
+                and all(c.passed for c in self.timing_checks))
 
     def render(self) -> str:
         """Plain-text table of every combination and digest check."""
@@ -201,49 +214,48 @@ class DifferentialReport:
             verdict = "ok" if r.passed else f"FAIL ({r.detail})"
             lines.append(f"{r.label:<38} {r.max_ulp:>10.1f} "
                          f"{r.worst_component:>6}  {verdict}")
-        for check in self.digest_checks:
-            verdict = "ok" if check.passed else f"FAIL ({check.detail})"
-            lines.append(f"digest: {check.name:<40} {verdict}")
+        for kind, checks in (("digest", self.digest_checks),
+                             ("timing", self.timing_checks)):
+            for check in checks:
+                verdict = "ok" if check.passed \
+                    else f"FAIL ({check.detail})"
+                lines.append(f"{kind}: {check.name:<40} {verdict}")
         return "\n".join(lines)
 
 
-def _make_queue(device_spec: str):
-    from ..backends.registry import queue_for
+def _run(n: int, steps: int, warmup: int, layout: Layout,
+         precision: Precision, fusion: Optional[bool], source, dt: float,
+         **placement):
+    """One facade run; returns ``(report, ensemble, queues)``.
 
-    return queue_for(device_spec)
-
-
-def _drive(engine: str, ensemble: ParticleEnsemble, source, dt: float,
-           steps: int, fusion: Optional[bool], device: str,
-           group_spec: str) -> List:
-    """Run ``steps`` pushes on ``ensemble``; return the queues used.
-
-    Engines are built directly (not through :mod:`repro.api`) so the
-    harness stays importable from the facade without a cycle, and every
-    engine runs exactly ``steps`` pushes with no warm-up — the scalar
-    reference advances the same count.
+    Goes through the facade's per-mode runner (imported lazily, so the
+    facade can import this module without a cycle); ``placement`` names
+    the device, ladder or group and so selects the engine.
     """
-    if engine == "single":
-        from ..oneapi.runtime import PushEngine
+    from ..api import _RUNNERS, RunConfig
 
-        runner = PushEngine(_make_queue(device), ensemble, "precalculated",
-                            source, dt, fusion=fusion)
-    elif engine == "resilient":
-        from ..resilience.runner import ResilientPushEngine
+    config = RunConfig(n_particles=n, steps=steps, warmup=warmup,
+                       layout=layout, precision=precision, fusion=fusion,
+                       **placement).validate()
+    return _RUNNERS[config.mode](config, source, dt)
 
-        runner = ResilientPushEngine(ensemble, "precalculated", source, dt,
-                                     fusion=fusion)
-    elif engine == "sharded":
-        from ..distributed.group import DeviceGroup, parse_group_spec
-        from ..distributed.runner import ShardedPushEngine
 
-        runner = ShardedPushEngine(DeviceGroup(parse_group_spec(group_spec)),
-                                   ensemble, "precalculated", source, dt,
-                                   fusion=fusion)
-    else:
-        raise ValidationError(f"unknown differential engine {engine!r}")
-    runner.run(steps)
-    return list(runner.queues())
+def _timing_check(name: str, single, other) -> DigestCheck:
+    """Compare one engine's report timings with the single-device run's.
+
+    ``first_step_nsps`` must match exactly.  ``nsps`` and
+    ``simulated_seconds`` must match to a relative 1e-12: a group
+    divides its makespan where the other engines average steps, and it
+    adds its warm-up epoch to the measured one, so the sums round
+    differently.
+    """
+    failures = [
+        f"{metric} {getattr(other, metric)!r} != {getattr(single, metric)!r}"
+        for metric, rel in (("nsps", 1e-12), ("first_step_nsps", 0.0),
+                            ("simulated_seconds", 1e-12))
+        if not math.isclose(getattr(other, metric), getattr(single, metric),
+                            rel_tol=rel)]
+    return DigestCheck(name, not failures, "; ".join(failures))
 
 
 def run_differential(n: int = 192, steps: int = 3,
@@ -278,6 +290,7 @@ def run_differential(n: int = 192, steps: int = 3,
     """
     from ..bench.scenarios import paper_ensemble, paper_time_step, paper_wave
     from ..core.stepping import state_digest
+    from ..resilience.runner import DEVICE_LADDER
 
     tols = dict(ULP_TOLERANCES)
     if tolerances:
@@ -291,23 +304,28 @@ def run_differential(n: int = 192, steps: int = 3,
     # Expand the engine axis: the "single" engine fans out across the
     # device matrix when one is given; labels carry the device so a
     # digest mismatch names the culprit backend.
-    cells: List[Tuple[str, str, str]] = []
+    placements = {"single": {"device": device},
+                  "resilient": {"devices": DEVICE_LADDER},
+                  "sharded": {"group": group_spec}}
+    cells: List[Tuple[str, Dict[str, object]]] = []
     for engine in engines:
+        if engine not in placements:
+            raise ValidationError(f"unknown differential engine {engine!r}")
         if engine == "single" and devices is not None:
-            cells.extend(("single", f"single[{spec}]", spec)
+            cells.extend((f"single[{spec}]", {"device": spec})
                          for spec in devices)
         else:
-            cells.append((engine, engine, device))
+            cells.append((engine, placements[engine]))
     digests: Dict[Tuple[str, str], Dict[str, List[str]]] = {}
     for precision in precisions:
         for layout in layouts:
             reference = paper_ensemble(n, layout, precision)
             reference_push(reference, source, dt, steps)
-            for engine, engine_label, run_device in cells:
+            for engine_label, placement in cells:
                 for fusion in fusion_modes:
-                    ensemble = paper_ensemble(n, layout, precision)
-                    queues = _drive(engine, ensemble, source, dt, steps,
-                                    fusion, run_device, group_spec)
+                    _, ensemble, queues = _run(
+                        n, steps, 0, layout, precision, fusion, source, dt,
+                        **placement)
                     checked = sum(assert_hazard_free(q) for q in queues)
                     max_ulp, worst, _ = compare_ensembles(ensemble,
                                                           reference)
@@ -363,6 +381,25 @@ def run_differential(n: int = 192, steps: int = 3,
         if tracer is not None:
             tracer.validation(f"digest:{name}", check.passed,
                               distinct=len(union))
+    # Timing agreement: one device driven as a single engine, as a
+    # one-rung ladder and as a one-member group is one run, and its
+    # warm-up steps must not make the reports disagree.
+    one_device = {"single": placements["single"],
+                  "resilient": {"devices": (device,)},
+                  "sharded": {"group": f"1x {device}"}}
+    compared = [e for e in ("resilient", "sharded") if e in engines]
+    axes = product(precisions, layouts, fusion_modes) if compared else ()
+    for precision, layout, fusion in axes:
+        runs = {engine: _run(n, steps, 2, layout, precision, fusion,
+                             source, dt, **one_device[engine])[0]
+                for engine in ("single", *compared)}
+        label = f"{layout.value}/{precision.value}/{_FUSION_LABELS[fusion]}"
+        for engine in compared:
+            check = _timing_check(f"{engine} == single ({label})",
+                                  runs["single"], runs[engine])
+            report.timing_checks.append(check)
+            if tracer is not None:
+                tracer.validation(f"timing:{check.name}", check.passed)
     return report
 
 

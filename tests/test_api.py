@@ -11,6 +11,8 @@ guarantee stated in :mod:`repro.errors`.
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import RunConfig, RunReport, run_push
 from repro.bench import paper_time_step, paper_wave
@@ -90,6 +92,22 @@ class TestRunPush:
         # the group divides its makespan, the engine averages steps
         assert sharded.nsps == pytest.approx(single.nsps, rel=1e-12)
         assert sharded.first_step_nsps == single.first_step_nsps
+        # the group banks its warm-up epoch before the measurement reset
+        assert sharded.simulated_seconds == pytest.approx(
+            single.simulated_seconds, rel=1e-12)
+
+    def test_device_loss_counts_the_abandoned_epoch(self):
+        # The lost device's queue is abandoned mid-run; its makespan is
+        # simulated time the run paid for, so a recovered run cannot
+        # report less than the fault-free one.
+        config = dict(n_particles=2000, steps=3, warmup=2,
+                      checkpoint_every=2)
+        fault_free = run_push(RunConfig(**config,
+                                        devices=("iris-xe-max", "p630")))
+        lost = run_push(RunConfig(**config, fault_plan="device-loss"))
+        assert lost.recovery.devices_lost == ("iris-xe-max",)
+        assert lost.digest == fault_free.digest
+        assert lost.simulated_seconds > fault_free.simulated_seconds
 
     @pytest.mark.parametrize("device,scenario,nsps,first_step_nsps", [
         ("cpu", "precalculated", 4.707688017230731, 36836.73893801723),
@@ -199,6 +217,72 @@ class TestErrorSurfacing:
         with pytest.raises(ConfigurationError,
                            match="already documented"):
             run_push(_config())
+
+
+#: One malformed value per field; a fuzz example breaks at most one.
+_MALFORMED = {
+    "scenario": ["magnetostatic"],
+    "layout": ["bogus"],
+    "precision": ["half"],
+    "n_particles": [0, -1],
+    "steps": [0, -1],
+    "warmup": [-1],
+    "dt": [float("nan"), float("inf"), float("-inf")],
+    "checkpoint_every": [-1],
+    "device": ["teapot", "cuda:gpu9"],
+    "devices": [(), ("teapot",)],
+    "fault_plan": ["bogus"],
+    "group": ["0x iris-xe-max", "2x", "", "7 teapots", "x cpu"],
+    "strategy": ["fastest"],
+}
+
+
+@st.composite
+def _run_configs(draw):
+    """Tiny RunConfigs of every mode, each valid or broken in one field."""
+    fields = dict(
+        scenario=draw(st.sampled_from(["precalculated", "analytical"])),
+        layout=draw(st.sampled_from([Layout.AOS, "SoA", "aos"])),
+        precision=draw(st.sampled_from([Precision.DOUBLE, "float",
+                                        "single"])),
+        n_particles=draw(st.integers(1, 48)),
+        steps=draw(st.integers(1, 3)),
+        warmup=draw(st.integers(0, 2)),
+        dt=draw(st.one_of(st.none(), st.floats(1e-19, 1e-16))),
+        fusion=draw(st.sampled_from([None, False, True])),
+        checkpoint_every=draw(st.integers(0, 2)))
+    mode = draw(st.sampled_from(["single", "resilient", "sharded"]))
+    if mode == "single":
+        fields["device"] = draw(st.sampled_from(["cpu", "iris-xe-max",
+                                                 "cuda:gpu0"]))
+    elif mode == "resilient":
+        fields["devices"] = draw(st.sampled_from(
+            [("iris-xe-max",), ("p630", "cpu")]))
+        fields["fault_plan"] = draw(st.sampled_from(
+            [None, "transient", "device-loss"]))
+    else:
+        fields["group"] = draw(st.sampled_from(
+            ["1x iris-xe-max", "2x cpu", "cpu, p630"]))
+        fields["strategy"] = draw(st.sampled_from(
+            [None, "even", "bandwidth", "nsps"]))
+    if draw(st.integers(0, 2)) == 0:
+        broken = draw(st.sampled_from(sorted(set(fields) & set(_MALFORMED))))
+        fields[broken] = draw(st.sampled_from(_MALFORMED[broken]))
+    return RunConfig(**fields)
+
+
+class TestRunConfigFuzz:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=_run_configs())
+    def test_run_push_returns_a_report_or_a_typed_error(self, config):
+        try:
+            report = run_push(config)
+        except ReproError:
+            return
+        assert isinstance(report, RunReport)
+        assert report.mode == config.mode
+        assert report.simulated_seconds > 0.0
 
 
 class TestRunnerShimsRemoved:

@@ -253,3 +253,16 @@ def test_cli_devices_and_shard(capsys, tmp_path):
     assert cell.keys["device"] == "2x iris-xe-max"
     assert cell.keys["backend"] == "oneapi"
     assert cell.metrics["n_devices"] == 2
+
+
+@pytest.mark.parametrize("argv", [["--halo", "0.1"], ["--no-overlap"],
+                                  ["--rebalance-every", "2"]])
+def test_cli_shard_has_no_engine_only_knobs(argv, capsys):
+    # `repro shard` is a facade run; these engine keywords have no
+    # RunConfig field, so argparse rejects them
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["shard", *argv])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -230,7 +230,27 @@ class TestDifferentialSweep:
         assert report.all_passed, report.render()
         # bit-exact groups: 4 within-(layout, precision) + 2 cross-layout
         assert len(report.digest_checks) == 6
+        # resilient and sharded vs single, per layout x precision x fusion
+        assert len(report.timing_checks) == 24
         assert "ok" in report.render()
+
+    def test_timing_disagreement_is_flagged_not_raised(self, monkeypatch):
+        # A group that forgets its warm-up epoch reports less simulated
+        # time than the single-device run of the same steps.
+        from repro.distributed.runner import ShardedPushEngine
+
+        monkeypatch.setattr(ShardedPushEngine, "simulated_seconds",
+                            ShardedPushEngine.measured_seconds)
+        report = run_differential(n=16, steps=1, engines=("single",
+                                                          "sharded"),
+                                  layouts=(Layout.SOA,),
+                                  precisions=(Precision.DOUBLE,),
+                                  fusion_modes=(True,))
+        [check] = report.timing_checks
+        assert not check.passed
+        assert "simulated_seconds" in check.detail
+        assert not report.all_passed
+        assert "timing: sharded == single" in report.render()
 
     def test_reference_push_matches_engine_time_semantics(self):
         from repro.oneapi.runtime import PushEngine
