@@ -257,14 +257,17 @@ class Tracer:
     def fusion_plan(self, groups: List[List[str]],
                     kernels_eliminated: int,
                     refusals: Optional[Dict[str, str]] = None) -> None:
-        """Report one fusion pass over a kernel graph.
+        """Report the fusion plan of one kernel graph.
 
-        ``groups`` are the planned launch groups as kernel-name lists,
-        ``kernels_eliminated`` the launches saved versus the unfused
-        graph, ``refusals`` the boundaries left unfused and why.
-        Recorded as a ``fusion``-category instant plus a sample of the
-        ``fusion`` counter series, so traces show both the plan shape
-        and the cumulative launch savings.
+        A :class:`~repro.oneapi.graph.GraphExecutor` plans its graph
+        once, so this fires once per engine, when the plan is made, not
+        once per step.  ``groups`` are the planned launch groups as
+        kernel-name lists, ``kernels_eliminated`` the launches each
+        replay saves versus the unfused graph, ``refusals`` the
+        boundaries left unfused and why.  Recorded as a
+        ``fusion``-category instant plus a sample of the ``fusion``
+        counter series, so traces show both the plan shape and the
+        launch savings.
         """
         self.instant(
             "fusion:plan", "fusion",

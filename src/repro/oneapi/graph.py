@@ -29,10 +29,10 @@ The pieces:
   stream), and *transient* intermediates — written by one node and read
   by a later node in the same group, flagged ``transient`` by their
   producer — are elided entirely (they live in registers);
-* :class:`GraphExecutor` — drives a planned graph through a
-  :class:`~repro.oneapi.queue.Queue`: untimed staging bodies run inline
-  first, then one launch per fused group, with each group's program
-  identity
+* :class:`GraphExecutor` — bound to one recorded graph, plans it once
+  and replays it through a :class:`~repro.oneapi.queue.Queue` every
+  step: untimed staging bodies run inline first, then one launch per
+  fused group, with each group's program identity
   (:class:`~repro.oneapi.programcache.ProgramKey`) charged through the
   queue's program cache.
 
@@ -54,7 +54,8 @@ from .kernelspec import KernelSpec, MemoryStream, StreamKind
 from .programcache import ProgramKey
 
 __all__ = ["KernelNode", "KernelGraph", "FusionPlan", "FusionPass",
-           "fuse_nodes", "group_spec", "unfused_plan", "GraphExecutor"]
+           "fuse_nodes", "merge_kinds", "group_spec", "unfused_plan",
+           "GraphExecutor"]
 
 
 @dataclass
@@ -195,8 +196,9 @@ _KIND_MERGE = {
 }
 
 
-def _merge_kinds(first: StreamKind, second: StreamKind) -> StreamKind:
-    """Access mode of one stream touched by two fused kernels."""
+def merge_kinds(first: StreamKind, second: StreamKind) -> StreamKind:
+    """Access mode of one stream touched by two accesses (two fused
+    kernels, or two members of one AoS record)."""
     return _KIND_MERGE.get((first, second), StreamKind.READ_WRITE)
 
 
@@ -247,7 +249,7 @@ def fuse_nodes(nodes: Sequence[KernelNode]) -> Tuple[KernelSpec,
                 raise GraphError(
                     f"stream {stream.name!r} is declared differently by "
                     f"two fused kernels")
-            kind = _merge_kinds(existing.kind, stream.kind)
+            kind = merge_kinds(existing.kind, stream.kind)
             if kind is not existing.kind:
                 merged[stream.name] = MemoryStream(
                     name=existing.name, kind=kind,
@@ -374,14 +376,18 @@ def group_spec(nodes: Sequence[KernelNode]) -> Tuple[KernelSpec,
 
 
 class GraphExecutor:
-    """Runs a recorded kernel graph through one queue.
+    """Plans one recorded kernel graph once, then replays it.
 
-    Untimed staging nodes run first, inline and off the simulated
-    clock.  Each fused group then becomes one launch: the merged spec
-    is timed by the queue's cost model, the composed body runs the real
-    numpy kernels in recorded order, and the group's *program identity* —
-    the chain of constituent kernel names plus device model, layout and
-    precision — goes through the queue's
+    An engine records its graph once, with bodies that read the
+    engine's clock when they run, so nothing about the graph changes
+    between steps.  Construction makes the fusion plan and, per group,
+    the merged spec, the composed body and the *program identity* — the
+    chain of constituent kernel names plus device model, layout and
+    precision (the record, finalize and replay model of CUDA Graphs and
+    oneAPI's ``sycl_ext_oneapi_graph``).  Each :meth:`run` runs the
+    untimed staging nodes inline, off the simulated clock, then submits
+    one launch per group: the queue's cost model prices every launch
+    afresh, and the program key goes through the queue's
     :class:`~repro.oneapi.programcache.ProgramCache`, so the first
     execution of a chain pays the calibrated JIT cost and warm
     executions pay nothing.
@@ -392,38 +398,22 @@ class GraphExecutor:
     ``depends_on`` edges (the sharded runner's exchange overlap).
     """
 
-    def __init__(self, queue, fusion: bool = True,
-                 fusion_pass: Optional[FusionPass] = None,
+    def __init__(self, queue, graph: KernelGraph, fusion: bool = True,
                  validate: bool = False) -> None:
+        from ..observability.tracer import active_tracer
+
         self.queue = queue
+        self.graph = graph
         self.fusion = bool(fusion)
-        self.fusion_pass = fusion_pass if fusion_pass is not None \
-            else FusionPass(queue.cost_model)
-        self.last_plan: Optional[FusionPlan] = None
         #: When True, every :meth:`run` replays the launches it just
         #: submitted through the hazard detector and raises
         #: :class:`~repro.errors.HazardError` on a missing
         #: ``depends_on`` edge — a per-step race check for graphs on
         #: out-of-order queues.
         self.validate = bool(validate)
-
-    def run(self, graph: KernelGraph, depends_on=None) -> List:
-        """Execute the graph; returns one launch record per group.
-
-        The untimed staging nodes run first and produce no record.
-        """
-        from ..observability.tracer import active_tracer
-
-        if not len(graph):
-            return []
-        if graph.staged:
-            from ..observability.tracer import trace_span
-            for node in graph.nodes[:graph.staged]:
-                if node.body is not None:
-                    with trace_span(node.tag or node.name, "runner"):
-                        node.body()
-        plan = self.fusion_pass.plan(graph) if self.fusion \
+        plan = FusionPass(queue.cost_model).plan(graph) if self.fusion \
             else unfused_plan(graph)
+        #: The graph's one fusion plan (unfused when ``fusion`` is off).
         self.last_plan = plan
         tracer = active_tracer()
         if tracer is not None and self.fusion:
@@ -433,8 +423,8 @@ class GraphExecutor:
                 kernels_eliminated=plan.kernels_eliminated,
                 refusals={f"{a}|{b}": why
                           for (a, b), why in plan.refusals.items()})
-        records = []
-        deps = depends_on
+        device = queue.device
+        self._launches = []
         for group_indices in plan.groups:
             nodes = [graph.nodes[i] for i in group_indices]
             spec, elided = group_spec(nodes)
@@ -444,16 +434,34 @@ class GraphExecutor:
                 for run_one in bodies:
                     run_one()
             key = ProgramKey(
-                chain=tuple(n.name for n in nodes),
-                device=self.queue.device.jit_key,
-                layout=nodes[0].layout,
-                precision=nodes[0].precision.value,
-                backend=self.queue.device.backend)
+                chain=tuple(n.name for n in nodes), device=device.jit_key,
+                layout=nodes[0].layout, precision=nodes[0].precision.value,
+                backend=device.backend)
+            self._launches.append((nodes[0], spec, elided,
+                                   body if bodies else None, key))
+
+    def run(self, depends_on=None) -> List:
+        """Execute the graph once; returns one launch record per group.
+
+        The untimed staging nodes run first and produce no record.
+        """
+        from ..observability.tracer import active_tracer, trace_span
+
+        graph = self.graph
+        if not len(graph):
+            return []
+        for node in graph.nodes[:graph.staged]:
+            if node.body is not None:
+                with trace_span(node.tag or node.name, "runner"):
+                    node.body()
+        tracer = active_tracer()
+        records = []
+        deps = depends_on
+        for first, spec, elided, body, key in self._launches:
             record = self.queue.parallel_for(
-                nodes[0].n_items, spec,
-                kernel=body if bodies else None,
-                precision=nodes[0].precision,
-                depends_on=deps, program_key=key)
+                first.n_items, spec, kernel=body,
+                precision=first.precision, depends_on=deps,
+                program_key=key)
             if tracer is not None and elided:
                 tracer.instant(f"fusion:elided:{spec.name}", "fusion",
                                streams=",".join(elided))

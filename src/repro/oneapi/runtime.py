@@ -5,12 +5,15 @@ of one Boris push step (field evaluation, push, kinetic-energy
 diagnostics) under the paper's two scenarios, in either layout and
 precision; lays them out as the step's
 :class:`~repro.oneapi.graph.KernelGraph` (:func:`build_step_graph`);
-and provides :class:`PushEngine`, which drives the *real* numpy kernels
-through a :class:`~repro.oneapi.queue.Queue` so each step produces both
-physics and a simulated launch time.
+and provides :class:`PushEngine`, which records that graph once and
+replays it, driving the *real* numpy kernels through a
+:class:`~repro.oneapi.queue.Queue` so each step produces both physics
+and a simulated launch time.
 
-Each kernel has one builder, whatever the caller; the arguments decide
-what a stream's allocation is (:func:`_allocation`):
+Each kernel has one builder, whatever the caller, and every builder of
+either engine (this module's and :mod:`repro.pic.engine`'s) declares
+its particle data through :func:`particle_streams`; the arguments
+decide what a stream's allocation is (:func:`_allocation`):
 
 * ``memory`` plus the live ``ensemble`` (and its ``precalc`` field
   array): the streams reference registered USM allocations, enabling
@@ -26,7 +29,8 @@ what a stream's allocation is (:func:`_allocation`):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from functools import reduce
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -41,12 +45,13 @@ from ..fp import Precision
 from ..observability.tracer import trace_span
 from ..resilience.faults import active_fault_injector
 from ..particles.ensemble import Layout, ParticleEnsemble
-from .graph import GraphExecutor, KernelGraph, KernelNode
+from .graph import GraphExecutor, KernelGraph, KernelNode, merge_kinds
 from .kernelspec import KernelSpec, MemoryStream, StreamKind
 from .memory import UsmAllocation, UsmMemoryManager
 from .queue import KernelLaunchRecord, Queue
 
-__all__ = ["PUSH_FLOPS", "build_push_spec", "build_step_graph", "PushEngine"]
+__all__ = ["PUSH_FLOPS", "particle_streams", "build_push_spec",
+           "build_step_graph", "PushEngine"]
 
 #: Arithmetic of the Boris push per particle-step (single-precision
 #: equivalent flops): momentum update + two gamma evaluations +
@@ -58,12 +63,12 @@ PRECALCULATED = "precalculated"
 ANALYTICAL = "analytical"
 SCENARIOS = (PRECALCULATED, ANALYTICAL)
 
-#: SoA components each kernel of the step touches, with its access.
-_PUSH_SOA = {**dict.fromkeys(("x", "y", "z", "px", "py", "pz"),
-                             StreamKind.READ_WRITE),
-             "gamma": StreamKind.WRITE, "type": StreamKind.READ}
-_FIELD_EVAL_SOA = dict.fromkeys(("x", "y", "z"), StreamKind.READ)
-_DIAGNOSTICS_SOA = {"gamma": StreamKind.READ}
+#: Components each kernel of the step touches, with its access.
+_PUSH_KINDS = {**dict.fromkeys(("x", "y", "z", "px", "py", "pz"),
+                               StreamKind.READ_WRITE),
+               "gamma": StreamKind.WRITE, "type": StreamKind.READ}
+_FIELD_EVAL_KINDS = dict.fromkeys(("x", "y", "z"), StreamKind.READ)
+_DIAGNOSTICS_KINDS = {"gamma": StreamKind.READ}
 
 
 def _check_step(n: int, layout: Layout, precision: Precision,
@@ -95,41 +100,45 @@ def _allocation(memory: Optional[UsmMemoryManager], name: str,
     return memory.virtual(nbytes, name=name)
 
 
-def _particle_streams(aos_kind: StreamKind, soa_kinds: dict, n: int,
-                      layout: Layout, precision: Precision,
-                      memory: Optional[UsmMemoryManager],
-                      ensemble: Optional[ParticleEnsemble]
-                      ) -> List[MemoryStream]:
-    """Streams of the particle data a kernel touches.
+def particle_streams(kinds: Dict[str, StreamKind], n: int, layout: Layout,
+                     precision: Precision,
+                     memory: Optional[UsmMemoryManager] = None,
+                     ensemble: Optional[ParticleEnsemble] = None,
+                     suffix: str = "") -> List[MemoryStream]:
+    """Streams of the particle data a kernel touches, in either layout.
 
-    AoS: the one record stream, declared with the full record span
-    whichever members the kernel touches — reading a few members pulls
-    the whole cache-line-spanning record anyway, and identical
-    declarations are what makes neighbouring kernels' streams
-    mergeable.  SoA: one stream per component of ``soa_kinds``
-    (``"type"`` is the int16 type ids).
+    ``kinds`` maps each component the kernel touches to its access, in
+    declaration order (``"type"`` is the int16 type ids).  AoS: the one
+    record stream, its access ``kinds`` folded with
+    :func:`~repro.oneapi.graph.merge_kinds`, declared with the full
+    record span whichever members the kernel touches — reading a few
+    members pulls the whole cache-line-spanning record anyway, and
+    identical declarations are what makes neighbouring kernels'
+    streams mergeable.  SoA: one contiguous stream per component.
+    ``suffix`` keeps the streams of several ensembles in one graph
+    distinct.  Allocations follow :func:`_allocation`.
     """
     if layout is Layout.AOS:
+        name = f"particles-aos{suffix}"
         records = None if ensemble is None else ensemble.records  # type: ignore[attr-defined]
         return [MemoryStream(
-            name="particles-aos", kind=aos_kind,
+            name=name, kind=reduce(merge_kinds, kinds.values()),
             bytes_per_item=precision.particle_bytes,
             span_bytes_per_item=precision.particle_bytes_aligned,
             contiguous=False,
-            allocation=_allocation(memory, "particles-aos", records,
+            allocation=_allocation(memory, name, records,
                                    n * precision.particle_bytes_aligned))]
     streams = []
-    for component, kind in soa_kinds.items():
+    for component, kind in kinds.items():
+        name = f"soa-{component}{suffix}"
         itemsize = 2 if component == "type" else precision.itemsize
         array = None
         if ensemble is not None:
             array = (ensemble.type_ids if component == "type"
                      else ensemble.component(component))
         streams.append(MemoryStream(
-            name=f"soa-{component}", kind=kind, bytes_per_item=itemsize,
-            contiguous=True,
-            allocation=_allocation(memory, f"soa-{component}", array,
-                                   n * itemsize)))
+            name=name, kind=kind, bytes_per_item=itemsize, contiguous=True,
+            allocation=_allocation(memory, name, array, n * itemsize)))
     return streams
 
 
@@ -186,8 +195,8 @@ def build_push_spec(n: int, layout: Layout, precision: Precision,
     ``precalc``) for a bound spec, ``memory`` alone for a virtual one.
     """
     _check_step(n, layout, precision, scenario, ensemble)
-    streams = _particle_streams(StreamKind.READ_WRITE, _PUSH_SOA, n, layout,
-                                precision, memory, ensemble)
+    streams = particle_streams(_PUSH_KINDS, n, layout, precision, memory,
+                               ensemble)
     flops = float(PUSH_FLOPS)
     if scenario == PRECALCULATED:
         streams += _field_streams(StreamKind.READ, n, layout, precision,
@@ -216,8 +225,8 @@ def _field_eval_spec(n: int, layout: Layout, precision: Precision,
     streams are ``WRITE`` here and ``READ`` in the push — the pair
     fusion elides.
     """
-    streams = _particle_streams(StreamKind.READ, _FIELD_EVAL_SOA, n, layout,
-                                precision, memory, ensemble)
+    streams = particle_streams(_FIELD_EVAL_KINDS, n, layout, precision,
+                               memory, ensemble)
     streams += _field_streams(StreamKind.WRITE, n, layout, precision,
                               memory, ensemble, precalc)
     return KernelSpec(
@@ -235,8 +244,8 @@ def _diagnostics_spec(n: int, layout: Layout, precision: Precision,
     Reads the gamma component the push stored, writes the per-particle
     energy array ``out`` — elementwise, so it fuses onto the push.
     """
-    gamma, = _particle_streams(StreamKind.READ, _DIAGNOSTICS_SOA, n, layout,
-                               precision, memory, ensemble)
+    gamma, = particle_streams(_DIAGNOSTICS_KINDS, n, layout, precision,
+                              memory, ensemble)
     fp = precision.itemsize
     energy = MemoryStream(
         name="diag-energy", kind=StreamKind.WRITE, bytes_per_item=fp,
@@ -268,9 +277,9 @@ def build_step_graph(n: int, layout: Layout, precision: Precision,
 
     :class:`PushEngine` builds its graph here once, bound to its
     ensemble (``memory``, ``ensemble``, ``precalc`` and the diagnostics
-    output ``diag_out``), and attaches the bodies each step; the
-    autotuner plans fusion over the unbound graph and prices its groups
-    exactly as the executor launches them.
+    output ``diag_out``), and attaches the bodies once; the autotuner
+    plans fusion over the unbound graph and prices its groups exactly
+    as the executor launches them.
     """
     _check_step(n, layout, precision, scenario, ensemble)
     field_spec = _field_eval_spec(n, layout, precision, scenario, memory,
@@ -298,14 +307,15 @@ def build_step_graph(n: int, layout: Layout, precision: Precision,
 
 
 class PushEngine:
-    """Drives real Boris steps through a queue, one kernel graph per step.
+    """Drives real Boris steps through a queue by replaying one graph.
 
-    Each step is recorded as a :class:`~repro.oneapi.graph.KernelGraph`
-    — a field-eval node staging the six per-particle field components,
-    the push node loading them, and (with ``diagnostics=True``) a
-    kinetic-energy node — and executed by a
-    :class:`~repro.oneapi.graph.GraphExecutor`.  ``fusion`` picks what
-    the simulated clock sees:
+    The step is recorded once, in :attr:`graph`, as a
+    :class:`~repro.oneapi.graph.KernelGraph` — a field-eval node staging
+    the six per-particle field components, the push node loading them,
+    and (with ``diagnostics=True``) a kinetic-energy node — and every
+    step replays it through a
+    :class:`~repro.oneapi.graph.GraphExecutor`, which planned it once.
+    ``fusion`` picks what the simulated clock sees:
 
     * ``None`` (the default) — the paper's harness: the field-eval node
       is an *untimed* staging node (the between-launch field refresh
@@ -357,9 +367,10 @@ class PushEngine:
         if self.diagnostics:
             self.diag_energy = np.zeros(ensemble.size,
                                         dtype=ensemble.precision.dtype)
-        # Built once, bound to this ensemble's USM allocations; each
-        # step's recorded graph is this one with the bodies attached.
-        self._graph = build_step_graph(
+        #: The step graph, recorded once: bound to this ensemble's USM
+        #: allocations, with bodies that read the step time when they
+        #: run.
+        self.graph = build_step_graph(
             ensemble.size, ensemble.layout, ensemble.precision, scenario,
             field_flops=(source.flops_per_evaluation
                          if scenario == ANALYTICAL else 0.0),
@@ -367,31 +378,21 @@ class PushEngine:
             untimed_fields=self.untimed_fields, memory=queue.memory,
             ensemble=ensemble, precalc=self.precalc,
             diag_out=self.diag_energy)
-        #: The push node's spec, which retry wrappers scrub of poisoned
-        #: allocations.
-        self.spec = self._graph.nodes[1].spec
-        self.executor = GraphExecutor(queue, fusion=bool(fusion))
-
-    # -- graph recording ---------------------------------------------------
-
-    def record_graph(self) -> KernelGraph:
-        """Record this step's kernel graph: the engine's graph, with the
-        field-eval, push and diagnostics bodies attached."""
-        ensemble = self.ensemble
-        time_now = self.time
         bodies = (
             lambda: sample_fields(self.precalc, self.source, ensemble,
-                                  time_now),
+                                  self.time),
             lambda: boris_push_precalculated(ensemble, self.precalc,
                                              self.dt),
             lambda: kinetic_energy_diagnostic(ensemble, self.diag_energy))
-        graph = KernelGraph()
-        for node, body in zip(self._graph.nodes, bodies):
-            graph.add(replace(node, body=body))
-        return graph
+        self.graph.nodes = [replace(node, body=body) for node, body
+                            in zip(self.graph.nodes, bodies)]
+        #: The push node's spec, which retry wrappers scrub of poisoned
+        #: allocations.
+        self.spec = self.graph.nodes[1].spec
+        self.executor = GraphExecutor(queue, self.graph, fusion=bool(fusion))
 
     def step(self, depends_on=None) -> KernelLaunchRecord:
-        """One push step: the recorded graph through the executor.
+        """One push step: the engine's graph replayed by the executor.
 
         ``depends_on`` (a list of :class:`~repro.oneapi.events.SimEvent`)
         orders the launch after other commands on an out-of-order queue
@@ -412,8 +413,7 @@ class PushEngine:
             injector.on_device_step(self.queue.device.name)
         with trace_span(f"push-step:{self.scenario}", "runner",
                         step_time=self.time):
-            records = self.executor.run(self.record_graph(),
-                                        depends_on=depends_on)
+            records = self.executor.run(depends_on=depends_on)
         self.time += self.dt
         self.step_seconds.append(sum(r.simulated_seconds for r in records))
         # The last record's event is the step's completion — what

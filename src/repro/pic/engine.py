@@ -1,8 +1,9 @@
 """The PIC loop lowered onto the kernel-graph IR.
 
 :class:`PicEngine` drives a :class:`~repro.pic.simulation.PicSimulation`
-through a simulated :class:`~repro.oneapi.queue.Queue`, recording every
-step as a :class:`~repro.oneapi.graph.KernelGraph`:
+through a simulated :class:`~repro.oneapi.queue.Queue`, recording its
+step once as a :class:`~repro.oneapi.graph.KernelGraph` and replaying
+it every step:
 
 * **gather** — interpolate E and B from the Yee grid to per-particle
   arrays (elementwise; its output streams are declared ``transient``
@@ -28,7 +29,9 @@ the logical step, they also match the host-side
 :meth:`~repro.pic.simulation.PicSimulation.step` to the bit.  The
 declared read/write sets make the whole step visible to the fusion
 pass, the hazard detector, the roofline analyzer, tracing and fault
-injection — the same machinery the push engines enjoy.
+injection — the same machinery the push engines enjoy.  The particle
+streams of every spec come from the push engine's one builder,
+:func:`~repro.oneapi.runtime.particle_streams`.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from ..observability.tracer import trace_span
 from ..oneapi.graph import GraphExecutor, KernelGraph, KernelNode
 from ..oneapi.kernelspec import KernelSpec, MemoryStream, StreamKind
 from ..oneapi.queue import Queue
-from ..oneapi.runtime import PUSH_FLOPS
-from ..particles.ensemble import COMPONENTS, Layout, ParticleEnsemble
+from ..oneapi.runtime import PUSH_FLOPS, particle_streams
+from ..particles.ensemble import COMPONENTS, ParticleEnsemble
 from ..resilience.faults import active_fault_injector
 # Not called here (the deposit body calls PicSimulation.deposit); kept as
 # a module attribute because benchmarks/host/test_host_bench.py checks
@@ -69,6 +72,15 @@ ADVANCE_FLOPS = {"fdtd": 36.0, "spectral": 220.0}
 
 #: The six per-particle gathered field components.
 _FIELD_COMPONENTS = ("ex", "ey", "ez", "bx", "by", "bz")
+
+#: Particle components each stage touches, with its access.
+_GATHER_KINDS = dict.fromkeys(("x", "y", "z"), StreamKind.READ)
+_PUSH_KINDS = {**dict.fromkeys(("x", "y", "z", "px", "py", "pz"),
+                               StreamKind.READ_WRITE),
+               "type": StreamKind.READ, "gamma": StreamKind.WRITE}
+_DEPOSIT_KINDS = {**dict.fromkeys(("x", "y", "z"), StreamKind.READ_WRITE),
+                  **dict.fromkeys(("px", "py", "pz", "gamma", "weight",
+                                   "type"), StreamKind.READ)}
 
 
 def pic_state_digest(simulation: PicSimulation) -> str:
@@ -98,32 +110,6 @@ def pic_state_digest(simulation: PicSimulation) -> str:
 def _suffix(species: int, count: int) -> str:
     """Stream-name suffix keeping multi-species streams distinct."""
     return "" if count == 1 else f"@{species}"
-
-
-def _aos_stream(ensemble: ParticleEnsemble, memory, kind: StreamKind,
-                suffix: str) -> MemoryStream:
-    precision = ensemble.precision
-    name = f"particles-aos{suffix}"
-    allocation = memory.register(ensemble.records, name=name) \
-        if memory is not None else None
-    return MemoryStream(
-        name=name, kind=kind, bytes_per_item=precision.particle_bytes,
-        span_bytes_per_item=precision.particle_bytes_aligned,
-        contiguous=False, allocation=allocation)
-
-
-def _soa_stream(ensemble: ParticleEnsemble, memory, component: str,
-                kind: StreamKind, suffix: str) -> MemoryStream:
-    name = f"soa-{component}{suffix}"
-    if component == "type":
-        array, nbytes = ensemble.type_ids, 2
-    else:
-        array, nbytes = ensemble.component(component), \
-            ensemble.precision.itemsize
-    allocation = memory.register(array, name=name) \
-        if memory is not None else None
-    return MemoryStream(name=name, kind=kind, bytes_per_item=nbytes,
-                        contiguous=True, allocation=allocation)
 
 
 def _gathered_field_streams(ensemble: ParticleEnsemble, memory,
@@ -156,35 +142,6 @@ def _grid_streams(grid, memory, names, kind: StreamKind,
     return streams
 
 
-def _particle_streams(ensemble: ParticleEnsemble, memory, suffix: str,
-                      read_write, read=(), write=()) -> List[MemoryStream]:
-    """Particle streams in the ensemble's layout.
-
-    In AoS every access touches the one record stream (strided); the
-    strongest requested kind wins.  In SoA each component is its own
-    contiguous stream with its own kind.
-    """
-    if ensemble.layout is Layout.AOS:
-        if read_write or (read and write):
-            kind = StreamKind.READ_WRITE
-        elif write:
-            kind = StreamKind.WRITE
-        else:
-            kind = StreamKind.READ
-        return [_aos_stream(ensemble, memory, kind, suffix)]
-    streams = []
-    for component in read_write:
-        streams.append(_soa_stream(ensemble, memory, component,
-                                   StreamKind.READ_WRITE, suffix))
-    for component in read:
-        streams.append(_soa_stream(ensemble, memory, component,
-                                   StreamKind.READ, suffix))
-    for component in write:
-        streams.append(_soa_stream(ensemble, memory, component,
-                                   StreamKind.WRITE, suffix))
-    return streams
-
-
 # -- spec builders ---------------------------------------------------------
 
 
@@ -192,8 +149,9 @@ def build_gather_spec(ensemble: ParticleEnsemble, shape, memory,
                       suffix: str = "") -> KernelSpec:
     """Gather stage: read positions, write the six per-particle fields."""
     support = shape.support
-    streams = _particle_streams(ensemble, memory, suffix, (),
-                                read=("x", "y", "z"))
+    streams = particle_streams(_GATHER_KINDS, ensemble.size,
+                               ensemble.layout, ensemble.precision, memory,
+                               ensemble, suffix)
     streams += _gathered_field_streams(ensemble, memory, StreamKind.WRITE,
                                        suffix)
     flops = 6.0 * support ** 3 * GATHER_FLOPS + 15.0
@@ -206,10 +164,8 @@ def build_gather_spec(ensemble: ParticleEnsemble, shape, memory,
 def build_push_spec(ensemble: ParticleEnsemble, memory,
                     suffix: str = "") -> KernelSpec:
     """Push stage: Boris rotation over the gathered per-particle fields."""
-    streams = _particle_streams(
-        ensemble, memory, suffix,
-        ("x", "y", "z", "px", "py", "pz"),
-        read=("type",), write=("gamma",))
+    streams = particle_streams(_PUSH_KINDS, ensemble.size, ensemble.layout,
+                               ensemble.precision, memory, ensemble, suffix)
     streams += _gathered_field_streams(ensemble, memory, StreamKind.READ,
                                        suffix)
     name = (f"pic-push-{ensemble.layout.value}"
@@ -224,8 +180,9 @@ def build_operator_spec(ensemble: ParticleEnsemble, operator, memory,
     read_write = ["px", "py", "pz"]
     if operator.mutates_weight:
         read_write.append("weight")
-    streams = _particle_streams(ensemble, memory, suffix,
-                                tuple(read_write))
+    streams = particle_streams(
+        dict.fromkeys(read_write, StreamKind.READ_WRITE), ensemble.size,
+        ensemble.layout, ensemble.precision, memory, ensemble, suffix)
     if operator.reads_fields:
         streams += _gathered_field_streams(
             ensemble, memory, StreamKind.READ, suffix,
@@ -245,9 +202,9 @@ def build_deposit_spec(ensemble: ParticleEnsemble, deposition: str,
         _, width = _window_parameters(shape)
     else:
         width = shape.support
-    streams = _particle_streams(
-        ensemble, memory, suffix, ("x", "y", "z"),
-        read=("px", "py", "pz", "gamma", "weight", "type"))
+    streams = particle_streams(_DEPOSIT_KINDS, ensemble.size,
+                               ensemble.layout, ensemble.precision, memory,
+                               ensemble, suffix)
     streams += _grid_streams(grid, memory, ("jx", "jy", "jz"),
                              StreamKind.READ_WRITE,
                              bytes_per_item=width ** 3 * 8.0,
@@ -270,40 +227,15 @@ def build_advance_spec(grid, solver_kind: str, memory) -> KernelSpec:
                       flops_per_item=float(ADVANCE_FLOPS[solver_kind]))
 
 
-class _SpeciesPlan:
-    """The per-ensemble specs of one step (built once, launched often)."""
-
-    def __init__(self, engine: "PicEngine", species: int,
-                 ensemble: ParticleEnsemble) -> None:
-        simulation = engine.simulation
-        memory = engine.queue.memory
-        suffix = _suffix(species, len(simulation.ensembles))
-        shape = simulation.interpolation
-        self.ensemble = ensemble
-        self.suffix = suffix
-        self.gather = build_gather_spec(ensemble, shape, memory, suffix)
-        self.push = build_push_spec(ensemble, memory, suffix)
-        self.operators = [
-            (operator, build_operator_spec(ensemble, operator, memory,
-                                           suffix))
-            for operator in simulation.operators]
-        self.deposit = None
-        if simulation.deposition != "none":
-            self.deposit = build_deposit_spec(
-                ensemble, simulation.deposition, shape, simulation.grid,
-                memory, suffix)
-        self.transient = frozenset(
-            f"pic-fields-{c}{suffix}" for c in _FIELD_COMPONENTS)
-
-
 class PicEngine:
-    """Drives real PIC steps through a queue.
+    """Drives real PIC steps through a queue by replaying one graph.
 
-    Each step is recorded as a :class:`~repro.oneapi.graph.KernelGraph`
-    and run through a :class:`~repro.oneapi.graph.GraphExecutor`; with
-    fusion on, gather + push + Monte Carlo operators merge into one
-    launch per species (the deposit and field-advance barriers never
-    fuse), with fusion off every stage launches separately.
+    The step is recorded once, in :attr:`graph`, as a
+    :class:`~repro.oneapi.graph.KernelGraph`, and every step replays it
+    through a :class:`~repro.oneapi.graph.GraphExecutor`, which planned
+    it once; with fusion on, gather + push + Monte Carlo operators merge
+    into one launch per species (the deposit and field-advance barriers
+    never fuse), with fusion off every stage launches separately.
 
     Both modes run identical stage bodies in identical order, so their
     final state digests (:func:`pic_state_digest`) are equal.
@@ -312,7 +244,7 @@ class PicEngine:
         queue: The simulated queue (device + runtime + scheduling).
         simulation: The PIC loop to lower; its ensembles, grid, solver
             and Monte Carlo operators are used in place.
-        fusion: Run the fusion pass over every step's graph.
+        fusion: Run the fusion pass over the step graph.
         validate: Replay every step's launches through the hazard
             detector.
     """
@@ -326,12 +258,10 @@ class PicEngine:
         count = len(simulation.ensembles)
         self._gathered: List = [None] * count
         self._old_positions: List = [None] * count
-        self._species = [_SpeciesPlan(self, i, ensemble)
-                         for i, ensemble in
-                         enumerate(simulation.ensembles)]
-        self._advance_spec = build_advance_spec(
-            simulation.grid, simulation.solver_kind, queue.memory)
-        self.executor = GraphExecutor(queue, fusion=self.fusion,
+        #: The step graph, recorded once; its stage bodies read the
+        #: simulation's state (the Monte Carlo step count) when they run.
+        self.graph = self._record_graph()
+        self.executor = GraphExecutor(queue, self.graph, fusion=self.fusion,
                                       validate=validate)
 
     @property
@@ -352,13 +282,14 @@ class PicEngine:
                 species, self._gathered[species])
         return body
 
-    def _operator_body(self, species: int, operator, step: int):
+    def _operator_body(self, species: int, operator):
         simulation = self.simulation
         ensemble = simulation.ensembles[species]
 
         def body() -> None:
-            operator.apply(ensemble, self._gathered[species], step,
-                           simulation.dt, stream=species)
+            operator.apply(ensemble, self._gathered[species],
+                           simulation.step_count, simulation.dt,
+                           stream=species)
         return body
 
     def _deposit_body(self, species: int):
@@ -368,37 +299,44 @@ class PicEngine:
 
     # -- graph recording ---------------------------------------------------
 
-    def record_graph(self) -> KernelGraph:
-        """Record one step's kernel graph."""
+    def _record_graph(self) -> KernelGraph:
+        """The step's kernel graph, bound to the simulation's arrays.
+
+        Specs are built, and their arrays registered, in node order.
+        """
         simulation = self.simulation
-        step = simulation.step_count
+        memory = self.queue.memory
+        shape = simulation.interpolation
         graph = KernelGraph()
-        for species, plan in enumerate(self._species):
-            ensemble = plan.ensemble
-            layout = ensemble.layout.value
-            precision = ensemble.precision
+        for species, ensemble in enumerate(simulation.ensembles):
+            suffix = _suffix(species, len(simulation.ensembles))
+            node = dict(n_items=ensemble.size, layout=ensemble.layout.value,
+                        precision=ensemble.precision)
             graph.add(KernelNode(
-                spec=plan.gather, n_items=ensemble.size,
-                body=self._gather_body(species), layout=layout,
-                precision=precision, transient=plan.transient,
-                tag="gather"))
+                spec=build_gather_spec(ensemble, shape, memory, suffix),
+                body=self._gather_body(species),
+                transient=frozenset(f"pic-fields-{c}{suffix}"
+                                    for c in _FIELD_COMPONENTS),
+                tag="gather", **node))
             graph.add(KernelNode(
-                spec=plan.push, n_items=ensemble.size,
-                body=self._push_body(species), layout=layout,
-                precision=precision, tag="push"))
-            for operator, spec in plan.operators:
+                spec=build_push_spec(ensemble, memory, suffix),
+                body=self._push_body(species), tag="push", **node))
+            for operator in simulation.operators:
                 graph.add(KernelNode(
-                    spec=spec, n_items=ensemble.size,
-                    body=self._operator_body(species, operator, step),
-                    layout=layout, precision=precision,
-                    tag=f"mc:{operator.tag}"))
-            if plan.deposit is not None:
+                    spec=build_operator_spec(ensemble, operator, memory,
+                                             suffix),
+                    body=self._operator_body(species, operator),
+                    tag=f"mc:{operator.tag}", **node))
+            if simulation.deposition != "none":
                 graph.add(KernelNode(
-                    spec=plan.deposit, n_items=ensemble.size,
-                    body=self._deposit_body(species), layout=layout,
-                    precision=precision, barrier=True, tag="deposit"))
+                    spec=build_deposit_spec(
+                        ensemble, simulation.deposition, shape,
+                        simulation.grid, memory, suffix),
+                    body=self._deposit_body(species), barrier=True,
+                    tag="deposit", **node))
         graph.add(KernelNode(
-            spec=self._advance_spec,
+            spec=build_advance_spec(simulation.grid, simulation.solver_kind,
+                                    memory),
             n_items=simulation.grid.num_cells,
             body=simulation.solver.step, layout="grid",
             barrier=True, tag="field-advance"))
@@ -421,8 +359,7 @@ class PicEngine:
         with trace_span("pic-engine-step", "runner",
                         step=simulation.step_count):
             simulation.grid.clear_currents()
-            records = self.executor.run(self.record_graph(),
-                                        depends_on=depends_on)
+            records = self.executor.run(depends_on=depends_on)
         simulation.step_count += 1
         self.step_seconds.append(
             sum(r.simulated_seconds for r in records))

@@ -243,9 +243,14 @@ class PushService:
         try:
             try:
                 spec.config.validate()
+                plan = spec.fault_plan
+                if plan is not None and not isinstance(plan, FaultPlan):
+                    plan = named_plan(str(plan))
             except ConfigurationError as exc:
                 raise JobRejectedError(
                     f"job {spec.name!r}: invalid config: {exc}") from exc
+            if plan is not None:
+                job.injector = FaultInjector(plan, seed=spec.fault_seed)
             self.queue.admit(spec, clock=self.clock,
                              fleet_size=len(self.fleet),
                              fleet_keys=self.fleet.keys)
@@ -466,11 +471,6 @@ class PushService:
             job.ensemble = paper_ensemble(spec.config.n_particles,
                                           spec.config.layout,
                                           spec.config.precision)
-            if spec.fault_plan is not None:
-                plan = spec.fault_plan \
-                    if isinstance(spec.fault_plan, FaultPlan) \
-                    else named_plan(str(spec.fault_plan))
-                job.injector = FaultInjector(plan, seed=spec.fault_seed)
         launch_clock = max(self.clock, node.free_at)
         previous = install_fault_injector(job.injector) \
             if job.injector is not None else None
@@ -509,9 +509,9 @@ class PushService:
         previous = install_fault_injector(job.injector) \
             if job.injector is not None else None
         try:
-            run_with_retry(engine.step, engine.queue, engine.spec,
-                           policy=self.retry_policy,
-                           watchdog=self.watchdog, stats=job.stats)
+            record = run_with_retry(engine.step, engine.queue, engine.spec,
+                                    policy=self.retry_policy,
+                                    watchdog=self.watchdog, stats=job.stats)
         except DeviceLostError:
             self._on_device_lost(job)
             return
@@ -522,7 +522,8 @@ class PushService:
         finally:
             if job.injector is not None:
                 install_fault_injector(previous)
-        job.step_seconds.append(engine.step_seconds[-1])
+        job.step_seconds.append(engine.step_seconds[-1]
+                                + record.timing.recovery_seconds)
         job.step += 1
         job.time = engine.time
         placement = job.placement_seconds()
@@ -674,11 +675,6 @@ class PushService:
                     "on " + ", ".join(node.name for node in nodes))
         job.ensemble = paper_ensemble(config.n_particles, config.layout,
                                       config.precision)
-        if spec.fault_plan is not None:
-            plan = spec.fault_plan \
-                if isinstance(spec.fault_plan, FaultPlan) \
-                else named_plan(str(spec.fault_plan))
-            job.injector = FaultInjector(plan, seed=spec.fault_seed)
         source, dt = self._physics(config)
         previous = install_fault_injector(job.injector) \
             if job.injector is not None else None

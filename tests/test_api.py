@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunConfig, RunReport, run_push
+from repro.api import (PicConfig, PicReport, RunConfig, RunReport,
+                       run_pic, run_push)
 from repro.bench import paper_time_step, paper_wave
 from repro.bench.scenarios import paper_ensemble
 from repro.errors import (ConfigurationError, KernelError, ReproError)
@@ -282,6 +283,57 @@ class TestRunConfigFuzz:
             return
         assert isinstance(report, RunReport)
         assert report.mode == config.mode
+        assert report.simulated_seconds > 0.0
+
+
+#: One malformed PicConfig value per field.
+_MALFORMED_PIC = {
+    "scenario": ["two-stream-ish"],
+    "layout": ["bogus"],
+    "precision": ["half"],
+    "n_particles": [0, -3],
+    "steps": [0],
+    "warmup": [-1],
+    "deposition": ["magic"],
+    "solver": ["psatd"],
+    "device": ["teapot"],
+    "fusion": [None, "yes"],
+}
+
+
+@st.composite
+def _pic_configs(draw):
+    """Tiny PicConfigs, each valid or broken in one field."""
+    fields = dict(
+        scenario=draw(st.sampled_from(["laser-slab", "magnetic-mirror",
+                                       "relativistic-beam"])),
+        layout=draw(st.sampled_from([Layout.AOS, "SoA"])),
+        precision=draw(st.sampled_from([Precision.DOUBLE, "float"])),
+        n_particles=draw(st.integers(1, 16)),
+        steps=draw(st.integers(1, 2)),
+        warmup=draw(st.integers(0, 1)),
+        seed=draw(st.integers(0, 3)),
+        deposition=draw(st.sampled_from([None, "esirkepov", "direct",
+                                         "none"])),
+        solver=draw(st.sampled_from([None, "fdtd", "spectral"])),
+        device=draw(st.sampled_from(["cpu", "iris-xe-max", "cuda:gpu0"])),
+        fusion=draw(st.booleans()))
+    if draw(st.integers(0, 2)) == 0:
+        broken = draw(st.sampled_from(sorted(_MALFORMED_PIC)))
+        fields[broken] = draw(st.sampled_from(_MALFORMED_PIC[broken]))
+    return PicConfig(**fields)
+
+
+class TestPicConfigFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=_pic_configs())
+    def test_run_pic_returns_a_report_or_a_typed_error(self, config):
+        try:
+            report = run_pic(config)
+        except ReproError:
+            return
+        assert isinstance(report, PicReport)
         assert report.simulated_seconds > 0.0
 
 

@@ -377,5 +377,43 @@ class TestGraphExecution:
                                       gamma - gamma.dtype.type(1.0))
 
     def test_empty_graph_is_noop(self):
-        executor = GraphExecutor(_queue())
-        assert executor.run(KernelGraph()) == []
+        # The queue already holds a racy pair; validating an empty
+        # graph's launches must not replay the whole command log.
+        device = device_by_name("iris-xe-max")
+        queue = Queue(device, RuntimeConfig(runtime="dpcpp", in_order=False),
+                      cost_model_for(device))
+        for name, kind in (("writer", StreamKind.WRITE),
+                           ("reader", StreamKind.READ)):
+            queue.parallel_for(8, _spec(name, [_stream("a", kind)]))
+        executor = GraphExecutor(queue, KernelGraph(), validate=True)
+        assert executor.run() == []
+
+    def test_plan_is_made_once_per_engine(self, monkeypatch):
+        from repro.backends.registry import queue_for
+        from repro.oneapi import graph
+        from repro.pic import PicEngine, build_scenario
+
+        calls = {"plan": 0, "fuse_nodes": 0}
+        plan, fuse = graph.FusionPass.plan, graph.fuse_nodes
+
+        def counted_plan(self, recorded):
+            calls["plan"] += 1
+            return plan(self, recorded)
+
+        def counted_fuse(nodes):
+            calls["fuse_nodes"] += 1
+            return fuse(nodes)
+        monkeypatch.setattr(graph.FusionPass, "plan", counted_plan)
+        monkeypatch.setattr(graph, "fuse_nodes", counted_fuse)
+        cases = (
+            (lambda: _engine(True, diagnostics=True), 5),
+            (lambda: PicEngine(queue_for("iris-xe-max"),
+                               build_scenario("laser-slab", n_particles=48,
+                                              seed=5), fusion=True), 3))
+        for build, steps in cases:
+            calls.update(plan=0, fuse_nodes=0)
+            engine = build()
+            planned = dict(calls)
+            engine.run(steps)
+            assert planned["plan"] == 1 and planned["fuse_nodes"] > 0
+            assert calls == planned

@@ -376,7 +376,7 @@ class TestEstimate:
                             "precalculated", paper_wave(),
                             paper_time_step(), fusion=fusion)
         engine.run(3)
-        graph = engine.record_graph()
+        graph = engine.graph
         groups = engine.executor.last_plan.groups
         for group, record in zip(groups, queue.records[-len(groups):]):
             spec, _ = group_spec([graph.nodes[i] for i in group])

@@ -141,7 +141,7 @@ class TestStepGraph:
         engine = PushEngine(Queue(make_device(), RuntimeConfig()), ensemble,
                             scenario, wave, 1e-16, fusion=fusion,
                             diagnostics=diagnostics)
-        recorded = engine.record_graph()
+        recorded = engine.graph
         unbound = build_step_graph(
             50, layout, precision, scenario,
             field_flops=(wave.flops_per_evaluation
@@ -172,15 +172,17 @@ class TestStepGraph:
                    diagnostics=True)
         assert [a.name for a in queue.memory.allocations()] == expected
 
-    def test_record_graph_registers_nothing(self):
+    def test_stepping_registers_nothing_and_reuses_the_graph(self):
         queue = Queue(make_device(), RuntimeConfig())
         engine = PushEngine(queue, paper_benchmark_ensemble(20),
                             "analytical", MDipoleWave(), 1e-16,
                             diagnostics=True)
         before = list(queue.memory.allocations())
-        first, second = engine.record_graph(), engine.record_graph()
+        graph, nodes = engine.graph, list(engine.graph.nodes)
+        engine.run(3)
         assert list(queue.memory.allocations()) == before
-        assert [n.spec for n in first] == [n.spec for n in second]
+        assert engine.graph is graph and engine.executor.graph is graph
+        assert all(a is b for a, b in zip(engine.graph.nodes, nodes))
 
 
 class TestPushEngine:

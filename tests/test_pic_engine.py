@@ -6,6 +6,7 @@ import pytest
 from repro.backends.registry import queue_for, resolve_device
 from repro.errors import ConfigurationError, DeviceLostError
 from repro.fp import Precision
+from repro.oneapi.kernelspec import StreamKind
 from repro.particles import Layout
 from repro.pic import PicEngine, build_scenario, pic_state_digest
 from repro.validation import assert_hazard_free
@@ -57,20 +58,20 @@ class TestBitExactness:
 class TestGraphLowering:
     def test_node_tags_cover_every_stage(self):
         engine = engine_for(scenario(), True)
-        tags = [node.tag for node in engine.record_graph()]
+        tags = [node.tag for node in engine.graph]
         assert tags == ["gather", "push", "mc:ionize", "deposit",
                         "field-advance"]
 
     def test_deposit_and_advance_are_barriers(self):
         engine = engine_for(scenario(), True)
         barriers = {node.tag: node.barrier
-                    for node in engine.record_graph()}
+                    for node in engine.graph}
         assert barriers["deposit"] and barriers["field-advance"]
         assert not barriers["gather"] and not barriers["push"]
 
     def test_gather_streams_are_transient(self):
         engine = engine_for(scenario(), True)
-        gather = next(node for node in engine.record_graph()
+        gather = next(node for node in engine.graph
                       if node.tag == "gather")
         assert gather.transient
         assert all(name.startswith("pic-fields-")
@@ -78,7 +79,7 @@ class TestGraphLowering:
 
     def test_deposition_none_drops_the_deposit_node(self):
         engine = engine_for(scenario(deposition="none"), True)
-        tags = [node.tag for node in engine.record_graph()]
+        tags = [node.tag for node in engine.graph]
         assert "deposit" not in tags
         assert tags[-1] == "field-advance"
 
@@ -107,8 +108,70 @@ class TestGraphLowering:
         engine = engine_for(scenario(), True)
         from repro.analysis.roofline import analyze_graph
         _, device = resolve_device("iris-xe-max")
-        table = analyze_graph(engine.record_graph(), device).render()
+        table = analyze_graph(engine.graph, device).render()
         assert "pic-gather" in table and "pic-advance" in table
+
+
+_R, _W, _RW = StreamKind.READ, StreamKind.WRITE, StreamKind.READ_WRITE
+_GATHERED = ["pic-fields-ex", "pic-fields-ey", "pic-fields-ez",
+             "pic-fields-bx", "pic-fields-by", "pic-fields-bz"]
+_JS = ["grid-jx", "grid-jy", "grid-jz"]
+_GRID_FIELDS = ["grid-ex", "grid-ey", "grid-ez", "grid-bx", "grid-by",
+                "grid-bz"]
+
+
+def _streams(names, kind, nbytes):
+    return [(name, kind, nbytes) for name in names]
+
+
+_ADVANCE = _streams(_JS, _R, 8.0) + _streams(_GRID_FIELDS, _RW, 8.0)
+#: Every PIC spec builder's streams (name, kind, bytes per item) in
+#: single precision with the CIC Esirkepov window, keyed by node tag.
+_PINNED_STREAMS = {
+    Layout.AOS: {
+        "gather": [("particles-aos", _R, 34)]
+        + _streams(_GATHERED, _W, 8),
+        "push": [("particles-aos", _RW, 34)] + _streams(_GATHERED, _R, 8),
+        "mc:ionize": [("particles-aos", _RW, 34)]
+        + _streams(_GATHERED[:3], _R, 8),
+        "mc:collide": [("particles-aos", _RW, 34)],
+        "deposit": [("particles-aos", _RW, 34)]
+        + _streams(_JS, _RW, 512.0),
+        "field-advance": _ADVANCE,
+    },
+    Layout.SOA: {
+        "gather": _streams(["soa-x", "soa-y", "soa-z"], _R, 4)
+        + _streams(_GATHERED, _W, 8),
+        "push": _streams(["soa-x", "soa-y", "soa-z", "soa-px", "soa-py",
+                          "soa-pz"], _RW, 4)
+        + [("soa-type", _R, 2), ("soa-gamma", _W, 4)]
+        + _streams(_GATHERED, _R, 8),
+        "mc:ionize": _streams(["soa-px", "soa-py", "soa-pz", "soa-weight"],
+                              _RW, 4)
+        + _streams(_GATHERED[:3], _R, 8),
+        "mc:collide": _streams(["soa-px", "soa-py", "soa-pz"], _RW, 4),
+        "deposit": _streams(["soa-x", "soa-y", "soa-z"], _RW, 4)
+        + _streams(["soa-px", "soa-py", "soa-pz", "soa-gamma",
+                    "soa-weight"], _R, 4)
+        + [("soa-type", _R, 2)] + _streams(_JS, _RW, 512.0),
+        "field-advance": _ADVANCE,
+    },
+}
+
+
+class TestStreamShapes:
+    @pytest.mark.parametrize("layout", list(Layout))
+    def test_spec_builder_streams_are_pinned(self, layout):
+        # Stream order feeds the summed traffic, which the pinned PIC
+        # numbers depend on.
+        shapes = {}
+        for name in ("laser-slab", "magnetic-mirror"):
+            engine = engine_for(scenario(name, layout=layout,
+                                         precision=Precision.SINGLE), True)
+            for node in engine.graph:
+                shapes[node.tag] = [(s.name, s.kind, s.bytes_per_item)
+                                    for s in node.spec.streams]
+        assert shapes == _PINNED_STREAMS[layout]
 
 
 class TestHazards:

@@ -14,11 +14,14 @@ in ``docs/SERVICE.md``.
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import errors
 from repro.api import RunConfig, run_push
 from repro.errors import (ConfigurationError, DeviceLostError,
                           JobDeadlineError, JobPreemptedError,
-                          JobRejectedError)
+                          JobRejectedError, ReproError)
 from repro.observability import Tracer, tracing
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.service import (DEFAULT_FLEET, JobQueue, JobSpec, JobState,
@@ -220,6 +223,96 @@ def test_infeasible_submits_reject_fast():
     assert report.completed == 1
     assert report.rejected == len(cases)
     assert report.jobs["ok"].completed
+
+
+@pytest.mark.parametrize("config", [small_config(),
+                                    small_config(group="2x iris-xe-max")],
+                         ids=["single", "sharded"])
+def test_unknown_fault_plan_is_rejected_at_submit(config):
+    service = PushService(fleet="2x iris-xe-max")
+    with pytest.raises(JobRejectedError, match="unknown fault plan"):
+        service.submit(JobSpec("bad", config, fault_plan="nope"))
+    service.submit(JobSpec("ok", small_config(steps=1)))
+    report = service.run()
+    assert report.rejected == 1 and report.completed == 1
+    assert report.jobs["bad"].state == JobState.REJECTED
+
+
+def test_nsps_counts_recovery_like_the_resilient_engine():
+    config = dict(n_particles=4000, steps=6, warmup=2, fusion=True)
+    nsps = {}
+    for plan in (None, "default"):
+        service = PushService(fleet="1x iris-xe-max")
+        service.submit(JobSpec("j", RunConfig(**config), fault_plan=plan,
+                               fault_seed=0))
+        job = service.run().jobs["j"]
+        assert job.completed
+        nsps[plan] = job.nsps
+    resilient = run_push(RunConfig(devices=("iris-xe-max",),
+                                   fault_plan="default", fault_seed=0,
+                                   **config))
+    assert nsps["default"] == pytest.approx(resilient.nsps, rel=1e-12)
+    assert nsps["default"] > nsps[None]
+
+
+#: One malformed value per field; a fuzz example breaks at most one.
+_MALFORMED_JOB = {
+    "n_particles": [0], "steps": [0], "warmup": [-1], "layout": ["bogus"],
+    "device": ["teapot", "p630"], "group": ["3x cpu", "0x cpu"],
+    "fault_plan": ["nope"], "deadline_seconds": [0.0, -1.0],
+    "budget_seconds": [-1.0],
+}
+
+
+@st.composite
+def _job_specs(draw):
+    """Tiny single or sharded JobSpecs, each valid or broken in one
+    field; names repeat, so duplicate submissions are drawn too."""
+    config = dict(n_particles=draw(st.integers(1, 48)),
+                  steps=draw(st.integers(1, 3)),
+                  warmup=draw(st.integers(0, 1)),
+                  layout=draw(st.sampled_from(["AoS", "SoA"])),
+                  fusion=draw(st.sampled_from([None, False, True])))
+    if draw(st.booleans()):
+        config["device"] = draw(st.sampled_from([None, "cpu",
+                                                 "iris-xe-max"]))
+    else:
+        config["group"] = draw(st.sampled_from(["1x cpu", "cpu, "
+                                                "iris-xe-max"]))
+    job = dict(priority=draw(st.integers(0, 3)),
+               arrival=draw(st.sampled_from([0.0, 1e-4])),
+               deadline_seconds=draw(st.sampled_from([None, 1e-3, 10.0])),
+               budget_seconds=draw(st.sampled_from([None, 1e-3, 10.0])),
+               fault_plan=draw(st.sampled_from(
+                   [None, "transient", "device-loss", "default"])),
+               fault_seed=draw(st.integers(0, 3)),
+               preemptible=draw(st.booleans()))
+    if draw(st.integers(0, 2)) == 0:
+        broken = draw(st.sampled_from(sorted((set(config) | set(job))
+                                             & set(_MALFORMED_JOB))))
+        (config if broken in config else job)[broken] = draw(
+            st.sampled_from(_MALFORMED_JOB[broken]))
+    return JobSpec(draw(st.sampled_from(["a", "b", "c"])),
+                   RunConfig(**config), **job)
+
+
+class TestJobSpecFuzz:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(specs=st.lists(_job_specs(), min_size=1, max_size=3))
+    def test_every_job_ends_rejected_or_terminal_and_typed(self, specs):
+        service = PushService(fleet="1x cpu, 1x iris-xe-max")
+        for spec in specs:
+            try:
+                service.submit(spec)
+            except JobRejectedError:
+                pass
+        report = service.run()
+        for job in report.jobs.values():
+            assert job.state in JobState.TERMINAL
+            if job.error_type is not None:
+                assert issubclass(getattr(errors, job.error_type),
+                                  ReproError)
 
 
 def test_bad_specs_are_configuration_errors():

@@ -195,7 +195,7 @@ class TestHazardDetector:
             ensemble = paper_ensemble(128, Layout.SOA, Precision.SINGLE)
             engine = PushEngine(_queue(), ensemble, "precalculated",
                                 paper_wave(), DT, fusion=fusion)
-            engine.executor = GraphExecutor(engine.queue,
+            engine.executor = GraphExecutor(engine.queue, engine.graph,
                                             fusion=fusion, validate=True)
             engine.run(3)   # would raise on any unordered pair
 
