@@ -220,7 +220,6 @@ class ShardedPushEngine:
                 f"shard counts sum to {sum(counts)}, ensemble has "
                 f"{self.ensemble.size} particles")
         shards: List[_ShardState] = []
-        index = np.arange(self.ensemble.size)
         offset = 0
         for member, count in zip(self.group.members, counts):
             start, stop = offset, offset + int(count)
@@ -228,7 +227,10 @@ class ShardedPushEngine:
             if count == 0:
                 shards.append(_ShardState(member, start, stop, None, None))
                 continue
-            shard = self.ensemble.select((index >= start) & (index < stop))
+            # A copy, not a view: the USM manager keys allocations on
+            # ``array.base``, so a view would register the master's
+            # whole arrays with every member.
+            shard = self.ensemble.view(start, stop).copy()
             runner = PushEngine(member.queue, shard, self.scenario,
                                 self.source, self.dt, fusion=self.fusion)
             runner.time = self.time

@@ -14,6 +14,7 @@ memory traffic it generates matches the particle layout under study.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional
 
 import numpy as np
@@ -92,6 +93,28 @@ class PrecalculatedField:
             return self._records[name]
         assert self._arrays is not None
         return self._arrays[name]
+
+    def view(self, lo: int, hi: int) -> "PrecalculatedField":
+        """Zero-copy field array of particles ``lo`` to ``hi`` (exclusive).
+
+        Six contiguous slices in SoA, a slice of the record array in
+        AoS; writes through to this array.  ``view(0, size)`` is the
+        array itself.
+        """
+        if not 0 <= lo <= hi <= self._size:
+            raise LayoutError(f"view [{lo}, {hi}) is out of range for "
+                              f"{self._size} particles")
+        if lo == 0 and hi == self._size:
+            return self
+        out = copy.copy(self)
+        out._size = hi - lo
+        if self._records is not None:
+            out._records = self._records[lo:hi]
+        else:
+            assert self._arrays is not None
+            out._arrays = {name: array[lo:hi]
+                           for name, array in self._arrays.items()}
+        return out
 
     def values(self) -> FieldValues:
         """All six components as a :class:`FieldValues` of views."""

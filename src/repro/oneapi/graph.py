@@ -40,6 +40,18 @@ Fusion never changes physics: a fused launch runs the node bodies in
 recorded order, which is bit-identical to running them as separate
 launches.  Only the *declared* memory traffic (and hence the simulated
 time) changes.
+
+*Blocked replay* is the host-side counterpart of a SYCL work-group
+slice.  A node flagged ``ranged`` has a body ``body(lo, hi)`` that
+handles only items ``lo`` to ``hi``; a group whose nodes are all ranged
+runs block by block over :data:`BLOCK_ITEMS`-item slices, every body in
+recorded order inside each block (:func:`compose_bodies`), so each
+block's numpy temporaries stay in cache instead of streaming from
+DRAM.  Only elementwise, barrier-free nodes may be ranged, which makes
+the blocked result bit-identical to the whole-range one.  Any other
+group runs each body once over the whole range, and a ranged staging
+node runs block by block under its one ``runner`` span.  Blocking is
+host work only: specs, plans, program keys and pricing never see it.
 """
 
 from __future__ import annotations
@@ -53,9 +65,17 @@ from .costmodel import CostModel
 from .kernelspec import KernelSpec, MemoryStream, StreamKind
 from .programcache import ProgramKey
 
-__all__ = ["KernelNode", "KernelGraph", "FusionPlan", "FusionPass",
-           "fuse_nodes", "merge_kinds", "group_spec", "unfused_plan",
-           "GraphExecutor"]
+__all__ = ["BLOCK_ITEMS", "KernelNode", "KernelGraph", "FusionPlan",
+           "FusionPass", "fuse_nodes", "merge_kinds", "group_spec",
+           "unfused_plan", "compose_bodies", "GraphExecutor"]
+
+#: Items per block when a group of ranged nodes runs block by block.
+#: At 16,384 items one temporary is 64 KiB in float and 128 KiB in
+#: double, so a block's working set stays in cache.  On the
+#: 750k-particle float push (2-vCPU host) 16k and 32k blocks ran within
+#: noise of each other, 4k blocks paid more per-block interpreter
+#: overhead, and whole-range temporaries were slowest.
+BLOCK_ITEMS = 16_384
 
 
 @dataclass
@@ -85,11 +105,15 @@ class KernelNode:
             executor runs the body inline under a ``runner`` span named
             by ``tag`` and never plans, prices or launches the node.
             Untimed nodes must lead the graph.
+        ranged: The body is ``body(lo, hi)`` and processes only items
+            ``lo`` to ``hi``, so the executor may run it block by block
+            (see :data:`BLOCK_ITEMS`).  Only elementwise, barrier-free
+            nodes can be ranged.
     """
 
     spec: KernelSpec
     n_items: int
-    body: Optional[Callable[[], None]] = None
+    body: Optional[Callable[..., None]] = None
     layout: str = ""
     precision: Precision = Precision.DOUBLE
     elementwise: bool = True
@@ -97,11 +121,16 @@ class KernelNode:
     transient: FrozenSet[str] = frozenset()
     tag: str = ""
     untimed: bool = False
+    ranged: bool = False
 
     def __post_init__(self) -> None:
         if self.n_items < 0:
             raise GraphError(f"node {self.spec.name!r}: n_items must be "
                              f">= 0, got {self.n_items}")
+        if self.ranged and (self.barrier or not self.elementwise):
+            raise GraphError(
+                f"node {self.spec.name!r}: only an elementwise, "
+                f"barrier-free node can be ranged")
         if self.barrier and self.transient:
             raise GraphError(
                 f"node {self.spec.name!r}: a barrier node cannot declare "
@@ -375,13 +404,49 @@ def group_spec(nodes: Sequence[KernelNode]) -> Tuple[KernelSpec,
     return fuse_nodes(nodes)
 
 
+def compose_bodies(nodes: Sequence[KernelNode]
+                   ) -> Optional[Callable[[], None]]:
+    """One no-argument body running ``nodes``' bodies in recorded order.
+
+    When every node is ranged, the bodies run block by block: for each
+    :data:`BLOCK_ITEMS`-item block of the shared range, every body in
+    recorded order.  Otherwise each body runs once over the whole range
+    (a ranged one as ``body(0, n_items)``).  None when no node has a
+    body.
+    """
+    bodies = [(node.body, node.ranged) for node in nodes
+              if node.body is not None]
+    if not bodies:
+        return None
+    n = nodes[0].n_items
+    if all(node.ranged for node in nodes):
+        ranged = [run_one for run_one, _ in bodies]
+
+        def blocked() -> None:
+            for lo in range(0, n, BLOCK_ITEMS):
+                hi = min(lo + BLOCK_ITEMS, n)
+                for run_one in ranged:
+                    run_one(lo, hi)
+        return blocked
+
+    def whole() -> None:
+        for run_one, is_ranged in bodies:
+            if is_ranged:
+                run_one(0, n)
+            else:
+                run_one()
+    return whole
+
+
 class GraphExecutor:
     """Plans one recorded kernel graph once, then replays it.
 
     An engine records its graph once, with bodies that read the
     engine's clock when they run, so nothing about the graph changes
     between steps.  Construction makes the fusion plan and, per group,
-    the merged spec, the composed body and the *program identity* — the
+    the merged spec, the composed body (blocked when every node of the
+    group is ranged, see :func:`compose_bodies`) and the *program
+    identity* — the
     chain of constituent kernel names plus device model, layout and
     precision (the record, finalize and replay model of CUDA Graphs and
     oneAPI's ``sycl_ext_oneapi_graph``).  Each :meth:`run` runs the
@@ -424,21 +489,18 @@ class GraphExecutor:
                 refusals={f"{a}|{b}": why
                           for (a, b), why in plan.refusals.items()})
         device = queue.device
+        self._staging = [(node, compose_bodies([node]))
+                         for node in graph.nodes[:graph.staged]]
         self._launches = []
         for group_indices in plan.groups:
             nodes = [graph.nodes[i] for i in group_indices]
             spec, elided = group_spec(nodes)
-            bodies = [n.body for n in nodes if n.body is not None]
-
-            def body(bodies=bodies) -> None:
-                for run_one in bodies:
-                    run_one()
             key = ProgramKey(
                 chain=tuple(n.name for n in nodes), device=device.jit_key,
                 layout=nodes[0].layout, precision=nodes[0].precision.value,
                 backend=device.backend)
             self._launches.append((nodes[0], spec, elided,
-                                   body if bodies else None, key))
+                                   compose_bodies(nodes), key))
 
     def run(self, depends_on=None) -> List:
         """Execute the graph once; returns one launch record per group.
@@ -450,10 +512,10 @@ class GraphExecutor:
         graph = self.graph
         if not len(graph):
             return []
-        for node in graph.nodes[:graph.staged]:
-            if node.body is not None:
+        for node, body in self._staging:
+            if body is not None:
                 with trace_span(node.tag or node.name, "runner"):
-                    node.body()
+                    body()
         tracer = active_tracer()
         records = []
         deps = depends_on

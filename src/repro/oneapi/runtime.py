@@ -331,6 +331,18 @@ class PushEngine:
     All three run identical kernel bodies in identical order, so their
     state is bit-identical.
 
+    The three bodies are ranged (:attr:`KernelNode.ranged
+    <repro.oneapi.graph.KernelNode.ranged>`): each call runs its kernel
+    on fresh zero-copy views (:meth:`ParticleEnsemble.view
+    <repro.particles.ensemble.ParticleEnsemble.view>`,
+    :meth:`PrecalculatedField.view
+    <repro.fields.precalculated.PrecalculatedField.view>`) of one
+    :data:`~repro.oneapi.graph.BLOCK_ITEMS`-particle block, so the
+    executor replays each group block by block with the block's
+    temporaries in cache.  Every operation of the step is elementwise
+    per particle, so the state is bit-identical to whole-range calls;
+    an ensemble of at most one block runs on the engine's own objects.
+
     Args:
         queue: The simulated queue (device + runtime + scheduling).
         ensemble: The particle ensemble to advance.
@@ -378,14 +390,19 @@ class PushEngine:
             untimed_fields=self.untimed_fields, memory=queue.memory,
             ensemble=ensemble, precalc=self.precalc,
             diag_out=self.diag_energy)
+        # Ranged bodies: each call makes fresh views of the block, so
+        # state restored in place into the engine's arrays is always
+        # what the next call sees.
         bodies = (
-            lambda: sample_fields(self.precalc, self.source, ensemble,
-                                  self.time),
-            lambda: boris_push_precalculated(ensemble, self.precalc,
-                                             self.dt),
-            lambda: kinetic_energy_diagnostic(ensemble, self.diag_energy))
-        self.graph.nodes = [replace(node, body=body) for node, body
-                            in zip(self.graph.nodes, bodies)]
+            lambda lo, hi: sample_fields(
+                self.precalc.view(lo, hi), self.source,
+                ensemble.view(lo, hi), self.time),
+            lambda lo, hi: boris_push_precalculated(
+                ensemble.view(lo, hi), self.precalc.view(lo, hi), self.dt),
+            lambda lo, hi: kinetic_energy_diagnostic(
+                ensemble.view(lo, hi), self.diag_energy[lo:hi]))
+        self.graph.nodes = [replace(node, body=body, ranged=True)
+                            for node, body in zip(self.graph.nodes, bodies)]
         #: The push node's spec, which retry wrappers scrub of poisoned
         #: allocations.
         self.spec = self.graph.nodes[1].spec
@@ -402,6 +419,8 @@ class PushEngine:
         Under an active tracer the step appears as a ``runner``-category
         span; an untimed field refresh is a nested child span — making
         visible the host work the simulated clock deliberately excludes.
+        The refresh runs all its blocks inside that one span, before the
+        timed launches.
 
         Under an active fault injector the step is a device-loss
         opportunity: the injector may kill the whole device here

@@ -19,6 +19,7 @@ counterpart of Hi-Chi's ``ParticleProxy`` + templates trick.
 from __future__ import annotations
 
 import abc
+import copy
 import enum
 from typing import Dict, Iterator, Optional, Sequence
 
@@ -233,6 +234,30 @@ class ParticleEnsemble(abc.ABC):
         """Deep copy preserving the layout."""
         return self.to_layout(self.layout)
 
+    def view(self, lo: int, hi: int) -> "ParticleEnsemble":
+        """Zero-copy ensemble of particles ``lo`` to ``hi`` (exclusive).
+
+        Every component of the view is a slice of this ensemble's
+        storage, so kernels run on the view write through to it: SoA
+        slices stay contiguous, AoS slices are a slice of the record
+        array whose component views are strided.  The view shares the
+        type table (and so its typed LUTs).  ``view(0, size)`` is the
+        ensemble itself.
+        """
+        if not 0 <= lo <= hi <= self._size:
+            raise LayoutError(f"view [{lo}, {hi}) is out of range for "
+                              f"{self._size} particles")
+        if lo == 0 and hi == self._size:
+            return self
+        out = copy.copy(self)
+        out._size = hi - lo
+        out._slice_storage(lo, hi)
+        return out
+
+    @abc.abstractmethod
+    def _slice_storage(self, lo: int, hi: int) -> None:
+        """Replace this (shallow-copied) ensemble's storage by slices."""
+
     def permute(self, order: np.ndarray) -> None:
         """Reorder particles in place by the index array ``order``.
 
@@ -384,6 +409,9 @@ class ParticleArrayAoS(ParticleEnsemble):
     def type_ids(self) -> np.ndarray:
         return self._records["type"]
 
+    def _slice_storage(self, lo: int, hi: int) -> None:
+        self._records = self._records[lo:hi]
+
 
 class ParticleArraySoA(ParticleEnsemble):
     """Structure-of-arrays ensemble: one contiguous array per component."""
@@ -415,6 +443,11 @@ class ParticleArraySoA(ParticleEnsemble):
     @property
     def type_ids(self) -> np.ndarray:
         return self._type_ids
+
+    def _slice_storage(self, lo: int, hi: int) -> None:
+        self._arrays = {name: array[lo:hi]
+                        for name, array in self._arrays.items()}
+        self._type_ids = self._type_ids[lo:hi]
 
 
 def make_ensemble(size: int, layout: Layout,

@@ -187,7 +187,12 @@ class JobQueue:
         group = getattr(config, "group", None)
         if group and fleet_size:
             from ..distributed.group import parse_group_spec
-            keys = parse_group_spec(group)
+            try:
+                keys = parse_group_spec(group)
+            except ConfigurationError as exc:
+                raise JobRejectedError(
+                    f"job {spec.name!r}: bad group {group!r}: {exc}"
+                ) from exc
             if len(keys) > fleet_size:
                 raise JobRejectedError(
                     f"job {spec.name!r}: group {group!r} needs "

@@ -591,7 +591,7 @@ def validate_run(config, ensemble: ParticleEnsemble, queues: Sequence,
     sample = min(ensemble.size, VALIDATE_SAMPLE)
     initial = paper_ensemble(config.n_particles, config.layout,
                              config.precision)
-    reference = initial.select(np.arange(initial.size) < sample)
+    reference = initial.view(0, sample).copy()
     reference_push(reference, source, dt, config.warmup + config.steps)
     max_ulp, worst, _ = compare_ensembles(ensemble, reference,
                                           sample=sample)

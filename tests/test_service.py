@@ -315,6 +315,13 @@ class TestJobSpecFuzz:
                                   ReproError)
 
 
+def test_malformed_group_is_rejected_at_admission():
+    service = PushService(fleet="1x cpu, 1x iris-xe-max")
+    spec = JobSpec("g", RunConfig(n_particles=8, steps=1, group="0x cpu"))
+    with pytest.raises(JobRejectedError, match="bad group"):
+        service.submit(spec)
+
+
 def test_bad_specs_are_configuration_errors():
     with pytest.raises(ConfigurationError):
         JobSpec("")
