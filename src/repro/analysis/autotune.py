@@ -37,13 +37,14 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..distributed.sharding import STRATEGY_NAMES
 from ..errors import ConfigurationError
 from ..fp import Precision
 from ..observability.tracer import active_tracer
 from ..oneapi.costmodel import CostModel
 from ..oneapi.device import DeviceDescriptor, DeviceType
 from ..oneapi.graph import FusionPass, KernelGraph, unfused_plan
-from ..oneapi.runtime import PRECALCULATED, build_step_graph
+from ..oneapi.runtime import FUSION_LABELS, PRECALCULATED, build_step_graph
 from ..particles.ensemble import Layout
 from .roofline import GraphRoofline, analyze_graph
 
@@ -59,11 +60,6 @@ CALIBRATION_TOLERANCE = 0.35
 #: field refresh, labelled "legacy"), unfused, fused (the
 #: RunConfig.fusion encoding).
 _FUSION_MODES = (None, False, True)
-
-#: Shard-split strategies the tuner prices for device groups.  The
-#: "nsps" rebalancer is excluded: it needs measured shard NSPS, which
-#: does not exist before the run the tuner is planning.
-_SHARD_STRATEGIES = ("even", "bandwidth", "flops")
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,8 @@ class Candidate:
     @property
     def label(self) -> str:
         """Compact human-readable identity, e.g. ``SoA/float/fused``."""
-        path = {None: "legacy", False: "unfused", True: "fused"}[self.fusion]
-        parts = [self.layout.value, self.precision.value, path]
+        parts = [self.layout.value, self.precision.value,
+                 FUSION_LABELS[self.fusion]]
         if self.threads_per_unit is not None:
             parts.append(f"{self.threads_per_unit}t")
         if self.strategy is not None:
@@ -211,7 +207,7 @@ def enumerate_candidates(config) -> List[Candidate]:
     if mode == "single" and getattr(config, "tune_devices", None):
         specs = tuple(config.tune_devices)
     strategies: Sequence[Optional[str]] = \
-        _SHARD_STRATEGIES if mode == "sharded" else (None,)
+        STRATEGY_NAMES if mode == "sharded" else (None,)
     candidates: List[Candidate] = []
     for spec in specs:
         tilings: Sequence[Optional[int]] = (None,)

@@ -1,13 +1,13 @@
 """One front door for every push workload: ``run_push(RunConfig())``.
 
-The facade keeps the three engine constructors —
-:class:`~repro.oneapi.runtime.PushEngine` (single device),
-:class:`~repro.resilience.runner.ResilientPushEngine` (fallback ladder
-+ fault plans) and :class:`~repro.distributed.runner.ShardedPushEngine`
-(device groups) — reachable through one declarative
-:class:`RunConfig`, returning one :class:`RunReport`.  Device fields
-accept backend-qualified specs (``"cuda:gpu0"``) next to the bare
-oneAPI keys; see :mod:`repro.backends` and ``docs/BACKENDS.md``.
+The facade keeps the two engine constructors —
+:class:`~repro.resilience.runner.ResilientPushEngine` (one device, or
+a fallback ladder under fault plans) and
+:class:`~repro.distributed.runner.ShardedPushEngine` (device groups) —
+reachable through one declarative :class:`RunConfig`, returning one
+:class:`RunReport`.  Device fields accept backend-qualified specs
+(``"cuda:gpu0"``) next to the bare oneAPI keys; see
+:mod:`repro.backends` and ``docs/BACKENDS.md``.
 
 Mode selection is by configuration shape, not by flag:
 
@@ -15,7 +15,8 @@ Mode selection is by configuration shape, not by flag:
   run across a :class:`~repro.distributed.group.DeviceGroup`;
 * ``devices`` ladder or ``fault_plan`` set — resilient run walking the
   fallback chain under the named fault plan;
-* otherwise — a plain single-device run on ``device``.
+* otherwise — a plain single-device run on ``device``: the same
+  resilient engine on the one-rung ladder ``(device,)``.
 
 Error surfacing: any exception escaping the scheduler, exchange or
 kernel-graph paths that is not already a
@@ -136,7 +137,8 @@ class RunConfig:
             None is the paper's harness — the field refresh is an
             untimed staging node and the push the one timed launch.
         diagnostics: Append the kinetic-energy diagnostic kernel to the
-            per-step graph (single-device runs only).
+            per-step graph (single-device and ladder runs; a group
+            rejects it).
         trace_path: Write a Chrome ``trace_event`` JSON here.
         checkpoint_every: Step-granular checkpoint cadence for the
             resilient/sharded engines (0 = no checkpointing).
@@ -160,12 +162,13 @@ class RunConfig:
             :class:`~repro.analysis.autotune.TuningReport` and the
             predicted-vs-measured comparison.  ``None`` (default) runs
             the config as written.
-        threads_per_unit: Hardware threads per core for single-device
-            CPU runs (1 = SMT off, None = all; the paper's 48-vs-96
-            thread axis).  Set by the autotuner's tiling search.
+        threads_per_unit: Hardware threads per core for CPU queues of
+            single-device and ladder runs (1 = SMT off, None = all;
+            the paper's 48-vs-96 thread axis; a group rejects it).
+            Set by the autotuner's tiling search.
         strategy: Shard-split strategy name for group runs ("even",
-            "bandwidth", "flops", "nsps"); None keeps the engine's
-            even default.
+            "bandwidth", "flops"); None keeps the engine's even
+            default.
         tune_device: Pricing-only device descriptor override for the
             autotuner — a calibration experiment: predictions use this
             (hypothetical, e.g. datasheet-derived) descriptor while
@@ -243,16 +246,14 @@ class RunConfig:
                 raise ConfigurationError(
                     f"threads_per_unit must be >= 1, "
                     f"got {self.threads_per_unit}")
-            if self.mode != "single":
+            if self.mode == "sharded":
                 raise ConfigurationError(
-                    "threads_per_unit applies to single-device runs "
-                    "only; the resilient and sharded engines do not "
-                    "expose SMT tiling")
-        if self.diagnostics and self.mode != "single":
+                    "threads_per_unit does not apply to group runs; the "
+                    "sharded engine does not expose SMT tiling")
+        if self.diagnostics and self.mode == "sharded":
             raise ConfigurationError(
-                "diagnostics applies to single-device runs only; the "
-                "resilient and sharded engines do not record the "
-                "kinetic-energy node")
+                "diagnostics does not apply to group runs; the sharded "
+                "engine does not record the kinetic-energy node")
         if self.strategy is not None:
             from .distributed.sharding import STRATEGY_NAMES
             if self.strategy not in STRATEGY_NAMES:
@@ -286,7 +287,8 @@ class RunConfig:
 
     @property
     def mode(self) -> str:
-        """Which engine the config selects: single/resilient/sharded."""
+        """The run's mode: single (one device), resilient (a ladder or a
+        fault plan; the same engine) or sharded (a group)."""
         if self.group is not None:
             return "sharded"
         if self.devices is not None or self.fault_plan is not None:
@@ -370,8 +372,8 @@ class RunReport:
         :class:`RunReport` to that shape; ``config`` defaults to the
         execution-path label (``legacy``/``unfused``/``fused``).
         """
+        from .oneapi.runtime import FUSION_LABELS
         from .regress.baseline import backend_of_device
-        fusion_label = {None: "legacy", True: "fused", False: "unfused"}
         metrics: Dict[str, float] = {
             "nsps": float(self.nsps),
             "cold_nsps": float(self.first_step_nsps),
@@ -386,7 +388,7 @@ class RunReport:
             "suite": suite,
             "backend": backend_of_device(self.device),
             "device": self.device,
-            "config": config or fusion_label[self.fusion],
+            "config": config or FUSION_LABELS[self.fusion],
             "layout": self.layout, "precision": self.precision,
             "scenario": self.scenario,
             "metrics": metrics,
@@ -456,31 +458,17 @@ def _report(config: RunConfig, engine, ensemble, cache,
         cache_stats=cache.stats.as_dict(), **fields)
 
 
-def _run_single(config: RunConfig, source, dt: float) -> "_RunOutcome":
-    from .backends.registry import resolve_device
-    from .oneapi.runtime import PushEngine
-
-    ensemble = _make_ensemble(config)
-    backend, device = resolve_device(config.device)
-    cache = _program_cache(config)
-    queue = backend.make_queue(device, program_cache=cache,
-                               threads_per_unit=config.threads_per_unit)
-    engine = PushEngine(queue, ensemble, config.scenario, source, dt,
-                        fusion=config.fusion,
-                        diagnostics=config.diagnostics)
-    engine.run(config.warmup + config.steps)
-    report = _report(config, engine, ensemble, cache, device=config.device,
-                     **_plan_stats(engine.executor))
-    return report, ensemble, engine.queues()
-
-
 def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
     from .resilience import fault_injection, named_plan
     from .resilience.runner import DEVICE_LADDER, ResilientPushEngine
 
     ensemble = _make_ensemble(config)
-    ladder = tuple(config.devices) if config.devices is not None \
-        else DEVICE_LADDER
+    if config.mode == "single":
+        ladder = (config.device,)
+    elif config.devices is not None:
+        ladder = tuple(config.devices)
+    else:
+        ladder = DEVICE_LADDER
     cache = _program_cache(config)
     injection = nullcontext() if config.fault_plan is None else \
         fault_injection(named_plan(config.fault_plan),
@@ -489,11 +477,14 @@ def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
         engine = ResilientPushEngine(
             ensemble, config.scenario, source, dt, devices=ladder,
             checkpointer=checkpointer, fusion=config.fusion,
-            program_cache=cache)
+            diagnostics=config.diagnostics,
+            threads_per_unit=config.threads_per_unit, program_cache=cache)
         with injection:
             _, recovery = engine.run(config.warmup + config.steps)
-    report = _report(config, engine, ensemble, cache,
-                     device=recovery.final_device, recovery=recovery,
+    device = config.device if config.mode == "single" \
+        else recovery.final_device
+    report = _report(config, engine, ensemble, cache, device=device,
+                     recovery=recovery,
                      **_plan_stats(engine.runner.executor))
     return report, ensemble, engine.queues()
 
@@ -524,12 +515,44 @@ def _run_sharded(config: RunConfig, source, dt: float) -> "_RunOutcome":
 #: the queues the run submitted to (for post-run validation).
 _RunOutcome = Tuple[RunReport, object, Tuple[object, ...]]
 
-_RUNNERS = {"single": _run_single, "resilient": _run_resilient,
+_RUNNERS = {"single": _run_resilient, "resilient": _run_resilient,
             "sharded": _run_sharded}
 
 
-def _execute(config: RunConfig, source, dt: float,
-             validate: bool) -> RunReport:
+def _facade(config, execute):
+    """Validate ``config``, run ``execute()``, and return its report.
+
+    The one wrapper of :func:`run_push` and :func:`run_pic`: with
+    ``config.trace_path`` set the run executes under a fresh tracer
+    whose Chrome trace is written even when the run raises (the trace
+    holds the hazard/validation events that explain the failure), and
+    any exception that is not a :class:`~repro.errors.ReproError` is
+    mapped into the taxonomy (see :func:`_map_error`).
+    """
+    try:
+        config.validate()
+        if config.trace_path is None:
+            return execute()
+        from .observability import Tracer, tracing, write_chrome_trace
+        tracer = Tracer()
+        try:
+            with tracing(tracer):
+                report = execute()
+        finally:
+            write_chrome_trace(tracer, config.trace_path)
+        report.trace_path = config.trace_path
+        return report
+    except ReproError:
+        raise
+    except Exception as exc:   # the facade guarantee (see _map_error)
+        raise _map_error(exc) from exc
+
+
+def _execute(config: RunConfig, validate: bool) -> RunReport:
+    from .bench import paper_time_step, paper_wave
+
+    source = paper_wave()
+    dt = config.dt if config.dt is not None else paper_time_step()
     tuning = None
     if config.config == "auto":
         from .analysis.autotune import (apply_candidate, check_calibration,
@@ -552,10 +575,11 @@ def _execute(config: RunConfig, source, dt: float,
 def run_push(config: RunConfig, validate: bool = False) -> RunReport:
     """Run a Boris push workload described by ``config``.
 
-    Dispatches to the single-device, resilient or sharded engine (see
-    the module docstring for the selection rules), optionally under
-    the tracer, and returns a :class:`RunReport`.  Every failure
-    surfaces as a :class:`~repro.errors.ReproError` subclass.
+    Dispatches to the resilient engine (one device or a ladder) or the
+    sharded engine (see the module docstring for the selection rules),
+    optionally under the tracer, and returns a :class:`RunReport`.
+    Every failure surfaces as a :class:`~repro.errors.ReproError`
+    subclass.
 
     ``validate=True`` additionally replays every queue's command log
     through the hazard detector and diffs a particle sample of the
@@ -565,30 +589,7 @@ def run_push(config: RunConfig, validate: bool = False) -> RunReport:
     :class:`~repro.errors.HazardError` or
     :class:`~repro.errors.ValidationError`.
     """
-    from .bench import paper_time_step, paper_wave
-
-    try:
-        config.validate()
-        source = paper_wave()
-        dt = config.dt if config.dt is not None else paper_time_step()
-        if config.trace_path is not None:
-            from .observability import Tracer, tracing, write_chrome_trace
-            tracer = Tracer()
-            try:
-                with tracing(tracer):
-                    report = _execute(config, source, dt, validate)
-            finally:
-                # Written even when validation raises: the trace holds
-                # the hazard/validation events that explain the failure.
-                write_chrome_trace(tracer, config.trace_path)
-            report.trace_path = config.trace_path
-        else:
-            report = _execute(config, source, dt, validate)
-    except ReproError:
-        raise
-    except Exception as exc:   # the facade guarantee (see _map_error)
-        raise _map_error(exc) from exc
-    return report
+    return _facade(config, lambda: _execute(config, validate))
 
 
 # -- the PIC facade --------------------------------------------------------
@@ -723,6 +724,7 @@ class PicReport:
     def as_cell(self, suite: str = "pic", config: Optional[str] = None,
                 tolerance: Optional[float] = None) -> Dict[str, object]:
         """Adapt this run into a schema-v1 regression cell."""
+        from .oneapi.runtime import FUSION_LABELS
         from .regress.baseline import backend_of_device
         metrics: Dict[str, float] = {
             "nsps": float(self.nsps),
@@ -734,7 +736,7 @@ class PicReport:
             "suite": suite,
             "backend": backend_of_device(self.device),
             "device": self.device,
-            "config": config or ("fused" if self.fusion else "unfused"),
+            "config": config or FUSION_LABELS[self.fusion],
             "layout": self.layout, "precision": self.precision,
             "scenario": self.scenario,
             "metrics": metrics,
@@ -799,21 +801,4 @@ def run_pic(config: PicConfig, validate: bool = False) -> PicReport:
     additionally replays every launch through the hazard detector.
     Every failure surfaces as a :class:`~repro.errors.ReproError`.
     """
-    try:
-        config.validate()
-        if config.trace_path is not None:
-            from .observability import Tracer, tracing, write_chrome_trace
-            tracer = Tracer()
-            try:
-                with tracing(tracer):
-                    report = _execute_pic(config, validate)
-            finally:
-                write_chrome_trace(tracer, config.trace_path)
-            report.trace_path = config.trace_path
-        else:
-            report = _execute_pic(config, validate)
-    except ReproError:
-        raise
-    except Exception as exc:   # the facade guarantee (see _map_error)
-        raise _map_error(exc) from exc
-    return report
+    return _facade(config, lambda: _execute_pic(config, validate))

@@ -78,6 +78,7 @@ from typing import List, Optional
 
 from .bench import DEVICE_NAMES, device_by_name, format_table
 from .fp import Precision
+from .oneapi.runtime import FUSION_LABELS
 from .particles.ensemble import Layout
 
 __all__ = ["main"]
@@ -369,13 +370,12 @@ def _cmd_push(args: argparse.Namespace) -> None:
             f"Autotuner search — {report.tuning.mode} mode on "
             f"{report.tuning.target!r} (best first; see docs/TUNING.md)"))
         print()
-    fusion_label = {None: "legacy", True: "fused", False: "unfused"}
     rows = [
         ["mode", report.mode],
         ["device", report.device],
         ["scenario/layout/precision",
          f"{report.scenario}/{report.layout}/{report.precision}"],
-        ["execution", fusion_label[report.fusion]],
+        ["execution", FUSION_LABELS[report.fusion]],
         ["steady NSPS", f"{report.nsps:.3f}"],
         ["first-step NSPS (cold)", f"{report.first_step_nsps:.3f}"],
         ["simulated seconds", f"{report.simulated_seconds:.6f}"],
@@ -428,7 +428,7 @@ def _cmd_pic(args: argparse.Namespace) -> None:
         ["device", report.device],
         ["layout/precision", f"{report.layout}/{report.precision}"],
         ["deposition/solver", f"{report.deposition}/{report.solver}"],
-        ["execution", "fused" if report.fusion else "unfused"],
+        ["execution", FUSION_LABELS[report.fusion]],
         ["steady NSPS", f"{report.nsps:.3f}"],
         ["first-step NSPS (cold)", f"{report.first_step_nsps:.3f}"],
         ["simulated seconds", f"{report.simulated_seconds:.6f}"],

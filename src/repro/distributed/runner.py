@@ -12,10 +12,9 @@ Because the Boris push is elementwise per particle — no cross-particle
 reduction anywhere in the kernel — the gathered result of a sharded run
 is **bit-identical** to a single-device run of the same ensemble, for
 any partition.  That invariant is what the whole layer leans on: it
-makes even-vs-proportional comparisons physics-free, lets the
-rebalancer migrate particles mid-run without perturbing trajectories,
-and turns device-loss recovery into plain bookkeeping (restore the
-checkpoint, re-shard over the survivors, replay).
+makes even-vs-proportional comparisons physics-free and turns
+device-loss recovery into plain bookkeeping (restore the checkpoint,
+re-shard over the survivors, replay).
 
 Scheduling semantics (per shard, on its member's out-of-order queue):
 
@@ -93,7 +92,6 @@ class GroupReport:
     nsps: float
     #: ``max/mean - 1`` over per-shard busy seconds (final epoch).
     imbalance: float
-    rebalances: int
     redistributions: int
     exchange: ExchangeReport
     recovery: RecoveryStats
@@ -136,9 +134,6 @@ class ShardedPushEngine:
         strategy: Sharding strategy (default even split).
         policy: Exchange policy (default :class:`ExchangePolicy`).
         overlap: Hide exchange behind the next push (default True).
-        rebalance_every: Consult the strategy for a new partition every
-            this many steps (0 = never; only the NSPS rebalancer ever
-            answers with one).
         checkpointer: Enables device-loss recovery; a checkpoint is
             written at step 0 and at the checkpointer's cadence.
             Without one, a device loss propagates.
@@ -156,14 +151,10 @@ class ShardedPushEngine:
                  strategy: Optional[ShardingStrategy] = None,
                  policy: Optional[ExchangePolicy] = None,
                  overlap: bool = True,
-                 rebalance_every: int = 0,
                  checkpointer: Optional[Checkpointer] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  watchdog: Optional[Watchdog] = None,
                  fusion: Optional[bool] = None) -> None:
-        if rebalance_every < 0:
-            raise ConfigurationError(
-                f"rebalance_every must be >= 0, got {rebalance_every}")
         self.fusion = fusion
         self.group = group
         self.ensemble = ensemble
@@ -173,14 +164,12 @@ class ShardedPushEngine:
         self.strategy = strategy if strategy is not None else EvenSharding()
         self.policy = policy if policy is not None else ExchangePolicy()
         self.overlap = bool(overlap)
-        self.rebalance_every = int(rebalance_every)
         self.checkpointer = checkpointer
         self.retry_policy = retry_policy
         self.watchdog = watchdog
         self.recovery_stats = RecoveryStats()
         self.time = 0.0
         self.steps_done = 0
-        self.rebalances = 0
         self.redistributions = 0
         #: Makespan of completed device-set epochs (a redistribution
         #: abandons the old group's timelines, so their cost is banked
@@ -321,7 +310,6 @@ class ShardedPushEngine:
                   else float("nan")),
             imbalance=load_imbalance(busy) if any(b > 0.0 for b in busy)
             else 0.0,
-            rebalances=self.rebalances,
             redistributions=self.redistributions,
             exchange=self.exchange.report,
             recovery=self.recovery_stats,
@@ -360,10 +348,6 @@ class ShardedPushEngine:
                 self._gather()
                 self.checkpointer.save_push(self.steps_done, self.ensemble,
                                             self.time)
-            if self.rebalance_every \
-                    and self.steps_done % self.rebalance_every == 0 \
-                    and self.steps_done < steps:
-                self._maybe_rebalance()
         self._gather()
         return self.report()
 
@@ -419,50 +403,15 @@ class ShardedPushEngine:
                 if event is not None:
                     state.last_exchange = event
 
-    # -- dynamic rebalancing ----------------------------------------------
-
-    def _shard_nsps(self) -> List[float]:
-        """Mean NSPS per shard since the last repartition (NaN when the
-        shard has no measurements — e.g. it was empty).
-
-        The first sample after a repartition is dropped when more are
-        available: a fresh partition touches fresh pages, and the
-        cold-page charge would masquerade as the device being slow —
-        feeding that to the rebalancer makes it oscillate.
-        """
-        out = []
-        for state in self.shards:
-            samples = state.nsps_samples
-            if len(samples) > 1:
-                samples = samples[1:]
-            out.append(float(np.mean(samples)) if samples
-                       else float("nan"))
-        return out
-
-    def _maybe_rebalance(self) -> None:
-        new_counts = self.strategy.rebalanced_counts(
-            self.ensemble.size, self.counts, self._shard_nsps())
-        if new_counts is None or list(new_counts) == self.counts:
-            return
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.recovery("rebalance", step=self.steps_done,
-                            counts=str(list(new_counts)))
-        self._gather()
-        self._bank_busy_seconds()
-        self.counts = list(new_counts)
-        self.shards = self._partition(self.counts)
-        self.rebalances += 1
+    # -- device-loss recovery ---------------------------------------------
 
     def _bank_busy_seconds(self) -> None:
         """Carry per-member busy time across a repartition, so shard
-        reports survive rebalances and redistributions."""
+        reports survive redistributions."""
         for state in self.shards:
             self._busy_by_member[state.member.name] = \
                 self._busy_by_member.get(state.member.name, 0.0) \
                 + state.busy_seconds
-
-    # -- device-loss recovery ---------------------------------------------
 
     def _redistribute(self) -> None:
         """Drop lost members, restore the checkpoint, re-shard, replay."""
@@ -491,9 +440,6 @@ class ShardedPushEngine:
             group = group.drop(index)
         self.group = group
         self.exchange = self._make_exchange(group)
-        reset = getattr(self.strategy, "reset", None)
-        if callable(reset):
-            reset()
         self.steps_done, self.time = self.checkpointer.restore_push(
             self.ensemble)
         self.counts = list(self.strategy.initial_counts(

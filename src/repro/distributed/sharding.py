@@ -4,7 +4,7 @@ Because the Boris push is embarrassingly parallel over particles, a
 multi-device run is a 1-D block decomposition of the particle index
 space: device *i* owns one contiguous slice.  The whole load-balancing
 problem reduces to choosing the slice sizes, and this module provides
-the three policies the scaling study compares:
+the static policies the scaling study compares:
 
 * :class:`EvenSharding` — equal counts, the naive baseline.  Optimal
   for homogeneous groups, badly skewed for heterogeneous ones (the
@@ -13,12 +13,9 @@ the three policies the scaling study compares:
   device capability: calibrated memory bandwidth (right for the
   memory-bound precalculated scenario) or achievable flops (right for
   the compute-bound analytical scenario).
-* :class:`NspsRebalancer` — dynamic: starts from any initial split and
-  repartitions from *measured* per-shard NSPS, the paper's figure of
-  merit.  Device *i*'s throughput is ``1 / nsps_i`` particles per
-  nanosecond, so weights proportional to ``1/nsps`` equalise per-step
-  times; exponential smoothing keeps one noisy step from thrashing the
-  partition.
+
+A split is fixed for the run; only a device loss repartitions (over
+the survivors, see :class:`~repro.distributed.runner.ShardedPushEngine`).
 
 All strategies produce counts through :func:`split_counts`
 (largest-remainder rounding), so shard counts always sum *exactly* to
@@ -28,7 +25,7 @@ naive ``int(n * w)`` rounding loses particles.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -37,8 +34,7 @@ from ..fp import Precision
 from ..oneapi.device import DeviceDescriptor
 
 __all__ = ["split_counts", "ShardingStrategy", "EvenSharding",
-           "ProportionalSharding", "NspsRebalancer", "strategy_by_name",
-           "STRATEGY_NAMES"]
+           "ProportionalSharding", "strategy_by_name", "STRATEGY_NAMES"]
 
 
 def split_counts(n: int, weights: Sequence[float]) -> List[int]:
@@ -84,15 +80,6 @@ class ShardingStrategy:
                        devices: Sequence[DeviceDescriptor]) -> List[int]:
         """Initial partition of ``n`` particles over ``devices``."""
         raise NotImplementedError
-
-    def rebalanced_counts(self, n: int, counts: Sequence[int],
-                          nsps: Sequence[float]) -> Optional[List[int]]:
-        """New partition given measured per-shard NSPS, or None to keep.
-
-        Static strategies never repartition; only the rebalancer
-        overrides this.
-        """
-        return None
 
 
 class EvenSharding(ShardingStrategy):
@@ -145,87 +132,8 @@ class ProportionalSharding(ShardingStrategy):
         return split_counts(n, [self.weight(d) for d in devices])
 
 
-class NspsRebalancer(ShardingStrategy):
-    """Dynamic load balancing from measured per-shard NSPS.
-
-    The initial partition comes from ``seed`` (even by default, so the
-    rebalancer demonstrably *recovers* from a bad split); thereafter
-    each call to :meth:`rebalanced_counts` moves the partition toward
-    throughput-proportional weights ``1 / nsps``, exponentially
-    smoothed by ``smoothing`` (1.0 = jump straight to the measurement,
-    small values trust history more).  When the relative change of
-    every count falls below ``tolerance`` the partition is declared
-    converged and left alone — the stop condition that keeps a
-    converged run from migrating one particle back and forth forever.
-    """
-
-    name = "nsps"
-
-    def __init__(self, seed: Optional[ShardingStrategy] = None,
-                 smoothing: float = 0.5, tolerance: float = 0.02) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ConfigurationError(
-                f"smoothing must be in (0, 1], got {smoothing!r}")
-        if tolerance < 0.0:
-            raise ConfigurationError(
-                f"tolerance must be >= 0, got {tolerance!r}")
-        self.seed = seed if seed is not None else EvenSharding()
-        self.smoothing = smoothing
-        self.tolerance = tolerance
-        self._weights: Optional[np.ndarray] = None
-        self.converged = False
-
-    def initial_counts(self, n: int,
-                       devices: Sequence[DeviceDescriptor]) -> List[int]:
-        counts = self.seed.initial_counts(n, devices)
-        self._weights = None
-        self.converged = False
-        return counts
-
-    def rebalanced_counts(self, n: int, counts: Sequence[int],
-                          nsps: Sequence[float]) -> Optional[List[int]]:
-        """Repartition from measured NSPS; None once converged.
-
-        Shards that measured no throughput this round (zero particles,
-        or NaN from a skipped step) keep their previous weight — an
-        empty shard would otherwise be stuck empty, since it can never
-        measure an NSPS to earn particles back.
-        """
-        if len(nsps) != len(counts):
-            raise ConfigurationError(
-                f"got {len(nsps)} NSPS samples for {len(counts)} shards")
-        if self.converged:
-            return None
-        measured = np.asarray(list(nsps), dtype=np.float64)
-        ok = np.isfinite(measured) & (measured > 0.0)
-        fresh = np.where(ok, 1.0 / np.where(ok, measured, 1.0), np.nan)
-        if self._weights is None:
-            previous = np.where(ok, fresh, np.nanmean(fresh) if
-                                np.any(ok) else 1.0)
-        else:
-            previous = self._weights
-        weights = np.where(ok,
-                           (1.0 - self.smoothing) * previous
-                           + self.smoothing * fresh,
-                           previous)
-        self._weights = weights
-        new_counts = split_counts(n, weights)
-        old = np.asarray(list(counts), dtype=np.float64)
-        delta = np.abs(np.asarray(new_counts) - old)
-        scale = np.maximum(old, 1.0)
-        if np.all(delta / scale <= self.tolerance):
-            self.converged = True
-            return None
-        return new_counts
-
-    def reset(self) -> None:
-        """Forget smoothed weights and convergence (device-set change)."""
-        self._weights = None
-        self.converged = False
-
-
 #: Strategy names accepted by :func:`strategy_by_name` / the CLI.
-STRATEGY_NAMES = ("even", "bandwidth", "flops", "nsps")
+STRATEGY_NAMES = ("even", "bandwidth", "flops")
 
 
 def strategy_by_name(name: str,
@@ -236,7 +144,5 @@ def strategy_by_name(name: str,
         return EvenSharding()
     if name in ("bandwidth", "flops"):
         return ProportionalSharding(metric=name, precision=precision)
-    if name == "nsps":
-        return NspsRebalancer()
     raise ConfigurationError(
         f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")

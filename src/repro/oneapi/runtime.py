@@ -50,13 +50,17 @@ from .kernelspec import KernelSpec, MemoryStream, StreamKind
 from .memory import UsmAllocation, UsmMemoryManager
 from .queue import KernelLaunchRecord, Queue
 
-__all__ = ["PUSH_FLOPS", "particle_streams", "build_push_spec",
-           "build_step_graph", "PushEngine"]
+__all__ = ["PUSH_FLOPS", "FUSION_LABELS", "particle_streams",
+           "build_push_spec", "build_step_graph", "PushEngine"]
 
 #: Arithmetic of the Boris push per particle-step (single-precision
 #: equivalent flops): momentum update + two gamma evaluations +
 #: position drift.
 PUSH_FLOPS = BORIS_FLOPS + 2 * GAMMA_FLOPS + POSITION_FLOPS
+
+#: Label of each ``fusion`` mode (:class:`PushEngine`): the paper
+#: harness, every node launched separately, the fusion pass on.
+FUSION_LABELS = {None: "legacy", False: "unfused", True: "fused"}
 
 #: Scenario labels (the paper's two benchmark problems).
 PRECALCULATED = "precalculated"
@@ -442,17 +446,3 @@ class PushEngine:
     def run(self, steps: int):
         """Run ``steps`` pushes; returns the list of launch records."""
         return [self.step() for _ in range(steps)]
-
-    @property
-    def simulated_seconds(self) -> float:
-        """Simulated time of the whole run: the queue's makespan."""
-        return self.queue.timeline.makespan
-
-    def queues(self) -> tuple:
-        """Every queue this engine submits to (uniform across engines).
-
-        The validation layer replays each returned queue's command log
-        through the hazard detector; all three engines expose the same
-        method so callers need not know the engine shape.
-        """
-        return (self.queue,)

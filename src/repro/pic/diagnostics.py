@@ -52,8 +52,8 @@ def load_imbalance(loads) -> float:
     particle counts, per-step shard times, or anything proportional to
     work.  Zero-weight shards are legal (a device can own an empty
     domain); an all-zero load vector is perfectly balanced by
-    convention.  Used by the distributed layer's rebalancer reports and
-    the ``repro shard`` CLI.
+    convention.  Used by the distributed layer's group reports and the
+    ``repro shard`` CLI.
     """
     values = np.asarray(list(loads), dtype=np.float64)
     if values.size == 0:

@@ -353,7 +353,7 @@ class ShardSuite(_BaselineParamsMixin, RegressionTest):
     tags = frozenset({"smoke", "distributed"})
     devices = ("2x iris-xe-max",)
     backends = ("oneapi",)
-    parameters = {"strategy": ("even", "bandwidth", "flops", "nsps")}
+    parameters = {"strategy": ("even", "bandwidth", "flops")}
 
     DEFAULT_SPEC = "2x iris-xe-max"
     DEFAULT_N = 200_000

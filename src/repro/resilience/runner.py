@@ -1,23 +1,26 @@
 """Device fallback: keep a push workload alive across device loss.
 
-:class:`ResilientPushEngine` wraps the plain
-:class:`~repro.oneapi.runtime.PushEngine` with the full recovery
-stack: every step runs under
+:class:`ResilientPushEngine` is the one engine of every single-device
+push.  It wraps the plain :class:`~repro.oneapi.runtime.PushEngine`
+with the full recovery stack: every step runs under
 :func:`~repro.resilience.recovery.run_with_retry` (transient faults),
 and a :class:`~repro.errors.DeviceLostError` walks a *fallback chain*
 of devices — by default the paper's Table 3 ladder, fastest first:
-Iris Xe Max → P630 → CPU.  After a loss the runner rebuilds the queue
-on the next device, restores the last step-granular checkpoint, and
+Iris Xe Max → P630 → CPU.  After a loss the engine restores the last
+step-granular checkpoint, rebuilds the queue on the next device, and
 replays the lost steps there.  The Boris kernels are the same numpy
 code on every simulated device, and the checkpoint round trip is
 bit-exact, so the recovered run's final particle state is identical to
 an uninterrupted run's — the acceptance bar of the resilience layer.
+A plain single-device run is the one-rung ladder; a service job moves
+its engine between fleet nodes itself (:meth:`ResilientPushEngine.
+move_to`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, DeviceLostError
 from ..observability.tracer import active_tracer, trace_span
@@ -74,37 +77,55 @@ class RecoveryReport:
 class ResilientPushEngine:
     """A Boris push loop that survives the full fault taxonomy.
 
+    The one engine of every single-device push: ``run_push`` runs a
+    plain single-device config as a one-rung ladder, and each
+    single-device job of :class:`~repro.service.PushService` holds one
+    for its whole life, moving it between fleet nodes with
+    :meth:`move_to`.
+
     Args:
         ensemble: The particle ensemble to advance (mutated in place).
         scenario: "precalculated" or "analytical" (see
             :mod:`repro.oneapi.runtime`).
         source: The analytical field source.
         dt: Time step [s].
-        devices: Fallback chain of device names (first entry runs
-            until lost); defaults to :data:`DEVICE_LADDER`.
+        devices: Fallback chain, fastest first (the first entry runs
+            until lost); defaults to :data:`DEVICE_LADDER`.  Each entry
+            is a device spec string (``"cpu"``, ``"cuda:gpu0"``) or a
+            :class:`~repro.oneapi.device.DeviceDescriptor` (a fleet
+            node's renamed instance, ``"iris-xe-max #0"``).
         policy: Retry policy for transient faults.
         watchdog: Launch watchdog configuration.
-        checkpointer: Optional step-granular checkpointer; when present
-            a step-0 checkpoint is written up front so a restore is
-            always possible, and device loss restores the latest
-            checkpoint before replaying on the next device.  Without
+        checkpointer: Optional step-granular checkpointer.  Device loss
+            restores its latest checkpoint before it moves down the
+            ladder, or raises once the ladder is exhausted.  Without
             one, recovery continues in place (a lost step never mutated
             the ensemble, so the physics stays correct either way).
         fusion: Kernel-graph execution mode of the underlying
             :class:`~repro.oneapi.runtime.PushEngine` (None = paper
             harness, untimed field refresh).
+        diagnostics: Record the kinetic-energy node in the step graph.
+        threads_per_unit: Hardware threads per core of every queue
+            (None = all; see :meth:`Backend.make_queue
+            <repro.backends.base.Backend.make_queue>`).
         program_cache: JIT program cache shared across the fallback
             chain's queue rebuilds; by default the engine owns one, so
             a re-lost-and-recovered device model never recompiles.
+        stats: Recovery tally to add to; a fresh one when None.  A
+            caller that passes its own keeps the retries of a build
+            that gave up inside the constructor.
     """
 
     def __init__(self, ensemble, scenario: str, source, dt: float,
-                 devices: Tuple[str, ...] = DEVICE_LADDER,
+                 devices: Sequence = DEVICE_LADDER,
                  policy: Optional[RetryPolicy] = None,
                  watchdog: Optional[Watchdog] = None,
                  checkpointer: Optional[Checkpointer] = None,
                  fusion: Optional[bool] = None,
-                 program_cache=None) -> None:
+                 diagnostics: bool = False,
+                 threads_per_unit: Optional[int] = None,
+                 program_cache=None,
+                 stats: Optional[RecoveryStats] = None) -> None:
         if not devices:
             raise ConfigurationError("need at least one device in the chain")
         from ..oneapi.programcache import ProgramCache
@@ -118,78 +139,96 @@ class ResilientPushEngine:
         self.watchdog = watchdog if watchdog is not None else Watchdog()
         self.checkpointer = checkpointer
         self.fusion = fusion
+        self.diagnostics = diagnostics
+        self.threads_per_unit = threads_per_unit
         self.program_cache = program_cache if program_cache is not None \
             else ProgramCache()
-        self.stats = RecoveryStats()
+        self.stats = stats if stats is not None else RecoveryStats()
         self.device_index = 0
         self.step_index = 0
         self.time = 0.0
         self.devices_lost: List[str] = []
         self.restores = 0
         self.replayed_steps = 0
-        #: Makespan of the queues a device loss abandoned (each rebuild
+        #: Makespan of the queues the engine moved off (each move
         #: starts a fresh timeline at zero, so their cost is banked).
         self._elapsed_base = 0.0
         #: Simulated seconds of each completed step: the push runner's
         #: whole-step ``step_seconds`` (every launch of a graph step)
         #: plus the recovery time of the step's failed attempts.  A
-        #: replayed step replaces the entry the lost device produced.
+        #: restore truncates it to the checkpoint's step.
         self.step_seconds: List[float] = []
-        self._build(self.devices[0])
+        self.runner = None
+        self.move_to(self.devices[0])
 
     # -- queue / runner construction --------------------------------------
 
-    def _build(self, device_name: str) -> None:
-        """(Re)build the queue and push runner on ``device_name``.
+    def move_to(self, device) -> None:
+        """Build a fresh queue and push runner on ``device``.
 
-        ``device_name`` may be any backend-qualified device spec (the
-        ladder can demote across backends: ``("cuda:gpu0", "cpu")``).
-        Imports the backend registry lazily to keep
-        ``repro.resilience`` importable without the bench package (and
-        free of import cycles).  Injected allocation failures during the
-        rebuild are retried under the policy; their backoff is charged
-        to the *new* queue's timeline once it exists.
+        ``device`` is a spec string (the ladder can demote across
+        backends: ``("cuda:gpu0", "cpu")``) or a
+        :class:`~repro.oneapi.device.DeviceDescriptor`.  The queue being
+        left is banked into :attr:`simulated_seconds`.  Injected
+        allocation failures during the build are retried under the
+        policy; their backoff is charged to the *new* queue's timeline
+        once it exists.
         """
-        from ..backends.registry import resolve_device
+        from ..backends.registry import get_backend, resolve_device
         from ..oneapi.runtime import PushEngine
 
-        backend, device = resolve_device(device_name)
+        if isinstance(device, str):
+            backend, descriptor = resolve_device(device)
+            name = device
+        else:
+            backend, descriptor = get_backend(device.backend), device
+            name = device.name
         runner = rebuild_with_retry(
             lambda: PushEngine(
-                backend.make_queue(device, program_cache=self.program_cache),
+                backend.make_queue(descriptor,
+                                   program_cache=self.program_cache,
+                                   threads_per_unit=self.threads_per_unit),
                 self.ensemble, self.scenario, self.source, self.dt,
-                fusion=self.fusion),
+                fusion=self.fusion, diagnostics=self.diagnostics),
             self.policy, self.stats)
+        if self.runner is not None:
+            self._elapsed_base += self.queue.timeline.makespan
         runner.time = self.time
-        self.device_name = device_name
+        self.device_name = name
         self.queue = runner.queue
         self.runner = runner
 
     # -- recovery ----------------------------------------------------------
 
     def _on_device_lost(self) -> None:
+        """Restore the latest checkpoint, then take the next rung.
+
+        The restore comes first, so an exhausted ladder raises
+        :class:`~repro.errors.DeviceLostError` with the ensemble,
+        :attr:`step_index`, :attr:`time` and :attr:`step_seconds`
+        already at the checkpoint — where a caller that owns placement
+        (the service) resumes it on another device.
+        """
         self.devices_lost.append(self.device_name)
-        self._elapsed_base += self.queue.timeline.makespan
         tracer = active_tracer()
         if tracer is not None:
             tracer.recovery("device-fallback", lost=self.device_name,
                             step=self.step_index)
+        if self.checkpointer is not None \
+                and self.checkpointer.latest_step() is not None:
+            step, self.time = self.checkpointer.restore_push(self.ensemble)
+            self.replayed_steps += self.step_index - step
+            self.step_index = step
+            del self.step_seconds[step:]
+            self.restores += 1
+            if tracer is not None:
+                tracer.recovery("restore", step=step)
         self.device_index += 1
         if self.device_index >= len(self.devices):
             raise DeviceLostError(
                 f"device fallback chain exhausted after losing "
                 f"{tuple(self.devices_lost)}")
-        if self.checkpointer is not None \
-                and self.checkpointer.latest_step() is not None:
-            step, time = self.checkpointer.restore_push(self.ensemble)
-            self.replayed_steps += self.step_index - step
-            self.step_index = step
-            self.time = time
-            self.restores += 1
-            if tracer is not None:
-                tracer.recovery("restore", step=step,
-                                device=self.devices[self.device_index])
-        self._build(self.devices[self.device_index])
+        self.move_to(self.devices[self.device_index])
 
     # -- driving -----------------------------------------------------------
 
@@ -206,7 +245,6 @@ class ResilientPushEngine:
                 continue
             self.step_index += 1
             self.time = self.runner.time
-            del self.step_seconds[self.step_index - 1:]
             self.step_seconds.append(self.runner.step_seconds[-1]
                                      + record.timing.recovery_seconds)
             if self.checkpointer is not None:
@@ -221,11 +259,11 @@ class ResilientPushEngine:
         return self._elapsed_base + self.queue.timeline.makespan
 
     def queues(self) -> tuple:
-        """Every queue this engine submits to (uniform across engines).
+        """The queue the hazard detector should judge.
 
         Only the *current* queue: a device loss abandons the old
         queue's timeline mid-flight, so its command log is not a
-        completed schedule the hazard detector should judge.
+        completed schedule.
         """
         return (self.queue,)
 

@@ -25,12 +25,19 @@ Design points:
   precision) profile in the fleet-shared
   :class:`~repro.oneapi.programcache.ProgramCache`, so a schedule of
   same-shaped jobs pays each JIT once, fleet-wide.
+* **One engine per job.**  A single-device job holds one
+  :class:`~repro.resilience.runner.ResilientPushEngine` for its whole
+  life, on the one-rung ladder of its first node, and moves it to each
+  new placement (:meth:`~repro.resilience.runner.ResilientPushEngine.
+  move_to`).  The engine owns the step loop: transient-fault retries,
+  the checkpoint cadence and the restore after a device loss.
 * **Failover = checkpoint + requeue.**  Every job writes a step-0
   checkpoint at first launch and then on a cadence; a device loss
-  banks the consumed device seconds, marks the node dead, restores the
-  latest checkpoint (bit-exact) and requeues the job.  The physics
-  kernels are device-independent, so the recovered job's final digest
-  equals a solo fault-free run's — the acceptance bar.
+  makes the job's engine restore the latest checkpoint (bit-exact);
+  the scheduler banks the consumed device seconds, marks the node dead
+  and requeues the job.  The physics kernels are device-independent,
+  so the recovered job's final digest equals a solo fault-free run's
+  — the acceptance bar.
 * **Typed ends only.**  Every job ends COMPLETED, FAILED (with a
   :class:`~repro.errors.ReproError` subclass recorded) or REJECTED;
   the scheduler itself refuses to hang (a progress watchdog trips
@@ -55,8 +62,8 @@ from ..resilience.checkpoint import Checkpointer
 from ..resilience.faults import (FaultInjector, FaultPlan,
                                  install_fault_injector)
 from ..resilience.plans import named_plan
-from ..resilience.recovery import (RecoveryStats, RetryPolicy, Watchdog,
-                                   rebuild_with_retry, run_with_retry)
+from ..resilience.recovery import RecoveryStats, RetryPolicy, Watchdog
+from ..resilience.runner import ResilientPushEngine
 from .cluster import DeviceFleet, Node
 from .job import JobEvent, JobReport, JobSpec, JobState
 from .queue import JobQueue
@@ -113,14 +120,14 @@ class _Job:
         self.state = JobState.PENDING
         self.seq = 0
         self.ensemble = None
-        self.engine = None               # single-device PushEngine
+        #: Single-device jobs: the engine, built at first launch.
+        self.engine: Optional[ResilientPushEngine] = None
         self.node: Optional[Node] = None
         self.nodes: List[Node] = []      # sharded reservations
         self.injector: Optional[FaultInjector] = None
+        #: Shared with the engine, so a first build that gives up still
+        #: reports its retries.
         self.stats = RecoveryStats()
-        self.step = 0                    # completed push steps
-        self.time = 0.0                  # physics time at `step`
-        self.step_seconds: List[float] = []
         self.launch_clock = 0.0
         self.makespan0 = 0.0
         self.charged = 0.0               # placement seconds charged so far
@@ -136,8 +143,19 @@ class _Job:
     def sharded(self) -> bool:
         return self.spec.config.group is not None
 
+    @property
+    def step(self) -> int:
+        """Completed push steps (a restore rewinds it)."""
+        return self.engine.step_index if self.engine is not None else 0
+
+    @property
+    def time(self) -> float:
+        """Physics time at :attr:`step`."""
+        return self.engine.time if self.engine is not None else 0.0
+
     def placement_seconds(self) -> float:
-        if self.engine is None:
+        """Device seconds of the current placement (0 when unplaced)."""
+        if self.node is None:
             return 0.0
         return self.engine.queue.timeline.makespan - self.makespan0
 
@@ -425,7 +443,6 @@ class PushService:
         node = victim.node
         node.job = None
         victim.node = None
-        victim.engine = None
         victim.report.preemptions += 1
         victim.state = JobState.READY
         victim.report.state = JobState.READY
@@ -442,40 +459,31 @@ class PushService:
 
     # -- single-device jobs ------------------------------------------------
 
-    def _build_engine(self, job: _Job, node: Node):
-        """(Re)build queue + engine on ``node`` (alloc faults retried)."""
-        from ..backends.registry import get_backend
-        from ..oneapi.runtime import PushEngine
-
-        config = job.spec.config
-        source, dt = self._physics(config)
-        backend = get_backend(node.device.backend)
-        engine = rebuild_with_retry(
-            lambda: PushEngine(
-                backend.make_queue(node.device,
-                                   threads_per_unit=config.threads_per_unit,
-                                   program_cache=self.program_cache),
-                job.ensemble, config.scenario, source, dt,
-                fusion=config.fusion, diagnostics=config.diagnostics),
-            self.retry_policy, job.stats)
-        engine.time = job.time
-        return engine
-
     def _launch_single(self, job: _Job, node: Node) -> None:
         spec = job.spec
+        config = spec.config
         ready_since = self.queue.ready_at(spec.name)
         self.queue.mark_running(spec)
         first_launch = job.ensemble is None
         if first_launch:
             from ..bench.scenarios import paper_ensemble
-            job.ensemble = paper_ensemble(spec.config.n_particles,
-                                          spec.config.layout,
-                                          spec.config.precision)
+            job.ensemble = paper_ensemble(config.n_particles, config.layout,
+                                          config.precision)
         launch_clock = max(self.clock, node.free_at)
         previous = install_fault_injector(job.injector) \
             if job.injector is not None else None
         try:
-            job.engine = self._build_engine(job, node)
+            if job.engine is None:
+                source, dt = self._physics(config)
+                job.engine = ResilientPushEngine(
+                    job.ensemble, config.scenario, source, dt,
+                    devices=(node.device,), policy=self.retry_policy,
+                    watchdog=self.watchdog, checkpointer=job.checkpointer,
+                    fusion=config.fusion, diagnostics=config.diagnostics,
+                    threads_per_unit=config.threads_per_unit,
+                    program_cache=self.program_cache, stats=job.stats)
+            else:
+                job.engine.move_to(node.device)
         except ReproError as exc:
             self.queue.finish(spec)
             self._fail(job, exc)
@@ -504,14 +512,16 @@ class PushService:
                     f"on {node.name} at step {job.step}")
 
     def _advance_single(self, job: _Job) -> None:
-        """Run one push step of ``job`` on its node, under its faults."""
-        engine = job.engine
+        """Run one push step of ``job`` on its node, under its faults.
+
+        The engine retries transient faults, writes the checkpoint
+        cadence and, on a device loss, restores the latest checkpoint
+        before it raises (its ladder is the one node).
+        """
         previous = install_fault_injector(job.injector) \
             if job.injector is not None else None
         try:
-            record = run_with_retry(engine.step, engine.queue, engine.spec,
-                                    policy=self.retry_policy,
-                                    watchdog=self.watchdog, stats=job.stats)
+            job.engine.step()
         except DeviceLostError:
             self._on_device_lost(job)
             return
@@ -522,15 +532,10 @@ class PushService:
         finally:
             if job.injector is not None:
                 install_fault_injector(previous)
-        job.step_seconds.append(engine.step_seconds[-1]
-                                + record.timing.recovery_seconds)
-        job.step += 1
-        job.time = engine.time
         placement = job.placement_seconds()
         job.node.free_at = job.launch_clock + placement
         self.queue.charge(job.spec.tenant, placement - job.charged)
         job.charged = placement
-        job.checkpointer.maybe_save_push(job.step, job.ensemble, job.time)
         spec = job.spec
         if spec.budget_seconds is not None \
                 and job.banked + placement > spec.budget_seconds:
@@ -552,7 +557,10 @@ class PushService:
             self._complete_single(job)
 
     def _on_device_lost(self, job: _Job) -> None:
-        """Failover: bank time, kill the node, restore, requeue."""
+        """Failover: bank time, kill the node, requeue.
+
+        The engine has already restored the latest checkpoint.
+        """
         lost_names = set(job.injector.lost_devices) \
             if job.injector is not None else {job.node.name}
         newly_dead = self.fleet.mark_lost(lost_names)
@@ -563,18 +571,14 @@ class PushService:
         node = job.node
         node.job = None
         job.node = None
-        job.engine = None
-        step, time = job.checkpointer.restore_push(job.ensemble)
-        job.report.replayed_steps += job.step - step
-        job.report.restores += 1
-        del job.step_seconds[step:]
-        job.step = step
-        job.time = time
+        job.report.replayed_steps = job.engine.replayed_steps
+        job.report.restores = job.engine.restores
         job.state = JobState.READY
         job.report.state = JobState.READY
         self.queue.requeue(job.spec, self.clock)
         self._event(job, "device-lost",
-                    f"{node.name} died; restored step {step}, requeued")
+                    f"{node.name} died; restored step {job.step}, "
+                    f"requeued")
 
     def _bank(self, job: _Job) -> None:
         """Fold the current placement's device seconds into the bank."""
@@ -595,7 +599,7 @@ class PushService:
         report = job.report
         report.device_seconds = job.banked
         report.steps = job.step
-        report.nsps, _ = nsps_from_steps(job.step_seconds,
+        report.nsps, _ = nsps_from_steps(job.engine.step_seconds,
                                          spec.config.n_particles,
                                          spec.config.warmup)
         report.digest = state_digest(job.ensemble)
@@ -768,14 +772,12 @@ class PushService:
 
     def _fail(self, job: _Job, exc: ReproError) -> None:
         if job.node is not None:
+            self._bank(job)
             job.node.job = None
             job.node = None
         for node in job.nodes:
             node.job = None
         job.nodes = []
-        if job.engine is not None:
-            self._bank(job)
-            job.engine = None
         self._finalize_stats(job)
         report = job.report
         report.error = str(exc)

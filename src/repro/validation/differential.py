@@ -54,6 +54,7 @@ from ..core.boris import boris_push_particle
 from ..errors import ValidationError
 from ..fp import Precision
 from ..observability.tracer import active_tracer
+from ..oneapi.runtime import FUSION_LABELS
 from ..particles.ensemble import Layout, ParticleEnsemble
 from .hazard import assert_hazard_free
 
@@ -80,8 +81,6 @@ _COMPARED = ("x", "y", "z", "px", "py", "pz", "gamma")
 
 #: Fraction of a component's magnitude scale used as the spacing floor.
 _SCALE_FLOOR = 1e-3
-
-_FUSION_LABELS = {None: "legacy", False: "unfused", True: "fused"}
 
 
 def ulp_distance(result, reference) -> float:
@@ -334,7 +333,7 @@ def run_differential(n: int = 192, steps: int = 3,
                     result = ComboResult(
                         engine=engine_label, layout=layout.value,
                         precision=precision.value,
-                        fusion=_FUSION_LABELS[fusion],
+                        fusion=FUSION_LABELS[fusion],
                         max_ulp=max_ulp, worst_component=worst,
                         digest=digest, commands_checked=checked,
                         passed=passed,
@@ -393,7 +392,7 @@ def run_differential(n: int = 192, steps: int = 3,
         runs = {engine: _run(n, steps, 2, layout, precision, fusion,
                              source, dt, **one_device[engine])[0]
                 for engine in ("single", *compared)}
-        label = f"{layout.value}/{precision.value}/{_FUSION_LABELS[fusion]}"
+        label = f"{layout.value}/{precision.value}/{FUSION_LABELS[fusion]}"
         for engine in compared:
             check = _timing_check(f"{engine} == single ({label})",
                                   runs["single"], runs[engine])
@@ -414,8 +413,7 @@ def run_differential(n: int = 192, steps: int = 3,
 #: every mode of every layout must land in one digest group.
 PIC_MODES: Tuple[object, ...] = ("reference", False, True)
 
-_PIC_MODE_LABELS = {"reference": "reference", False: "unfused",
-                    True: "fused"}
+_PIC_MODE_LABELS = {**FUSION_LABELS, "reference": "reference"}
 
 
 def run_pic_differential(n: int = 192, steps: int = 3,

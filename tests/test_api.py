@@ -97,6 +97,20 @@ class TestRunPush:
         assert sharded.simulated_seconds == pytest.approx(
             single.simulated_seconds, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", [dict(devices=("iris-xe-max",)),
+                                      dict(fault_plan="none")],
+                             ids=["ladder", "fault-plan"])
+    @pytest.mark.parametrize("option", [dict(diagnostics=True),
+                                        dict(threads_per_unit=1)],
+                             ids=["diagnostics", "threads"])
+    def test_ladder_runs_take_single_device_options(self, mode, option):
+        # One engine runs single-device and ladder pushes, so the
+        # options of one reach the other.
+        report = run_push(_config(**mode, **option))
+        assert report.mode == "resilient"
+        assert report.recovery.completed
+        assert len(report.digest) == 64
+
     def test_device_loss_counts_the_abandoned_epoch(self):
         # The lost device's queue is abandoned mid-run; its makespan is
         # simulated time the run paid for, so a recovered run cannot
@@ -186,14 +200,15 @@ class TestErrorSurfacing:
         with pytest.raises(ConfigurationError, match="dt must be finite"):
             run_push(_config(n_particles=64, steps=2, dt=dt))
 
-    @pytest.mark.parametrize("mode", [dict(devices=("iris-xe-max",)),
-                                      dict(fault_plan="none"),
-                                      dict(group="1x iris-xe-max")])
-    def test_diagnostics_outside_single_mode_rejected(self, mode):
-        # The resilient and sharded engines never record the node, so
-        # the flag would be dropped silently.
+    def test_diagnostics_in_group_mode_rejected(self):
+        # The sharded engine never records the node, so the flag would
+        # be dropped silently.
         with pytest.raises(ConfigurationError, match="diagnostics"):
-            run_push(_config(diagnostics=True, **mode))
+            run_push(_config(diagnostics=True, group="1x iris-xe-max"))
+
+    def test_nsps_strategy_is_gone(self):
+        with pytest.raises(ConfigurationError, match="strategy"):
+            RunConfig(group="cpu, iris-xe-max", strategy="nsps").validate()
 
     def test_foreign_exceptions_are_wrapped(self, monkeypatch):
         # a bug deep in a kernel body must not escape as a bare
@@ -265,7 +280,7 @@ def _run_configs(draw):
         fields["group"] = draw(st.sampled_from(
             ["1x iris-xe-max", "2x cpu", "cpu, p630"]))
         fields["strategy"] = draw(st.sampled_from(
-            [None, "even", "bandwidth", "nsps"]))
+            [None, "even", "bandwidth", "flops"]))
     if draw(st.integers(0, 2)) == 0:
         broken = draw(st.sampled_from(sorted(set(fields) & set(_MALFORMED))))
         fields[broken] = draw(st.sampled_from(_MALFORMED[broken]))

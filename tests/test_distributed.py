@@ -13,7 +13,7 @@ import pytest
 from repro.bench.calibration import device_by_name
 from repro.distributed import (DeviceGroup, EvenSharding, ExchangeModel,
                                ExchangePolicy, LinkDescriptor, LinkTable,
-                               NspsRebalancer, ProportionalSharding,
+                               ProportionalSharding,
                                default_link_table, parse_group_spec,
                                split_counts, strategy_by_name,
                                STRATEGY_NAMES)
@@ -133,60 +133,6 @@ class TestStrategies:
             strategy_by_name("round-robin")
         with pytest.raises(ConfigurationError):
             ProportionalSharding("latency")
-
-
-class TestNspsRebalancer:
-    def test_converges_to_throughput_proportional_split(self):
-        # Device 0 measures 1 ns, device 1 measures 3 ns per
-        # particle-step: the fixed point gives device 0 three quarters.
-        strategy = NspsRebalancer(smoothing=1.0, tolerance=0.01)
-        counts = strategy.initial_counts(1000, PAPER_DEVICES[:2])
-        assert counts == [500, 500]
-        for _ in range(20):
-            new = strategy.rebalanced_counts(1000, counts, [1.0, 3.0])
-            if new is None:
-                break
-            counts = new
-        assert strategy.converged
-        assert counts == [750, 250]
-
-    def test_converged_partition_stays_put(self):
-        strategy = NspsRebalancer(smoothing=1.0)
-        strategy.initial_counts(1000, PAPER_DEVICES[:2])
-        counts = strategy.rebalanced_counts(1000, [500, 500], [1.0, 1.0])
-        # Even feed from an even split: converged immediately.
-        assert counts is None
-        assert strategy.converged
-        assert strategy.rebalanced_counts(1000, [500, 500],
-                                          [9.0, 1.0]) is None
-
-    def test_unmeasured_shard_keeps_previous_weight(self):
-        # A NaN sample (empty shard, skipped step) must not zero the
-        # shard out forever.
-        strategy = NspsRebalancer(smoothing=1.0, tolerance=0.0)
-        strategy.initial_counts(1000, PAPER_DEVICES[:2])
-        counts = strategy.rebalanced_counts(1000, [500, 500],
-                                            [2.0, float("nan")])
-        # The unmeasured shard inherits the measured one's weight.
-        assert counts == [500, 500] or counts is None
-
-    def test_reset_forgets_history(self):
-        strategy = NspsRebalancer(smoothing=1.0)
-        strategy.initial_counts(1000, PAPER_DEVICES[:2])
-        strategy.rebalanced_counts(1000, [500, 500], [1.0, 1.0])
-        assert strategy.converged
-        strategy.reset()
-        assert not strategy.converged
-        assert strategy._weights is None
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            NspsRebalancer(smoothing=0.0)
-        with pytest.raises(ConfigurationError):
-            NspsRebalancer(tolerance=-0.1)
-        strategy = NspsRebalancer()
-        with pytest.raises(ConfigurationError):
-            strategy.rebalanced_counts(10, [5, 5], [1.0])
 
 
 # -- group specs and groups -------------------------------------------------

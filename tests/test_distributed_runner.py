@@ -16,8 +16,7 @@ import pytest
 
 from repro.bench import paper_time_step, paper_wave
 from repro.bench.scenarios import paper_ensemble
-from repro.distributed import (DeviceGroup, ExchangePolicy, NspsRebalancer,
-                               ShardedPushEngine)
+from repro.distributed import DeviceGroup, ExchangePolicy, ShardedPushEngine
 from repro.errors import (ConfigurationError, DeviceLostError,
                           ExchangeTimeoutError)
 from repro.fp import Precision
@@ -59,17 +58,6 @@ def test_sharded_run_matches_single_device_bits():
         runner = _runner(spec)
         runner.run(STEPS)
         _assert_same_state(reference, runner.ensemble)
-
-
-def test_mid_run_repartition_does_not_perturb_trajectories():
-    reference = _runner("cpu, iris-xe-max")
-    reference.run(STEPS)
-
-    rebalanced = _runner("cpu, iris-xe-max", strategy=NspsRebalancer(),
-                         rebalance_every=1)
-    report = rebalanced.run(STEPS)
-    assert report.rebalances >= 1  # particles actually migrated
-    _assert_same_state(reference.ensemble, rebalanced.ensemble)
 
 
 def test_more_devices_than_particles():
