@@ -182,12 +182,6 @@ def _pricing_devices(config) -> List[Tuple[str, DeviceDescriptor]]:
             keys = [DEVICE_LADDER[0]]
     else:
         keys = [config.device]
-    override = getattr(config, "tune_device", None)
-    if override is not None:
-        # Calibration experiments price against a hypothetical
-        # descriptor (a datasheet, a mis-measured machine) while the
-        # run itself executes on the real calibrated one.
-        return [(key, override) for key in keys]
     return [(key, descriptor_for(key)) for key in keys]
 
 

@@ -92,10 +92,6 @@ class GraphRoofline:
         return sum(1 for g in self.groups if g.point.memory_bound)
 
     @property
-    def compute_bound_groups(self) -> int:
-        return len(self.groups) - self.memory_bound_groups
-
-    @property
     def floor_seconds(self) -> float:
         """Roofline-ideal seconds of one step (all groups, in order)."""
         return sum(g.floor_seconds for g in self.groups)

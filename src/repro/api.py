@@ -169,12 +169,6 @@ class RunConfig:
         strategy: Shard-split strategy name for group runs ("even",
             "bandwidth", "flops"); None keeps the engine's even
             default.
-        tune_device: Pricing-only device descriptor override for the
-            autotuner — a calibration experiment: predictions use this
-            (hypothetical, e.g. datasheet-derived) descriptor while
-            the run executes on the calibrated one, so a deliberate
-            gap surfaces as calibration warnings.  Leave None outside
-            such experiments.
         tune_devices: Device specs the autotuner may *select between*
             (``config="auto"``, single mode only): candidates span
             these devices on top of layout/precision/fusion, the
@@ -205,7 +199,6 @@ class RunConfig:
     config: Optional[str] = None
     threads_per_unit: Optional[int] = None
     strategy: Optional[str] = None
-    tune_device: Optional[object] = None
     tune_devices: Optional[Sequence[str]] = None
 
     def validate(self) -> "RunConfig":
@@ -275,11 +268,6 @@ class RunConfig:
             if not self.tune_devices:
                 raise ConfigurationError(
                     "tune_devices must name at least one device spec")
-            if self.tune_device is not None:
-                raise ConfigurationError(
-                    "tune_device and tune_devices are mutually "
-                    "exclusive: a pricing override assumes a fixed "
-                    "execution device")
             from .backends.registry import parse_device_spec
             for spec in self.tune_devices:
                 parse_device_spec(spec)   # typed error on bad backend

@@ -196,9 +196,3 @@ class BorisPusher:
              dt: float) -> None:
         """One Boris step over the whole ensemble."""
         boris_push(ensemble, fields, dt)
-
-    def push_particle(self, particle: Union[Particle, ParticleProxy],
-                      e: FP3, b: FP3, dt: float, mass: float,
-                      charge: float) -> None:
-        """One Boris step for a single particle (scalar reference)."""
-        boris_push_particle(particle, e, b, dt, mass, charge)

@@ -126,7 +126,3 @@ class KernelSpec:
         return frozenset(s.name for s in self.streams
                          if s.kind in (StreamKind.WRITE,
                                        StreamKind.READ_WRITE))
-
-    def payload_bytes_per_item(self) -> float:
-        """Useful bytes per item across all streams (reads + writes once)."""
-        return sum(s.bytes_per_item for s in self.streams)

@@ -22,7 +22,6 @@ be *poisoned* — reads fail until the recovery layer scrubs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -121,11 +120,6 @@ class UsmAllocation:
     def scrub(self) -> None:
         """Repair a poisoned allocation (recovery entry point)."""
         self.poisoned = False
-
-
-@dataclass
-class _Registration:
-    allocation: UsmAllocation
 
 
 class UsmMemoryManager:

@@ -212,11 +212,6 @@ class ParticleEnsemble(abc.ABC):
 
     # -- structural operations ----------------------------------------------
 
-    @property
-    def components_dict(self) -> Dict[str, np.ndarray]:
-        """Mapping of every floating-point component name to its view."""
-        return {name: self.component(name) for name in COMPONENTS}
-
     def to_layout(self, layout: Layout) -> "ParticleEnsemble":
         """Return a copy of this ensemble in the requested layout.
 

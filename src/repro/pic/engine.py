@@ -1,9 +1,8 @@
 """The PIC loop lowered onto the kernel-graph IR.
 
-:class:`PicEngine` drives a :class:`~repro.pic.simulation.PicSimulation`
-through a simulated :class:`~repro.oneapi.queue.Queue`, recording its
-step once as a :class:`~repro.oneapi.graph.KernelGraph` and replaying
-it every step:
+:func:`record_step_graph` is the one place the PIC step's stages are
+listed: it records a :class:`~repro.pic.simulation.PicSimulation`'s
+step as a :class:`~repro.oneapi.graph.KernelGraph`, per species:
 
 * **gather** — interpolate E and B from the Yee grid to per-particle
   arrays (elementwise; its output streams are declared ``transient``
@@ -14,23 +13,31 @@ it every step:
 * **deposit** — current deposition + the periodic position wrap
   (a *barrier* node: scatter-add has cross-particle dependencies, so
   nothing fuses across it — the canonical barrier kernel of the graph
-  IR's docstring);
+  IR's docstring); with ``deposition="none"`` a **wrap** node, which
+  only wraps the positions into the periodic box (elementwise, no
+  grid streams), takes its place;
+
+and then once per step:
+
 * **field-advance** — the Maxwell solve over the grid cells (barrier).
 
-The gather, push and deposit bodies call the simulation's own stage
-methods (:meth:`~repro.pic.simulation.PicSimulation.gather`,
+Both drivers of the loop replay that one recording.
+:class:`PicEngine` records it with its queue's memory manager and
+replays it through a simulated :class:`~repro.oneapi.queue.Queue`;
+:meth:`~repro.pic.simulation.PicSimulation.step` records it without
+one (nothing is registered) and runs the bodies in order on the host.
+The bodies call the simulation's stage methods
+(:meth:`~repro.pic.simulation.PicSimulation.gather`,
 :meth:`~repro.pic.simulation.PicSimulation.push`,
-:meth:`~repro.pic.simulation.PicSimulation.deposit`) — the same ones
-:meth:`~repro.pic.simulation.PicSimulation.step` calls — so there is
-one implementation of each stage.  Because the executor runs node
-bodies in recorded order whether or not launches are fused, fused and
-unfused runs are bit-exact; because the Monte Carlo draws are keyed on
-the logical step, they also match the host-side
-:meth:`~repro.pic.simulation.PicSimulation.step` to the bit.  The
-declared read/write sets make the whole step visible to the fusion
-pass, the hazard detector, the roofline analyzer, tracing and fault
-injection — the same machinery the push engines enjoy.  The particle
-streams of every spec come from the push engine's one builder,
+:meth:`~repro.pic.simulation.PicSimulation.deposit`), so there is one
+implementation of each stage and one stage order.  Because the
+executor runs node bodies in recorded order whether or not launches
+are fused, fused, unfused and host runs are bit-exact; the Monte Carlo
+draws are keyed on the logical step.  The declared read/write sets
+make the whole step visible to the fusion pass, the hazard detector,
+the roofline analyzer, tracing and fault injection — the same
+machinery the push engines enjoy.  The particle streams of every spec
+come from the push engine's one builder,
 :func:`~repro.oneapi.runtime.particle_streams`.
 """
 
@@ -55,10 +62,10 @@ from ..resilience.faults import active_fault_injector
 from .deposition import deposit_current_esirkepov  # noqa: F401
 from .simulation import PicSimulation
 
-__all__ = ["GATHER_FLOPS", "DEPOSIT_FLOPS", "ADVANCE_FLOPS",
+__all__ = ["GATHER_FLOPS", "DEPOSIT_FLOPS", "WRAP_FLOPS", "ADVANCE_FLOPS",
            "pic_state_digest", "build_gather_spec", "build_push_spec",
-           "build_operator_spec", "build_deposit_spec",
-           "build_advance_spec", "PicEngine"]
+           "build_operator_spec", "build_deposit_spec", "build_wrap_spec",
+           "build_advance_spec", "record_step_graph", "PicEngine"]
 
 #: Arithmetic per particle of the six-component staggered gather
 #: (support^3 weighted sum per component, CIC support assumed for the
@@ -67,6 +74,8 @@ GATHER_FLOPS = 5.0
 #: Arithmetic per particle of the Esirkepov window scatter (per window
 #: point); the builders scale by the window volume.
 DEPOSIT_FLOPS = 14.0
+#: Arithmetic per particle of the periodic position wrap.
+WRAP_FLOPS = 6.0
 #: Arithmetic per grid cell of one FDTD leapfrog step.
 ADVANCE_FLOPS = {"fdtd": 36.0, "spectral": 220.0}
 
@@ -81,6 +90,7 @@ _PUSH_KINDS = {**dict.fromkeys(("x", "y", "z", "px", "py", "pz"),
 _DEPOSIT_KINDS = {**dict.fromkeys(("x", "y", "z"), StreamKind.READ_WRITE),
                   **dict.fromkeys(("px", "py", "pz", "gamma", "weight",
                                    "type"), StreamKind.READ)}
+_WRAP_KINDS = dict.fromkeys(("x", "y", "z"), StreamKind.READ_WRITE)
 
 
 def pic_state_digest(simulation: PicSimulation) -> str:
@@ -216,6 +226,17 @@ def build_deposit_spec(ensemble: ParticleEnsemble, deposition: str,
                       flops_per_item=flops)
 
 
+def build_wrap_spec(ensemble: ParticleEnsemble, memory,
+                    suffix: str = "") -> KernelSpec:
+    """Wrap stage of ``deposition="none"``: positions into the box."""
+    streams = particle_streams(_WRAP_KINDS, ensemble.size, ensemble.layout,
+                               ensemble.precision, memory, ensemble, suffix)
+    name = (f"pic-wrap-{ensemble.layout.value}"
+            f"-{ensemble.precision.value}{suffix}")
+    return KernelSpec(name=name, streams=tuple(streams),
+                      flops_per_item=WRAP_FLOPS)
+
+
 def build_advance_spec(grid, solver_kind: str, memory) -> KernelSpec:
     """Field-advance stage: the Maxwell solve over the grid (barrier)."""
     streams = _grid_streams(grid, memory, ("jx", "jy", "jz"),
@@ -227,18 +248,101 @@ def build_advance_spec(grid, solver_kind: str, memory) -> KernelSpec:
                       flops_per_item=float(ADVANCE_FLOPS[solver_kind]))
 
 
+def record_step_graph(simulation: PicSimulation,
+                      memory=None) -> KernelGraph:
+    """The PIC step of ``simulation`` as a kernel graph bound to its
+    arrays — the one place the stage order is written.
+
+    Specs are built, and with a ``memory`` manager their arrays
+    registered, in node order; ``memory=None`` registers nothing.  The
+    bodies read the simulation's state (the Monte Carlo step count)
+    when they run, so the graph is recorded once and replayed.
+    """
+    shape = simulation.interpolation
+    count = len(simulation.ensembles)
+    # Per-species results handed from one stage body to the next.
+    gathered: List = [None] * count
+    old_positions: List = [None] * count
+
+    def gather(species: int):
+        def body() -> None:
+            gathered[species] = simulation.gather(species)
+        return body
+
+    def push(species: int):
+        def body() -> None:
+            old_positions[species] = simulation.push(species,
+                                                     gathered[species])
+        return body
+
+    def operate(species: int, operator):
+        ensemble = simulation.ensembles[species]
+
+        def body() -> None:
+            operator.apply(ensemble, gathered[species],
+                           simulation.step_count, simulation.dt,
+                           stream=species)
+        return body
+
+    def deposit(species: int):
+        def body() -> None:
+            simulation.deposit(species, old_positions[species])
+        return body
+
+    graph = KernelGraph()
+    for species, ensemble in enumerate(simulation.ensembles):
+        suffix = _suffix(species, count)
+        node = dict(n_items=ensemble.size, layout=ensemble.layout.value,
+                    precision=ensemble.precision)
+        graph.add(KernelNode(
+            spec=build_gather_spec(ensemble, shape, memory, suffix),
+            body=gather(species),
+            transient=frozenset(f"pic-fields-{c}{suffix}"
+                                for c in _FIELD_COMPONENTS),
+            tag="gather", **node))
+        graph.add(KernelNode(
+            spec=build_push_spec(ensemble, memory, suffix),
+            body=push(species), tag="push", **node))
+        for operator in simulation.operators:
+            graph.add(KernelNode(
+                spec=build_operator_spec(ensemble, operator, memory,
+                                         suffix),
+                body=operate(species, operator),
+                tag=f"mc:{operator.tag}", **node))
+        if simulation.deposition == "none":
+            graph.add(KernelNode(
+                spec=build_wrap_spec(ensemble, memory, suffix),
+                body=deposit(species), tag="wrap", **node))
+        else:
+            graph.add(KernelNode(
+                spec=build_deposit_spec(
+                    ensemble, simulation.deposition, shape,
+                    simulation.grid, memory, suffix),
+                body=deposit(species), barrier=True, tag="deposit",
+                **node))
+    graph.add(KernelNode(
+        spec=build_advance_spec(simulation.grid, simulation.solver_kind,
+                                memory),
+        n_items=simulation.grid.num_cells,
+        body=simulation.solver.step, layout="grid",
+        barrier=True, tag="field-advance"))
+    return graph
+
+
 class PicEngine:
     """Drives real PIC steps through a queue by replaying one graph.
 
-    The step is recorded once, in :attr:`graph`, as a
-    :class:`~repro.oneapi.graph.KernelGraph`, and every step replays it
+    The step is recorded once, by :func:`record_step_graph` with the
+    queue's memory manager, in :attr:`graph`, and every step replays it
     through a :class:`~repro.oneapi.graph.GraphExecutor`, which planned
-    it once; with fusion on, gather + push + Monte Carlo operators merge
-    into one launch per species (the deposit and field-advance barriers
-    never fuse), with fusion off every stage launches separately.
+    it once; with fusion on, gather + push + Monte Carlo operators (and
+    the wrap of ``deposition="none"``) merge into one launch per
+    species (the deposit and field-advance barriers never fuse), with
+    fusion off every stage launches separately.
 
     Both modes run identical stage bodies in identical order, so their
-    final state digests (:func:`pic_state_digest`) are equal.
+    final state digests (:func:`pic_state_digest`) are equal, and equal
+    to the host loop :meth:`~repro.pic.simulation.PicSimulation.step`.
 
     Args:
         queue: The simulated queue (device + runtime + scheduling).
@@ -255,12 +359,9 @@ class PicEngine:
         self.simulation = simulation
         self.fusion = bool(fusion)
         self.step_seconds: List[float] = []
-        count = len(simulation.ensembles)
-        self._gathered: List = [None] * count
-        self._old_positions: List = [None] * count
         #: The step graph, recorded once; its stage bodies read the
         #: simulation's state (the Monte Carlo step count) when they run.
-        self.graph = self._record_graph()
+        self.graph = record_step_graph(simulation, queue.memory)
         self.executor = GraphExecutor(queue, self.graph, fusion=self.fusion,
                                       validate=validate)
 
@@ -268,79 +369,6 @@ class PicEngine:
     def time(self) -> float:
         """Current simulation time [s]."""
         return self.simulation.time
-
-    # -- stage bodies ------------------------------------------------------
-
-    def _gather_body(self, species: int):
-        def body() -> None:
-            self._gathered[species] = self.simulation.gather(species)
-        return body
-
-    def _push_body(self, species: int):
-        def body() -> None:
-            self._old_positions[species] = self.simulation.push(
-                species, self._gathered[species])
-        return body
-
-    def _operator_body(self, species: int, operator):
-        simulation = self.simulation
-        ensemble = simulation.ensembles[species]
-
-        def body() -> None:
-            operator.apply(ensemble, self._gathered[species],
-                           simulation.step_count, simulation.dt,
-                           stream=species)
-        return body
-
-    def _deposit_body(self, species: int):
-        def body() -> None:
-            self.simulation.deposit(species, self._old_positions[species])
-        return body
-
-    # -- graph recording ---------------------------------------------------
-
-    def _record_graph(self) -> KernelGraph:
-        """The step's kernel graph, bound to the simulation's arrays.
-
-        Specs are built, and their arrays registered, in node order.
-        """
-        simulation = self.simulation
-        memory = self.queue.memory
-        shape = simulation.interpolation
-        graph = KernelGraph()
-        for species, ensemble in enumerate(simulation.ensembles):
-            suffix = _suffix(species, len(simulation.ensembles))
-            node = dict(n_items=ensemble.size, layout=ensemble.layout.value,
-                        precision=ensemble.precision)
-            graph.add(KernelNode(
-                spec=build_gather_spec(ensemble, shape, memory, suffix),
-                body=self._gather_body(species),
-                transient=frozenset(f"pic-fields-{c}{suffix}"
-                                    for c in _FIELD_COMPONENTS),
-                tag="gather", **node))
-            graph.add(KernelNode(
-                spec=build_push_spec(ensemble, memory, suffix),
-                body=self._push_body(species), tag="push", **node))
-            for operator in simulation.operators:
-                graph.add(KernelNode(
-                    spec=build_operator_spec(ensemble, operator, memory,
-                                             suffix),
-                    body=self._operator_body(species, operator),
-                    tag=f"mc:{operator.tag}", **node))
-            if simulation.deposition != "none":
-                graph.add(KernelNode(
-                    spec=build_deposit_spec(
-                        ensemble, simulation.deposition, shape,
-                        simulation.grid, memory, suffix),
-                    body=self._deposit_body(species), barrier=True,
-                    tag="deposit", **node))
-        graph.add(KernelNode(
-            spec=build_advance_spec(simulation.grid, simulation.solver_kind,
-                                    memory),
-            n_items=simulation.grid.num_cells,
-            body=simulation.solver.step, layout="grid",
-            barrier=True, tag="field-advance"))
-        return graph
 
     # -- stepping ----------------------------------------------------------
 

@@ -123,12 +123,3 @@ class FdtdSolver:
         return (d_roll(grid.fields["bx"], 0) / dx
                 + d_roll(grid.fields["by"], 1) / dy
                 + d_roll(grid.fields["bz"], 2) / dz)
-
-    def divergence_e(self) -> np.ndarray:
-        """Discrete div E at cell corners (compare against 4 pi rho)."""
-        grid = self.grid
-        dx, dy, dz = grid.spacing
-        d_roll = lambda a, axis: a - np.roll(a, 1, axis=axis)
-        return (d_roll(grid.fields["ex"], 0) / dx
-                + d_roll(grid.fields["ey"], 1) / dy
-                + d_roll(grid.fields["ez"], 2) / dz)

@@ -13,10 +13,11 @@ Positions are wrapped into the periodic box *after* deposition, since
 the Esirkepov scheme needs the unwrapped displacement.
 
 The per-species stages are public methods (:meth:`PicSimulation.gather`,
-:meth:`PicSimulation.push`, :meth:`PicSimulation.deposit`).
-:meth:`PicSimulation.step` calls them in order, and the graph-lowered
-:class:`~repro.pic.engine.PicEngine` calls the same methods from its
-kernel bodies, so both drivers share one implementation of each stage.
+:meth:`PicSimulation.push`, :meth:`PicSimulation.deposit`).  Their
+order is written once, in :func:`~repro.pic.engine.record_step_graph`:
+:meth:`PicSimulation.step` runs that graph's bodies on the host, and
+the graph-lowered :class:`~repro.pic.engine.PicEngine` replays the same
+recording through a simulated queue.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ class PicSimulation:
         self.interpolation = interpolation
         self.operators = list(operators)
         self.step_count = 0
+        #: The step graph :meth:`step` runs, recorded on the first step.
+        self._graph = None
 
     @property
     def time(self) -> float:
@@ -131,8 +134,9 @@ class PicSimulation:
         return old_positions
 
     def deposit(self, species: int, old_positions) -> None:
-        """Deposit the current of ensemble ``species``'s last move, then
-        wrap its positions into the periodic box."""
+        """Deposit the current of ensemble ``species``'s last move (none
+        for ``deposition="none"``), then wrap its positions into the
+        periodic box."""
         ensemble = self.ensembles[species]
         if self.deposition == "esirkepov":
             deposit_current_esirkepov(self.grid, ensemble, old_positions,
@@ -146,28 +150,22 @@ class PicSimulation:
     def step(self) -> None:
         """Advance fields and particles by one time step.
 
-        Under an active tracer each of the four PIC stages
-        (interpolate, push, deposit, field solve) is recorded as a
-        nested wall-clock span — the per-stage breakdown a VTune
-        timeline would show for the real Hi-Chi loop.
+        Runs the bodies of the step graph
+        (:func:`~repro.pic.engine.record_step_graph`, recorded on the
+        first step without a memory manager) in order on the host.
+        Under an active tracer each node is a nested wall-clock span
+        named by its tag (``gather``, ``push``, ``mc:*``,
+        ``deposit``/``wrap``, ``field-advance``) — the per-stage
+        breakdown a VTune timeline would show for the real Hi-Chi loop.
         """
+        if self._graph is None:
+            from .engine import record_step_graph
+            self._graph = record_step_graph(self)
         with trace_span("pic-step", "pic", step=self.step_count):
             self.grid.clear_currents()
-            for species, ensemble in enumerate(self.ensembles):
-                with trace_span("interpolate", "pic",
-                                n_particles=ensemble.size):
-                    fields = self.gather(species)
-                with trace_span("push", "pic",
-                                n_particles=ensemble.size):
-                    old_positions = self.push(species, fields)
-                for operator in self.operators:
-                    with trace_span(f"mc:{operator.tag}", "pic"):
-                        operator.apply(ensemble, fields, self.step_count,
-                                       self.dt, stream=species)
-                with trace_span(f"deposit:{self.deposition}", "pic"):
-                    self.deposit(species, old_positions)
-            with trace_span("field-solve", "pic"):
-                self.solver.step()
+            for node in self._graph:
+                with trace_span(node.tag, "pic", n_items=node.n_items):
+                    node.body()
         self.step_count += 1
 
     def run(self, steps: int,

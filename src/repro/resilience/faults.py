@@ -145,12 +145,6 @@ class FaultPlan:
                 return rule
         return None
 
-    @property
-    def active_kinds(self) -> Tuple[str, ...]:
-        """Kinds that can actually fire under this plan."""
-        return tuple(rule.kind for rule in self.rules
-                     if rule.probability > 0.0 or rule.at_ops)
-
 
 @dataclass(frozen=True)
 class InjectedFault:

@@ -433,9 +433,9 @@ def run_pic_differential(n: int = 192, steps: int = 3,
     :func:`~repro.pic.engine.pic_state_digest` of the final state
     (all particle components including weight, plus grid fields and
     currents) must be bit-identical across modes *and* across layouts
-    — the engine lowers the same stage bodies the reference simulation
-    calls, and fusion only removes launch boundaries, never reorders
-    arithmetic.  Engine modes are additionally replayed through the
+    — the engine replays the same recorded step graph the reference
+    simulation runs on the host, and fusion only removes launch
+    boundaries, never reorders arithmetic.  Engine modes are additionally replayed through the
     hazard detector; the declared read/write sets of the lowered
     kernel nodes must explain every dependency.
 

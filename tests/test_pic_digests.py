@@ -17,6 +17,7 @@ from repro.backends.registry import queue_for
 from repro.fields.interpolation import Shape
 from repro.pic import (PicEngine, PicSimulation, build_scenario,
                        pic_state_digest, scenario_names)
+from repro.pic.simulation import DEPOSITIONS
 
 # Dense enough that cells collect several contributions per window
 # point, so a reordered sum shows in every digest below.
@@ -83,3 +84,28 @@ def test_tsc_two_species_digest_pinned():
     PicEngine(queue_for("iris-xe-max"), simulation,
               fusion=True).run(STEPS + 1)
     assert pic_state_digest(simulation) == TSC_TWO_SPECIES_DIGEST
+
+
+@pytest.mark.parametrize("deposition", DEPOSITIONS)
+@pytest.mark.parametrize("scenario", scenario_names())
+def test_every_driver_agrees_for_every_deposition(scenario, deposition):
+    # Few particles over enough steps that some cross the box, so a
+    # driver that skipped the periodic wrap would diverge.
+    n, seed, warmup, steps = 48, 5, 1, 3
+
+    def simulation():
+        return build_scenario(scenario, n_particles=n, seed=seed,
+                              deposition=deposition)
+
+    host = simulation()
+    host.run(warmup + steps)
+    digests = {"host": pic_state_digest(host)}
+    for fusion in (True, False):
+        lowered = simulation()
+        PicEngine(queue_for("iris-xe-max"), lowered,
+                  fusion=fusion).run(warmup + steps)
+        digests[f"fusion={fusion}"] = pic_state_digest(lowered)
+    digests["run_pic"] = run_pic(PicConfig(
+        scenario=scenario, n_particles=n, steps=steps, warmup=warmup,
+        seed=seed, deposition=deposition)).digest
+    assert len(set(digests.values())) == 1, digests

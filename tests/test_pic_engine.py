@@ -77,11 +77,19 @@ class TestGraphLowering:
         assert all(name.startswith("pic-fields-")
                    for name in gather.transient)
 
-    def test_deposition_none_drops_the_deposit_node(self):
+    def test_deposition_none_records_the_wrap_node(self):
+        # No current, but the positions still wrap into the periodic
+        # box, as a fusable node that claims no grid traffic.
         engine = engine_for(scenario(deposition="none"), True)
         tags = [node.tag for node in engine.graph]
-        assert "deposit" not in tags
-        assert tags[-1] == "field-advance"
+        assert tags == ["gather", "push", "mc:ionize", "wrap",
+                        "field-advance"]
+        wrap = engine.graph.nodes[3]
+        assert wrap.elementwise and not wrap.barrier
+        assert [(s.name, s.kind) for s in wrap.spec.streams] == \
+            [(f"soa-{c}", _RW) for c in "xyz"]
+        engine.step()
+        assert engine.executor.last_plan.groups == [[0, 1, 2, 3], [4]]
 
     def test_fusion_plan_merges_the_particle_chain(self):
         engine = engine_for(scenario(), True)
