@@ -88,10 +88,6 @@ class GraphRoofline:
     groups: Tuple[GroupRoofline, ...]
 
     @property
-    def memory_bound_groups(self) -> int:
-        return sum(1 for g in self.groups if g.point.memory_bound)
-
-    @property
     def floor_seconds(self) -> float:
         """Roofline-ideal seconds of one step (all groups, in order)."""
         return sum(g.floor_seconds for g in self.groups)

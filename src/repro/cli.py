@@ -741,6 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "sample against the scalar reference pusher "
                            "(see docs/VALIDATION.md)")
     from .pic.scenarios import scenario_names
+    from .pic.simulation import DEPOSITIONS
     pic = sub.add_parser(
         "pic", parents=[parent],
         help="run a full self-consistent PIC scenario through the "
@@ -760,8 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     pic.add_argument("--seed", type=int, default=0,
                      help="scenario seed: fixes the particle draw and "
                           "every Monte Carlo operator (default 0)")
-    pic.add_argument("--deposition",
-                     choices=["esirkepov", "direct", "none"],
+    pic.add_argument("--deposition", choices=DEPOSITIONS,
                      default=None,
                      help="override the deposition scheme (default: "
                           "the scenario's, Esirkepov)")
@@ -855,8 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "differential sweep")
     validate.add_argument("--no-pic", action="store_true",
                           help="skip the PIC differential sweep (every "
-                               "scenario x layout x mode must agree "
-                               "bit-exactly; see docs/PIC.md)")
+                               "scenario x deposition x layout x mode "
+                               "must agree bit-exactly; see docs/PIC.md)")
     validate.add_argument("--pic-diff-particles", type=int, default=96,
                           metavar="N",
                           help="particles per PIC sweep cell "

@@ -31,6 +31,21 @@ catastrophic cancellation, making the fields smooth through the focus.
 ``cos`` and the powers of ``x`` once for the three; the field and the
 single-function forms both go through it.
 
+Each point gets only the work it needs, with the same bits as the
+plain whole-array expressions (``tests/_reference_dipole.py`` keeps
+those, and the tests compare raw bits):
+
+* ``sin``, ``cos`` and the closed forms run on the whole array.  A
+  vector math library need not round the trig of an element the same
+  way in a SIMD lane and in the scalar tail, so it is never evaluated
+  on a masked subset.
+* The series run only where ``|kR|`` is below the threshold (points
+  within ``1e-2 / k``, about 1/600 of a wavelength, of the focus) and are
+  assigned in place; they use only ``+ - * /``, which IEEE 754 rounds
+  per element.
+* The ``R = 0`` substitute and limits of ``f1/R`` and ``f2/R^2`` are
+  selected only when some point sits exactly at the origin.
+
 Setting ``paper_typos=True`` reproduces the literal printed equations
 for comparison.
 """
@@ -78,22 +93,35 @@ def dipole_radial(x: np.ndarray
 
     Every value goes through the same operations, in the same order, as
     evaluating each function on its own, with the trig and powers of
-    ``x`` shared.  Every element is evaluated by both the closed form
-    and the series (``sin`` and ``cos`` of a masked subset need not
-    round the same way as of the whole array).
+    ``x`` shared, so the results are bit-identical to the three
+    separate functions.
+
+    * The closed forms, ``sin`` and ``cos`` included, run on the whole
+      array: a vector math library may round ``sin`` of an element
+      differently in a SIMD lane and in the scalar tail, so the trig of
+      a masked subset is not guaranteed to match.  Points below the
+      series threshold are fed ``x = 1`` (their closed form is
+      discarded); when there are none, ``x`` is used as it is.
+    * The series run only on the points below the threshold and are
+      assigned in place.  They use only ``+ - * /``, which IEEE 754
+      rounds per element whatever the vector width, so a masked subset
+      gives the same bits as the whole array.
+
+    A scalar argument gives 0-d arrays.
     """
     xv = np.asarray(x, dtype=np.float64)
-    small = np.abs(xv) < _SERIES_THRESHOLD
-    closed1, closed2, closed3 = _closed_forms(np.where(small, 1.0, xv))
-    x2 = xv * xv
-    f1 = np.where(small, xv * (1.0 / 3.0 + x2 * (-1.0 / 30.0 + x2 / 840.0)),
-                  closed1)
-    f2 = np.where(small,
-                  x2 * (1.0 / 15.0 + x2 * (-1.0 / 210.0 + x2 / 7560.0)),
-                  closed2)
-    f3 = np.where(small, 2.0 / 3.0 + x2 * (-2.0 / 15.0 + x2 / 140.0),
-                  closed3)
-    return f1, f2, f3
+    flat = xv.reshape(-1)
+    small = np.abs(flat) < _SERIES_THRESHOLD
+    any_small = bool(small.any())
+    f1, f2, f3 = _closed_forms(np.where(small, 1.0, flat) if any_small
+                               else flat)
+    if any_small:
+        xs = flat[small]
+        x2 = xs * xs
+        f1[small] = xs * (1.0 / 3.0 + x2 * (-1.0 / 30.0 + x2 / 840.0))
+        f2[small] = x2 * (1.0 / 15.0 + x2 * (-1.0 / 210.0 + x2 / 7560.0))
+        f3[small] = 2.0 / 3.0 + x2 * (-2.0 / 15.0 + x2 / 140.0)
+    return f1.reshape(xv.shape), f2.reshape(xv.shape), f3.reshape(xv.shape)
 
 
 def dipole_f1(x: np.ndarray) -> np.ndarray:
@@ -210,13 +238,19 @@ class MDipoleWave(FieldSource):
 
         # f1/R and f2/R^2 are finite at the origin (f1 ~ kR/3,
         # f2 ~ (kR)^2/15); substitute R = 1 where R = 0 — the series
-        # numerators vanish there at the same order.
+        # numerators vanish there at the same order.  The origin is
+        # rare, so the substitute and the limits are selected only when
+        # some R is 0.
         origin = r == 0.0
-        safe_r = np.where(origin, 1.0, r)
+        at_origin = bool(origin.any())
+        safe_r = np.where(origin, 1.0, r) if at_origin else r
         safe_r2 = safe_r * safe_r
-        f1_over_r = np.where(origin, self.wavenumber / 3.0, f1 / safe_r)
-        f2_over_r2 = np.where(origin, self.wavenumber ** 2 / 15.0,
-                              f2 / safe_r2)
+        f1_over_r = f1 / safe_r
+        f2_over_r2 = f2 / safe_r2
+        if at_origin:
+            f1_over_r = np.where(origin, self.wavenumber / 3.0, f1_over_r)
+            f2_over_r2 = np.where(origin, self.wavenumber ** 2 / 15.0,
+                                  f2_over_r2)
 
         two_a0 = 2.0 * self.amplitude * self.envelope(t)
         cos_t = math.cos(self.omega * t)

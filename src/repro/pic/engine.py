@@ -63,7 +63,7 @@ from .deposition import deposit_current_esirkepov  # noqa: F401
 from .simulation import PicSimulation
 
 __all__ = ["GATHER_FLOPS", "DEPOSIT_FLOPS", "WRAP_FLOPS", "ADVANCE_FLOPS",
-           "pic_state_digest", "build_gather_spec", "build_push_spec",
+           "pic_state_digest", "build_gather_spec", "build_pic_push_spec",
            "build_operator_spec", "build_deposit_spec", "build_wrap_spec",
            "build_advance_spec", "record_step_graph", "PicEngine"]
 
@@ -171,8 +171,8 @@ def build_gather_spec(ensemble: ParticleEnsemble, shape, memory,
                       flops_per_item=flops)
 
 
-def build_push_spec(ensemble: ParticleEnsemble, memory,
-                    suffix: str = "") -> KernelSpec:
+def build_pic_push_spec(ensemble: ParticleEnsemble, memory,
+                        suffix: str = "") -> KernelSpec:
     """Push stage: Boris rotation over the gathered per-particle fields."""
     streams = particle_streams(_PUSH_KINDS, ensemble.size, ensemble.layout,
                                ensemble.precision, memory, ensemble, suffix)
@@ -301,7 +301,7 @@ def record_step_graph(simulation: PicSimulation,
                                 for c in _FIELD_COMPONENTS),
             tag="gather", **node))
         graph.add(KernelNode(
-            spec=build_push_spec(ensemble, memory, suffix),
+            spec=build_pic_push_spec(ensemble, memory, suffix),
             body=push(species), tag="push", **node))
         for operator in simulation.operators:
             graph.add(KernelNode(

@@ -206,12 +206,14 @@ class DifferentialReport:
 
     def render(self) -> str:
         """Plain-text table of every combination and digest check."""
+        width = max([38, *(len(r.label) for r in self.results)])
         lines = [f"differential sweep: {len(self.results)} combinations, "
                  f"n={self.n_particles}, steps={self.steps}",
-                 f"{'combination':<38} {'max ULP':>10} {'worst':>6}  verdict"]
+                 f"{'combination':<{width}} {'max ULP':>10} {'worst':>6}"
+                 f"  verdict"]
         for r in self.results:
             verdict = "ok" if r.passed else f"FAIL ({r.detail})"
-            lines.append(f"{r.label:<38} {r.max_ulp:>10.1f} "
+            lines.append(f"{r.label:<{width}} {r.max_ulp:>10.1f} "
                          f"{r.worst_component:>6}  {verdict}")
         for kind, checks in (("digest", self.digest_checks),
                              ("timing", self.timing_checks)):
@@ -424,20 +426,25 @@ def run_pic_differential(n: int = 192, steps: int = 3,
                          precisions: Sequence[Precision] = (
                              Precision.DOUBLE,),
                          modes: Sequence[object] = PIC_MODES,
-                         seed: int = 0) -> DifferentialReport:
+                         seed: int = 0,
+                         depositions: Optional[Sequence[str]] = None
+                         ) -> DifferentialReport:
     """Differential sweep over the full PIC step (gather / push /
     Monte Carlo / deposit / field advance).
 
-    Each scenario x layout x precision cell is advanced ``steps`` steps
-    through every execution mode in ``modes``; the
+    Each scenario x deposition x layout x precision cell is advanced
+    ``steps`` steps through every execution mode in ``modes``
+    (``depositions`` defaults to every scheme in
+    :data:`~repro.pic.simulation.DEPOSITIONS`); the
     :func:`~repro.pic.engine.pic_state_digest` of the final state
     (all particle components including weight, plus grid fields and
     currents) must be bit-identical across modes *and* across layouts
     — the engine replays the same recorded step graph the reference
     simulation runs on the host, and fusion only removes launch
-    boundaries, never reorders arithmetic.  Engine modes are additionally replayed through the
-    hazard detector; the declared read/write sets of the lowered
-    kernel nodes must explain every dependency.
+    boundaries, never reorders arithmetic.  Each deposition scheme is
+    its own digest group.  Engine modes are additionally replayed
+    through the hazard detector; the declared read/write sets of the
+    lowered kernel nodes must explain every dependency.
 
     Shares :class:`DifferentialReport` with the push sweep:
     ``max_ulp`` is the measured distance of the first species from the
@@ -446,64 +453,65 @@ def run_pic_differential(n: int = 192, steps: int = 3,
     from ..backends.registry import queue_for
     from ..pic import PicEngine, build_scenario, pic_state_digest
     from ..pic.scenarios import scenario_names
+    from ..pic.simulation import DEPOSITIONS
 
     names = list(scenarios) if scenarios is not None \
         else list(scenario_names())
+    schemes = list(depositions) if depositions is not None \
+        else list(DEPOSITIONS)
     tracer = active_tracer()
     report = DifferentialReport(
         n_particles=n, steps=steps,
         tolerances={p.value: 0.0 for p in precisions})
     digests: Dict[Tuple[str, str], Dict[str, List[str]]] = {}
-    for scenario in names:
-        for precision in precisions:
-            for layout in layouts:
-                reference = build_scenario(
-                    scenario, n_particles=n, seed=seed, layout=layout,
-                    precision=precision)
-                reference.run(steps)
-                ref_digest = pic_state_digest(reference)
-                group = digests.setdefault(
-                    (f"{scenario}:{layout.value}", precision.value), {})
-                for mode in modes:
-                    label = (f"pic[{scenario}]/{layout.value}/"
-                             f"{precision.value}/"
-                             f"{_PIC_MODE_LABELS[mode]}")
-                    if mode == "reference":
-                        digest, checked, max_ulp, worst = \
-                            ref_digest, 0, 0.0, "-"
-                        final = reference
-                    else:
-                        simulation = build_scenario(
-                            scenario, n_particles=n, seed=seed,
-                            layout=layout, precision=precision)
-                        engine = PicEngine(queue_for(device), simulation,
-                                           fusion=mode)
-                        engine.run(steps)
-                        checked = sum(assert_hazard_free(q)
-                                      for q in engine.queues())
-                        digest = pic_state_digest(simulation)
-                        max_ulp, worst, _ = compare_ensembles(
-                            simulation.ensembles[0],
-                            reference.ensembles[0])
-                        final = simulation
-                    del final
-                    passed = digest == ref_digest
-                    result = ComboResult(
-                        engine=f"pic[{scenario}]", layout=layout.value,
-                        precision=precision.value,
-                        fusion=_PIC_MODE_LABELS[mode],
-                        max_ulp=max_ulp if isinstance(max_ulp, float)
-                        else 0.0,
-                        worst_component=worst, digest=digest,
-                        commands_checked=checked, passed=passed,
-                        detail="" if passed else
-                        "digest differs from the reference run")
-                    report.results.append(result)
-                    if tracer is not None:
-                        tracer.validation(f"pic:{label}", passed,
-                                          digest=digest[:12],
-                                          commands=checked)
-                    group.setdefault(digest, []).append(label)
+    cells = product(names, schemes, precisions, layouts)
+    for scenario, scheme, precision, layout in cells:
+        engine_name = f"pic[{scenario}]/{scheme}"
+        reference = build_scenario(
+            scenario, n_particles=n, seed=seed, layout=layout,
+            precision=precision, deposition=scheme)
+        reference.run(steps)
+        ref_digest = pic_state_digest(reference)
+        group = digests.setdefault(
+            (f"{engine_name}:{layout.value}", precision.value), {})
+        for mode in modes:
+            label = (f"{engine_name}/{layout.value}/"
+                     f"{precision.value}/"
+                     f"{_PIC_MODE_LABELS[mode]}")
+            if mode == "reference":
+                digest, checked, max_ulp, worst = \
+                    ref_digest, 0, 0.0, "-"
+            else:
+                simulation = build_scenario(
+                    scenario, n_particles=n, seed=seed,
+                    layout=layout, precision=precision,
+                    deposition=scheme)
+                engine = PicEngine(queue_for(device), simulation,
+                                   fusion=mode)
+                engine.run(steps)
+                checked = sum(assert_hazard_free(q)
+                              for q in engine.queues())
+                digest = pic_state_digest(simulation)
+                max_ulp, worst, _ = compare_ensembles(
+                    simulation.ensembles[0],
+                    reference.ensembles[0])
+            passed = digest == ref_digest
+            result = ComboResult(
+                engine=engine_name, layout=layout.value,
+                precision=precision.value,
+                fusion=_PIC_MODE_LABELS[mode],
+                max_ulp=max_ulp if isinstance(max_ulp, float)
+                else 0.0,
+                worst_component=worst, digest=digest,
+                commands_checked=checked, passed=passed,
+                detail="" if passed else
+                "digest differs from the reference run")
+            report.results.append(result)
+            if tracer is not None:
+                tracer.validation(f"pic:{label}", passed,
+                                  digest=digest[:12],
+                                  commands=checked)
+            group.setdefault(digest, []).append(label)
     for (cell_name, precision_name), by_digest in sorted(digests.items()):
         name = f"{cell_name}/{precision_name} bit-exact group"
         if len(by_digest) == 1:
@@ -519,19 +527,20 @@ def run_pic_differential(n: int = 192, steps: int = 3,
         if tracer is not None:
             tracer.validation(f"digest:{name}", check.passed,
                               distinct=len(by_digest))
-    # Cross-layout agreement per scenario: the digest hashes a
-    # contiguous copy of each component, so AoS and SoA runs of the
-    # same seeded scenario must agree to the bit.
-    for scenario in names:
+    # Cross-layout agreement per scenario and deposition: the digest
+    # hashes a contiguous copy of each component, so AoS and SoA runs of
+    # the same seeded scenario must agree to the bit.
+    for scenario, scheme in product(names, schemes):
+        engine_name = f"pic[{scenario}]/{scheme}"
         for precision_name in sorted({p.value for p in precisions}):
             per_layout = {cell: set(by_digest)
                           for (cell, pname), by_digest in digests.items()
                           if pname == precision_name
-                          and cell.startswith(f"{scenario}:")}
+                          and cell.startswith(f"{engine_name}:")}
             if len(per_layout) < 2:
                 continue
             union = set().union(*per_layout.values())
-            name = f"pic[{scenario}] AoS == SoA ({precision_name})"
+            name = f"{engine_name} AoS == SoA ({precision_name})"
             check = DigestCheck(name, len(union) == 1,
                                 "" if len(union) == 1 else
                                 f"{len(union)} distinct digests "

@@ -9,11 +9,16 @@ bit patterns, not with a tolerance.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.scenarios import paper_ensemble
 from repro.fields import (MDipoleWave, dipole_f1, dipole_f2, dipole_f3,
                           dipole_radial)
 from repro.fields.dipole import _SERIES_THRESHOLD
+from repro.fp import Precision
+from repro.oneapi.graph import BLOCK_ITEMS
+from repro.particles import Layout
 from tests import _reference_dipole as reference
 
 
@@ -61,6 +66,120 @@ def test_radial_helper_matches_on_a_large_array():
                 reference.dipole_f3(x))
     for got, want in zip(dipole_radial(x), expected):
         np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def assert_radial_matches(x):
+    expected = (reference.dipole_f1(x), reference.dipole_f2(x),
+                reference.dipole_f3(x))
+    for got, want in zip(dipole_radial(x), expected):
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def test_block_without_small_points_matches():
+    # The series and the masked ``x = 1`` substitute are skipped.
+    rng = np.random.default_rng(5)
+    x = rng.uniform(2.0 * _SERIES_THRESHOLD, 40.0, BLOCK_ITEMS)
+    x[::7] *= -1.0
+    assert_radial_matches(x)
+
+
+def test_all_small_block_matches():
+    # Every closed form is discarded and every value is a series value.
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-_SERIES_THRESHOLD, _SERIES_THRESHOLD, 4099)
+    x[:4] = [0.0, -0.0, np.nextafter(_SERIES_THRESHOLD, 0.0),
+             -np.nextafter(_SERIES_THRESHOLD, 0.0)]
+    assert_radial_matches(x)
+
+
+def test_multidimensional_argument_keeps_its_shape():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-0.05, 0.05, (6, 5, 3))
+    assert_radial_matches(x)
+    assert_radial_matches(x[:, ::2, :])      # non-contiguous
+
+
+def engine_block(seed=0):
+    """One blocked-replay block of the paper ensemble, in storage precision."""
+    ensemble = paper_ensemble(BLOCK_ITEMS, Layout.SOA, Precision.SINGLE,
+                              seed=seed)
+    return tuple(ensemble.component(axis) for axis in "xyz")
+
+
+def kr_of(wave, x, y, z):
+    x, y, z = (np.asarray(axis, dtype=np.float64) for axis in (x, y, z))
+    return wave.wavenumber * np.sqrt(x * x + y * y + z * z)
+
+
+def assert_evaluate_matches(wave, x, y, z, t):
+    got = wave.evaluate(x, y, z, t)
+    want = reference.evaluate(wave, x, y, z, t)
+    for name, a, b in zip(got._fields, got, want):
+        assert np.shape(a) == np.shape(b), name
+        np.testing.assert_array_equal(bits(a), bits(b), err_msg=name)
+
+
+@pytest.mark.parametrize("paper_typos", [False, True])
+def test_evaluate_matches_on_an_engine_block(paper_typos):
+    # A float32 block of the size the engine refreshes per block: no
+    # point at the origin, no point below the series threshold.
+    x, y, z = engine_block()
+    assert x.dtype == np.float32 and x.size == BLOCK_ITEMS
+    wave = MDipoleWave(paper_typos=paper_typos)
+    assert kr_of(wave, x, y, z).min() >= _SERIES_THRESHOLD
+    period = 2.0 * np.pi / wave.omega
+    for t in (0.0, 0.3 * period, 7.1 * period):
+        assert_evaluate_matches(wave, x, y, z, t)
+
+
+@pytest.mark.parametrize("paper_typos", [False, True])
+def test_evaluate_matches_with_focus_and_origin_points(paper_typos):
+    # The same block with points moved onto the origin and into the
+    # series region, so every masked fix-up runs.
+    x, y, z = (axis.copy() for axis in engine_block(seed=1))
+    wave = MDipoleWave(paper_typos=paper_typos, ramp_cycles=3.0)
+    focus = 0.5 * _SERIES_THRESHOLD / wave.wavenumber
+    for axis in (x, y, z):
+        axis[100:400] *= np.float32(focus / np.abs(axis).max())
+        axis[[0, 999, BLOCK_ITEMS - 1]] = 0.0
+    kr = kr_of(wave, x, y, z)
+    assert np.count_nonzero(kr == 0.0) == 3
+    assert np.count_nonzero((kr > 0.0) & (kr < _SERIES_THRESHOLD)) == 300
+    assert_evaluate_matches(wave, x, y, z, 2.0 * np.pi / wave.omega)
+
+
+@pytest.mark.parametrize("paper_typos", [False, True])
+def test_evaluate_matches_where_r_underflows_to_zero(paper_typos):
+    # x^2 + y^2 + z^2 underflows to 0 for |x| below ~1e-162, so R == 0
+    # while the coordinates are not: only there do the R = 0 limits of
+    # f1/R and f2/R^2 reach the output (at the true origin every term
+    # they enter is multiplied by an exact zero).
+    x = np.array([1.0e-163, 0.0, -3.0e-170, 0.5])
+    y = np.array([-2.0e-163, 0.0, 1.0e-200, 0.25])
+    z = np.array([1.5e-163, 0.0, 2.0e-165, -0.125])
+    wave = MDipoleWave(paper_typos=paper_typos)
+    assert np.count_nonzero(kr_of(wave, x, y, z) == 0.0) == 3
+    got = wave.evaluate(x, y, z, 1.0e-16)
+    assert got.ex[0] != 0.0 and got.bx[0] != 0.0
+    assert_evaluate_matches(wave, x, y, z, 1.0e-16)
+
+
+@pytest.mark.parametrize("paper_typos", [False, True])
+def test_evaluate_matches_on_an_all_origin_block(paper_typos):
+    zeros = np.zeros(33)
+    assert_evaluate_matches(MDipoleWave(paper_typos=paper_typos),
+                            zeros, zeros, zeros, 1.0e-16)
+
+
+@pytest.mark.parametrize("paper_typos", [False, True])
+def test_evaluate_keeps_scalar_and_grid_shapes(paper_typos):
+    wave = MDipoleWave(paper_typos=paper_typos)
+    scale = wave.wavelength
+    assert_evaluate_matches(wave, 0.3 * scale, -0.2 * scale, 0.0, 1.0e-16)
+    grid = np.meshgrid(*(np.linspace(-scale, scale, 5),) * 3,
+                       indexing="ij")
+    assert_evaluate_matches(wave, *grid, 1.0e-16)
 
 
 def test_scalar_argument_keeps_its_shape():

@@ -102,12 +102,44 @@ class TestPicDifferentialSweep:
         assert report.all_passed
         labels = {r.fusion for r in report.results}
         assert labels == {"reference", "unfused", "fused"}
-        # 2 layouts x (per-combination group + 1 cross-layout check)
-        assert len(report.digest_checks) == 3
+        # 3 depositions x (2 per-layout groups + 1 cross-layout check)
+        assert len(report.digest_checks) == 9
         assert all(c.passed for c in report.digest_checks)
         engine_cells = [r for r in report.results
                         if r.fusion != "reference"]
         assert all(r.commands_checked > 0 for r in engine_cells)
+
+    def test_deposition_axis_defaults_to_every_scheme(self):
+        from repro.pic.simulation import DEPOSITIONS
+        from repro.validation import run_pic_differential
+        report = run_pic_differential(n=16, steps=1,
+                                      scenarios=("laser-slab",),
+                                      layouts=(Layout.SOA,))
+        assert report.all_passed
+        assert [r.engine for r in report.results] == [
+            f"pic[laser-slab]/{scheme}" for scheme in DEPOSITIONS
+            for _ in range(3)]
+        # Each scheme is its own bit-exact group: the schemes deposit
+        # different currents, so the groups must not be merged.
+        assert len(report.digest_checks) == len(DEPOSITIONS)
+        assert len({r.digest for r in report.results}) == len(DEPOSITIONS)
+
+    def test_deposition_axis_can_be_narrowed(self):
+        from repro.validation import run_pic_differential
+        report = run_pic_differential(n=16, steps=1,
+                                      scenarios=("magnetic-mirror",),
+                                      layouts=(Layout.AOS,),
+                                      depositions=("none",))
+        assert report.all_passed
+        assert {r.engine for r in report.results} == {
+            "pic[magnetic-mirror]/none"}
+
+    def test_unknown_deposition_is_rejected(self):
+        from repro.errors import ReproError
+        from repro.validation import run_pic_differential
+        with pytest.raises(ReproError, match="deposition"):
+            run_pic_differential(n=16, steps=1, scenarios=("laser-slab",),
+                                 depositions=("ngp",))
 
     def test_render_names_every_mode(self):
         from repro.validation import run_pic_differential

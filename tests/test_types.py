@@ -89,3 +89,32 @@ class TestVectorizedLookup:
 
     def test_empty_lookup(self, type_table):
         assert type_table.masses_of(np.array([], dtype=np.int16)).size == 0
+
+    @pytest.mark.parametrize("dtype", [None, np.float32, np.float64])
+    def test_lookups_equal_the_fancy_index_gather(self, type_table, dtype):
+        # ``np.take`` replaced ``lut[ids]``; the values, dtype and shape
+        # must be the ones the fancy index gives, for blocks and scalars.
+        rng = np.random.default_rng(3)
+        for ids in (rng.integers(0, 3, 16_384).astype(np.int16),
+                    rng.integers(0, 3, (4, 5)).astype(np.int16),
+                    np.int16(2), np.array([], dtype=np.int16)):
+            for lookup, master in ((type_table.masses_of,
+                                    type_table._mass_lut),
+                                   (type_table.charges_of,
+                                    type_table._charge_lut)):
+                lut = master if dtype is None else master.astype(dtype)
+                got, want = lookup(ids, dtype=dtype), lut[ids]
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_typed_lookups_reject_out_of_range_ids(self, type_table, dtype):
+        # ``np.take`` would wrap a negative id; the range check must
+        # still run first on every path.
+        for bad in (np.array([0, 3], dtype=np.int16),
+                    np.array([-1, 0], dtype=np.int16), np.int16(-3)):
+            with pytest.raises(ConfigurationError):
+                type_table.masses_of(bad, dtype=dtype)
+            with pytest.raises(ConfigurationError):
+                type_table.charges_of(bad, dtype=dtype)
