@@ -11,10 +11,10 @@ Run:  pytest benchmarks/bench_ablation_grain.py --benchmark-only -s
 
 from repro.bench import format_table
 from repro.bench.calibration import cost_model_for, xeon_8260l_node
-from repro.fields import MDipoleWave
+from repro.bench.harness import replay_paper_graph
+from repro.bench.metrics import nsps_from_steps
 from repro.fp import Precision
 from repro.oneapi import (DynamicScheduler, Queue, RuntimeConfig)
-from repro.oneapi.runtime import build_push_spec
 from repro.particles import Layout
 
 from conftest import once
@@ -26,14 +26,11 @@ def _nsps_with_grain(model_n, grain_size):
                            scheduler=DynamicScheduler(grain_size=grain_size,
                                                       seed=9))
     queue = Queue(device, config, cost_model_for(device))
-    spec = build_push_spec(model_n, Layout.SOA, Precision.SINGLE,
-                           "analytical", queue.memory,
-                           field_flops=MDipoleWave
-                           .flops_per_evaluation)
-    records = [queue.parallel_for(model_n, spec,
-                                  precision=Precision.SINGLE)
-               for _ in range(4)]
-    return sum(r.nsps() for r in records[2:]) / 2.0
+    _, records = replay_paper_graph(queue, model_n, Layout.SOA,
+                                    Precision.SINGLE, "analytical", steps=4)
+    steady, _ = nsps_from_steps([r.simulated_seconds for r in records],
+                                model_n, warmup=2)
+    return steady
 
 
 def test_grain_size_sweep(benchmark, model_n):

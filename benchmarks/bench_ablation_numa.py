@@ -11,10 +11,10 @@ Run:  pytest benchmarks/bench_ablation_numa.py --benchmark-only -s
 
 from repro.bench import format_table
 from repro.bench.calibration import cost_model_for, xeon_8260l_node
+from repro.bench.harness import replay_paper_graph
 from repro.bench.scenarios import runtime_config_for
 from repro.fp import Precision
 from repro.oneapi import Queue
-from repro.oneapi.runtime import build_push_spec
 from repro.particles import Layout
 
 from conftest import once
@@ -24,11 +24,9 @@ def _steady_launch(model_n, parallelization):
     device = xeon_8260l_node()
     queue = Queue(device, runtime_config_for(parallelization),
                   cost_model_for(device))
-    spec = build_push_spec(model_n, Layout.SOA, Precision.SINGLE,
-                           "precalculated", queue.memory)
-    records = [queue.parallel_for(model_n, spec,
-                                  precision=Precision.SINGLE)
-               for _ in range(4)]
+    _, records = replay_paper_graph(queue, model_n, Layout.SOA,
+                                    Precision.SINGLE, "precalculated",
+                                    steps=4)
     return records[-1]
 
 

@@ -7,15 +7,15 @@ Boris push would achieve — including the roofline explanation of *why*.
 Run:  python examples/model_your_machine.py
 """
 
+from repro.analysis import analyze_graph
 from repro.bench import format_table
-from repro.bench.calibration import cost_model_for, xeon_8260l_node
-from repro.fields import MDipoleWave
+from repro.bench.calibration import xeon_8260l_node
+from repro.bench.harness import replay_paper_graph
+from repro.bench.metrics import nsps_from_steps
 from repro.fp import Precision
-from repro.oneapi import (Queue, RuntimeConfig, UsmMemoryManager,
-                          analyze_kernel, make_cpu_descriptor,
+from repro.oneapi import (Queue, RuntimeConfig, make_cpu_descriptor,
                           make_gpu_descriptor)
 from repro.oneapi.costmodel import CostModel
-from repro.oneapi.runtime import build_push_spec
 from repro.particles import Layout
 
 N = 4_000_000
@@ -40,43 +40,39 @@ MACHINES = [
 ]
 
 
-def predicted_nsps(device, scenario):
+def predict(device, scenario):
+    """Steady NSPS and roofline bound of the paper's step on ``device``."""
     queue = Queue(device, RuntimeConfig(runtime="dpcpp",
                                         cpu_places="numa_domains"),
                   CostModel(device))
-    field_flops = (MDipoleWave.flops_per_evaluation
-                   if scenario == "analytical" else 0.0)
-    spec = build_push_spec(N, Layout.SOA, Precision.SINGLE,
-                           scenario, queue.memory,
-                           field_flops=field_flops)
-    records = [queue.parallel_for(N, spec, precision=Precision.SINGLE)
-               for _ in range(4)]
-    return sum(r.nsps() for r in records[2:]) / 2.0
+    graph, records = replay_paper_graph(queue, N, Layout.SOA,
+                                        Precision.SINGLE, scenario, steps=4)
+    steady, _ = nsps_from_steps([r.simulated_seconds for r in records],
+                                N, warmup=2)
+    return steady, analyze_graph(graph, device).bound
 
 
 def main() -> None:
     rows = []
-    spec = build_push_spec(
-        N, Layout.SOA, Precision.SINGLE, "precalculated",
-        UsmMemoryManager())
     for device in MACHINES:
-        point = analyze_kernel(spec, device, Precision.SINGLE)
+        precalculated, bound = predict(device, "precalculated")
+        analytical, _ = predict(device, "analytical")
         rows.append([
             device.name,
             f"{device.peak_flops(Precision.SINGLE) / 1e12:.1f} TF",
             f"{device.total_bandwidth / 1e9:.0f} GB/s",
-            f"{predicted_nsps(device, 'precalculated'):.2f}",
-            f"{predicted_nsps(device, 'analytical'):.2f}",
-            "memory" if point.memory_bound else "compute",
+            f"{precalculated:.2f}",
+            f"{analytical:.2f}",
+            bound,
         ])
     print(format_table(
         ["machine", "peak SP", "bandwidth", "precalc NSPS",
          "analytical NSPS", "bound"],
         rows, "Predicted Boris-push NSPS (DPC++ NUMA, SoA, float)"))
 
-    reference = cost_model_for(xeon_8260l_node())
+    reference, _ = predict(xeon_8260l_node(), "precalculated")
     print(f"\n(reference: the calibrated paper node predicts "
-          f"{predicted_nsps(reference.device, 'precalculated'):.2f} NSPS "
+          f"{reference:.2f} NSPS "
           f"precalculated — the paper measured 0.58)")
 
 

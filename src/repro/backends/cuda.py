@@ -206,17 +206,6 @@ class CudaCostModel(CostModel):
             overhead += CONTEXT_INIT_SECONDS
         return overhead
 
-    # -- introspection (tests, reports) ----------------------------------
-
-    def launches_of(self, kernel_name: str) -> int:
-        """Measured launches of ``kernel_name`` on this context."""
-        return self._launches_by_kernel.get(kernel_name, 0)
-
-    def is_graph_replaying(self, kernel_name: str) -> bool:
-        """Whether the next launch of ``kernel_name`` replays a graph."""
-        return self._launches_by_kernel.get(kernel_name, 0) \
-            >= GRAPH_CAPTURE_LAUNCHES
-
 
 class CudaStream(Queue):
     """A CUDA stream: an in-order queue, always.

@@ -4,6 +4,9 @@ Each public function regenerates one artefact; return shapes are fixed
 API (the CLI, validation suite and observability layer all consume
 them):
 
+* :func:`replay_paper_graph` — the paper's step graph replayed on a
+  given queue; returns ``(graph, records)``, one launch record per
+  step;
 * :func:`model_push_nsps` — one benchmark cell; returns a
   :class:`ModelResult`;
 * :func:`table2_rows` — Table 2 (CPU NSPS, 6 implementations x 2
@@ -30,7 +33,8 @@ installed (``python -m repro trace table2 --out t.json``, or
 :func:`repro.observability.tracing` in code): one ``bench``-category
 span per artefact, one ``cell:...`` span per benchmark cell — the cell
 span is the scope under which the traced kernel statistics are keyed,
-so per-cell NSPS can be recomputed from the trace alone.  Tracing only
+so per-cell NSPS can be recomputed, to round-off, from the trace
+alone.  Tracing only
 observes; traced and untraced runs produce identical numbers (enforced
 by ``tests/test_observability.py``).
 """
@@ -45,18 +49,19 @@ from ..fields.dipole import MDipoleWave
 from ..observability.tracer import trace_span
 from ..fp import Precision
 from ..oneapi.device import DeviceDescriptor
-from ..oneapi.queue import Queue, RuntimeConfig
-from ..oneapi.runtime import build_push_spec
+from ..oneapi.graph import GraphExecutor, KernelGraph
+from ..oneapi.queue import KernelLaunchRecord, Queue, RuntimeConfig
+from ..oneapi.runtime import build_step_graph
 from ..particles.ensemble import Layout
-from ..resilience.recovery import allocate_with_retry, launch_with_retry
+from ..resilience.recovery import allocate_with_retry, run_with_retry
 from .calibration import cost_model_for, device_by_name, xeon_8260l_node
-from .metrics import nsps_from_records
+from .metrics import nsps_from_steps
 from .scenarios import (BenchmarkCase, CPU_PARALLELIZATIONS,
                         PAPER_PARTICLES, PAPER_STEPS_PER_ITERATION,
                         runtime_config_for)
 
-__all__ = ["ModelResult", "model_push_nsps", "table2_rows", "table3_rows",
-           "fig1_series", "first_iteration_ratio", "thread_sweep",
+__all__ = ["ModelResult", "replay_paper_graph", "model_push_nsps",
+           "table2_rows", "table3_rows", "fig1_series", "first_iteration_ratio", "thread_sweep",
            "fusion_rows", "autotune_rows"]
 
 #: Modelled launches per experiment cell: enough to get past first-touch
@@ -104,6 +109,41 @@ def _config_for(case: BenchmarkCase,
     return RuntimeConfig(runtime="dpcpp")
 
 
+def replay_paper_graph(queue: Queue, n: int, layout: Layout,
+                       precision: Precision, scenario: str,
+                       steps: int = DEFAULT_MODEL_STEPS
+                       ) -> Tuple[KernelGraph, List[KernelLaunchRecord]]:
+    """Replay the paper's push step ``steps`` times on ``queue``.
+
+    The step is the unbound paper graph of
+    :func:`~repro.oneapi.runtime.build_step_graph` with
+    ``untimed_fields=True``: the field refresh is untimed staging and
+    the push is the one timed launch.  Its streams are virtual
+    allocations of ``queue.memory`` and no node has a body, so the
+    paper's 1e7 particles cost nothing on the host.  Returns the graph
+    (for :func:`~repro.analysis.roofline.analyze_graph`) and one launch
+    record per step; ``steps=0`` only builds the graph.
+
+    Under ``--fault-plan`` the graph build retries injected
+    alloc-failures (:func:`~repro.resilience.recovery.allocate_with_retry`)
+    and each replay retries transient faults
+    (:func:`~repro.resilience.recovery.run_with_retry`), folding the
+    recovery seconds into that step's record.
+    """
+    field_flops = (MDipoleWave.flops_per_evaluation
+                   if scenario == "analytical" else 0.0)
+    graph = allocate_with_retry(
+        lambda: build_step_graph(n, layout, precision, scenario,
+                                 field_flops, untimed_fields=True,
+                                 memory=queue.memory),
+        queue)
+    push_spec = graph.nodes[graph.staged].spec
+    executor = GraphExecutor(queue, graph, fusion=False)
+    records = [run_with_retry(lambda: executor.run()[0], queue, push_spec)
+               for _ in range(steps)]
+    return graph, records
+
+
 def model_push_nsps(case: BenchmarkCase,
                     n: int = PAPER_PARTICLES,
                     steps: int = DEFAULT_MODEL_STEPS,
@@ -112,7 +152,9 @@ def model_push_nsps(case: BenchmarkCase,
     """Model one benchmark cell and return its NSPS figures.
 
     ``units``/``threads_per_unit`` restrict the CPU core count (for the
-    Fig. 1 sweep); None uses the whole device.
+    Fig. 1 sweep); None uses the whole device.  The cell's queue
+    replays the paper graph (:func:`replay_paper_graph`) and the
+    steady figure skips the two warm-up steps.
     """
     if steps < 3:
         raise ConfigurationError("need at least 3 launches (warm-up + steady)")
@@ -123,26 +165,15 @@ def model_push_nsps(case: BenchmarkCase,
         device = _device_for(case)
         queue = Queue(device, _config_for(case, units, threads_per_unit),
                       cost_model_for(device))
-        field_flops = (MDipoleWave.flops_per_evaluation
-                       if case.scenario == "analytical" else 0.0)
-        # spec construction registers USM allocations, so under
-        # --fault-plan it can hit an injected alloc-failure too
-        spec = allocate_with_retry(
-            lambda: build_push_spec(n, case.layout, case.precision,
-                                    case.scenario, queue.memory,
-                                    field_flops=field_flops),
-            queue)
-        # launch_with_retry is a 1:1 parallel_for when no fault injector
-        # is installed; under --fault-plan it retries transient faults,
-        # charging the backoff to the simulated timeline (and NSPS).
-        records = [launch_with_retry(queue, n, spec,
-                                     precision=case.precision)
-                   for _ in range(steps)]
-        steady = nsps_from_records(records)
+        _, records = replay_paper_graph(queue, n, case.layout,
+                                        case.precision, case.scenario,
+                                        steps)
+        steady, first = nsps_from_steps(
+            [r.simulated_seconds for r in records], n, warmup=2)
     return ModelResult(
         case=case,
         nsps=steady,
-        first_launch_nsps=records[0].nsps(),
+        first_launch_nsps=first,
         steady_launch_seconds=steady * 1.0e-9 * n,
         first_launch_seconds=records[0].simulated_seconds,
         bound=records[-1].timing.bound,

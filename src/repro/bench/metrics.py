@@ -10,10 +10,12 @@ and first-step NSPS of a run's whole steps as a ``(float, float)``
 pair — the one routine every run report (push, resilient, PIC, service
 job) takes its NSPS from; :func:`measure_real_nsps` returns a
 :class:`MeasuredResult` (``nsps``, ``n_particles``, ``steps``,
-``total_seconds``).  :func:`nsps_from_records` is also what the trace
-summary (:mod:`repro.observability.summary`) applies to its launch
-samples, so NSPS recomputed from a captured trace agrees exactly with
-the harness.
+``total_seconds``).  :func:`nsps_from_steps` is also the paper
+harness's steady-state average.  :func:`nsps_from_records` serves only
+the trace summary (:mod:`repro.observability.summary`), whose
+per-kernel launch samples can differ in ``n_items`` (PIC with
+ionization); for the harness's one launch per step it agrees with
+:func:`nsps_from_steps` to round-off.
 """
 
 from __future__ import annotations

@@ -195,26 +195,26 @@ def _cmd_escape(args: argparse.Namespace) -> None:
 
 
 def _cmd_roofline(args: argparse.Namespace) -> None:
-    from .oneapi import UsmMemoryManager, analyze_kernel
-    from .oneapi.runtime import build_push_spec
-    from .fields import MDipoleWave
+    from .analysis import analyze_graph
+    from .bench.harness import replay_paper_graph
+    from .oneapi import Queue
 
+    n = 1_000_000
     rows = []
     for device_name in DEVICE_NAMES:
         device = device_by_name(device_name)
         for scenario in ("precalculated", "analytical"):
-            field_flops = (MDipoleWave.flops_per_evaluation
-                           if scenario == "analytical" else 0.0)
-            spec = build_push_spec(
-                1_000_000, Layout.SOA, Precision.SINGLE, scenario,
-                UsmMemoryManager(), field_flops=field_flops)
-            point = analyze_kernel(spec, device, Precision.SINGLE)
+            graph, _ = replay_paper_graph(Queue(device), n, Layout.SOA,
+                                          Precision.SINGLE, scenario,
+                                          steps=0)
+            roofline = analyze_graph(graph, device)
+            point = roofline.groups[0].point
             rows.append([
                 device_name, scenario,
                 f"{point.arithmetic_intensity:.2f}",
                 f"{point.ridge_intensity:.2f}",
-                "memory" if point.memory_bound else "compute",
-                f"{point.predicted_nsps:.2f}",
+                roofline.bound,
+                f"{roofline.predicted_nsps(n):.2f}",
             ])
     print(format_table(
         ["device", "scenario", "flops/byte", "ridge", "bound",

@@ -145,14 +145,12 @@ class TrajectoryRecorder:
         self.times: List[float] = []
         self._positions: List[np.ndarray] = []
         self._momenta: List[np.ndarray] = []
-        self._gammas: List[np.ndarray] = []
 
     def __call__(self, step: int, time: float,
                  ensemble: ParticleEnsemble) -> None:
         self.times.append(time)
         self._positions.append(ensemble.positions())
         self._momenta.append(ensemble.momenta())
-        self._gammas.append(ensemble.component("gamma").astype(np.float64))
 
     def positions(self) -> np.ndarray:
         """(steps, N, 3) recorded positions."""
@@ -161,10 +159,6 @@ class TrajectoryRecorder:
     def momenta(self) -> np.ndarray:
         """(steps, N, 3) recorded momenta."""
         return np.asarray(self._momenta)
-
-    def gammas(self) -> np.ndarray:
-        """(steps, N) recorded Lorentz factors."""
-        return np.asarray(self._gammas)
 
 
 def integrate_trajectory_rk4(position: np.ndarray, momentum: np.ndarray,

@@ -154,9 +154,6 @@ class LinkTable:
         """
         return self.host_link(key_a).compose(self.host_link(key_b))
 
-    def known_keys(self):
-        """Device keys this table can price (sorted)."""
-        return tuple(sorted(self._host_links))
 
 
 def default_link_table(extra: Optional[Dict[str, LinkDescriptor]] = None

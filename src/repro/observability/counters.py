@@ -5,8 +5,8 @@ within one tracing scope (the bench harness scopes by benchmark cell).
 It keeps both the running totals — flops, DRAM and interconnect bytes,
 modelled vs. real wall seconds, JIT and first-touch warm-up — and the
 full per-launch :class:`LaunchSample` list, so the summary layer can
-recompute steady-state NSPS with exactly the warm-up-skipping rule the
-bench harness uses (:func:`repro.bench.metrics.nsps_from_records`).
+recompute steady-state NSPS with the bench harness's warm-up-skipping
+rule (:func:`repro.bench.metrics.nsps_from_records`).
 """
 
 from __future__ import annotations

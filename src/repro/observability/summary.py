@@ -3,9 +3,11 @@
 :func:`kernel_summary` reduces a tracer's per-kernel statistics to one
 row per ``(scope, kernel)`` pair; its steady NSPS is
 :func:`repro.bench.metrics.nsps_from_records` over the trace's launch
-samples, so the NSPS printed from a trace is bit-identical to the NSPS
-the bench harness reports for the same launches — the invariant the
-``repro trace`` CLI and the regression-guard test rely on.
+samples, which skips the same two warm-up launches as the bench
+harness.  The harness averages whole-step seconds
+(:func:`~repro.bench.metrics.nsps_from_steps`); with one launch per
+step the two agree to round-off — the invariant the ``repro trace``
+CLI and the regression-guard test rely on.
 """
 
 from __future__ import annotations

@@ -159,11 +159,6 @@ class DeviceDescriptor:
         return self.compute_units // self.numa_domains
 
     @property
-    def max_threads(self) -> int:
-        """Total hardware threads on the device."""
-        return self.compute_units * self.threads_per_unit
-
-    @property
     def total_bandwidth(self) -> float:
         """Aggregate DRAM bandwidth across all domains [bytes/s]."""
         return self.domain_bandwidth * self.numa_domains

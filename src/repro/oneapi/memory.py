@@ -104,11 +104,6 @@ class UsmAllocation:
             pages[fresh] = domain
         return count
 
-    def home_histogram(self) -> Dict[int, int]:
-        """Pages homed per domain (untouched pages under key -1)."""
-        domains, counts = np.unique(self.page_domains, return_counts=True)
-        return {int(d): int(c) for d, c in zip(domains, counts)}
-
     def reset_pages(self) -> None:
         """Forget all first-touch assignments (e.g. after a free+realloc)."""
         self.page_domains[:] = -1
@@ -149,12 +144,6 @@ class UsmMemoryManager:
         """Allocate a shared USM numpy array and register it."""
         array = np.zeros(shape, dtype=dtype)
         self.register(array, kind=UsmKind.SHARED, name=name)
-        return array
-
-    def malloc_device(self, shape, dtype, name: str = "") -> np.ndarray:
-        """Allocate a device USM numpy array and register it."""
-        array = np.zeros(shape, dtype=dtype)
-        self.register(array, kind=UsmKind.DEVICE, name=name)
         return array
 
     def register(self, array: np.ndarray, kind: str = UsmKind.SHARED,

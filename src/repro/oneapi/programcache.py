@@ -173,21 +173,6 @@ class ProgramCache:
         with self._lock:
             return key in self._entries
 
-    def warm_profiles(self) -> frozenset:
-        """Snapshot of warm ``(backend, device, layout, precision)`` rows.
-
-        The cache-locality signal the service scheduler's bin-packer
-        reads: a job whose (backend, device model, layout, precision)
-        profile appears here will pay no JIT on that model, so placing
-        it there amortizes the compile another job already charged.
-        Coarser than :meth:`is_warm` on purpose — placement happens
-        before the job's exact kernel chains exist.
-        """
-        with self._lock:
-            return frozenset(
-                (key.backend, key.device, key.layout, key.precision)
-                for key in self._entries)
-
     def is_profile_warm(self, device: str, layout: str,
                         precision: str,
                         backend: Optional[str] = None) -> bool:

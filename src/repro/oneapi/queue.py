@@ -367,11 +367,6 @@ class Queue:
 
     # -- accounting ------------------------------------------------------------
 
-    @property
-    def total_simulated_seconds(self) -> float:
-        """Sum of simulated times over all recorded launches."""
-        return sum(r.simulated_seconds for r in self.records)
-
     def reset_records(self) -> None:
         """Clear launch records, the command log and the timeline
         (keeps JIT cache and page state)."""

@@ -33,8 +33,7 @@ from .faults import (FAULT_KINDS, FaultInjector, FaultPlan, FaultRule,
                      install_fault_injector)
 from .plans import PLAN_NAMES, named_plan
 from .recovery import (RecoveryStats, RetryPolicy, Watchdog,
-                       allocate_with_retry, launch_with_retry,
-                       run_with_retry)
+                       allocate_with_retry, run_with_retry)
 from .checkpoint import Checkpointer
 from .runner import DEVICE_LADDER, RecoveryReport, ResilientPushEngine
 from .selfcheck import SelfCheckResult, chaos_self_check
@@ -54,7 +53,6 @@ __all__ = [
     "Watchdog",
     "RecoveryStats",
     "run_with_retry",
-    "launch_with_retry",
     "allocate_with_retry",
     "Checkpointer",
     "DEVICE_LADDER",

@@ -32,7 +32,7 @@ from ..observability.tracer import active_tracer
 from .faults import active_fault_injector
 
 __all__ = ["RetryPolicy", "Watchdog", "RecoveryStats", "run_with_retry",
-           "launch_with_retry", "allocate_with_retry", "rebuild_with_retry"]
+           "allocate_with_retry", "rebuild_with_retry"]
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,8 @@ def run_with_retry(operation: Callable[[], object], queue, spec,
     """Run ``operation`` under the retry policy, on ``queue``'s clock.
 
     ``operation`` is any no-argument callable whose failure modes are
-    the runtime's (it typically wraps ``queue.parallel_for`` or one
+    the runtime's (it typically wraps one
+    :meth:`~repro.oneapi.graph.GraphExecutor.run` or one
     :meth:`~repro.oneapi.runtime.PushEngine.step`); ``spec`` is the
     kernel spec it launches (used to scrub poisoned allocations and to
     label timeline slices).  Transient failures charge the simulated
@@ -191,34 +192,13 @@ def run_with_retry(operation: Callable[[], object], queue, spec,
                          "nor raised")
 
 
-def launch_with_retry(queue, n_items: int, spec, kernel=None,
-                      precision=None, *,
-                      policy: Optional[RetryPolicy] = None,
-                      watchdog: Optional[Watchdog] = None,
-                      stats: Optional[RecoveryStats] = None):
-    """``queue.parallel_for`` with recovery; a 1:1 drop-in when faults
-    are off.
-
-    Fast path: with no installed fault injector this is exactly one
-    ``queue.parallel_for`` call — no retry machinery, no timeline
-    writes — so fault-free callers (the bench harness) keep their
-    behaviour bit-identical.
-    """
-    kwargs = {} if precision is None else {"precision": precision}
-    if active_fault_injector() is None:
-        return queue.parallel_for(n_items, spec, kernel=kernel, **kwargs)
-    return run_with_retry(
-        lambda: queue.parallel_for(n_items, spec, kernel=kernel, **kwargs),
-        queue, spec, policy=policy, watchdog=watchdog, stats=stats)
-
-
 def allocate_with_retry(build: Callable[[], object], queue,
                         *, policy: Optional[RetryPolicy] = None,
                         stats: Optional[RecoveryStats] = None):
     """Run an allocating ``build`` callable, retrying USM exhaustion.
 
-    Spec construction with a memory manager
-    (:func:`repro.oneapi.runtime.build_push_spec` given ``memory``)
+    Graph construction with a memory manager
+    (:func:`repro.oneapi.runtime.build_step_graph` given ``memory``)
     registers USM allocations *before* any launch exists, so an injected
     ``alloc-failure`` there cannot be caught by :func:`run_with_retry`
     — it has no spec to scrub and no launch record to charge.  This

@@ -133,10 +133,8 @@ class TestCudaCostModel:
         for _ in range(GRAPH_CAPTURE_LAUNCHES - 1):
             assert model._measured_launch_overhead(spec) \
                 == pytest.approx(full)
-        assert model.is_graph_replaying("boris")
         assert model._measured_launch_overhead(spec) == pytest.approx(
             full * GRAPH_REPLAY_DISCOUNT)
-        assert model.launches_of("boris") == GRAPH_CAPTURE_LAUNCHES + 1
 
     def test_context_init_charged_once_across_kernels(self):
         model = self._model()
@@ -187,8 +185,11 @@ class TestProgramCacheIsolation:
         for spec in ("iris-xe-max", "cuda:gpu0"):
             run_push(RunConfig(device=spec, n_particles=N, steps=2,
                                warmup=1, program_cache=cache))
-        backends = {row[0] for row in cache.warm_profiles()}
-        assert backends == {"oneapi", "cuda"}
+        from repro.backends.registry import descriptor_for
+        for spec, backend in (("iris-xe-max", "oneapi"),
+                              ("cuda:gpu0", "cuda")):
+            assert cache.is_profile_warm(descriptor_for(spec).jit_key,
+                                         "SoA", "float", backend=backend)
         # both backends paid their own JIT: two misses, zero sharing
         assert cache.stats.misses == 2
 

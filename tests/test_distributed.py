@@ -46,7 +46,8 @@ class TestLinks:
 
     def test_default_table_prices_every_paper_device(self):
         table = default_link_table()
-        assert table.known_keys() == ("cpu", "iris-xe-max", "p630")
+        for key in ("cpu", "iris-xe-max", "p630"):
+            assert table.host_link(key).bandwidth > 0.0
         # The discrete card's PCIe hop bounds any pair it is part of.
         pair = table.between("cpu", "iris-xe-max")
         assert pair.bandwidth == table.host_link("iris-xe-max").bandwidth

@@ -220,13 +220,14 @@ class TestRetryAccounting:
 
     def test_two_failures_add_exactly_the_backoff_delays(self):
         from repro.resilience import (FaultPlan, FaultRule, RetryPolicy,
-                                      fault_injection, launch_with_retry)
+                                      fault_injection, run_with_retry)
         plan = FaultPlan(name="fail-twice", rules=(
             FaultRule("launch-failure", at_ops=(0, 1)),))
         policy = RetryPolicy(seed=3)
         queue, spec, n = self._queue_and_spec()
         with fault_injection(plan, seed=0) as injector:
-            record = launch_with_retry(queue, n, spec, policy=policy)
+            record = run_with_retry(lambda: queue.parallel_for(n, spec),
+                                    queue, spec, policy=policy)
         assert [f.kind for f in injector.injected] == ["launch-failure"] * 2
         delays = policy.delay_sequence()
         expected = [next(delays), next(delays)]
@@ -246,14 +247,14 @@ class TestRetryAccounting:
     def test_watchdog_burns_its_timeout_on_the_timeline(self):
         from repro.resilience import (FaultPlan, FaultRule, RetryPolicy,
                                       Watchdog, fault_injection,
-                                      launch_with_retry)
+                                      run_with_retry)
         plan = FaultPlan(name="hang-once", rules=(
             FaultRule("launch-hang", at_ops=(0,)),))
         watchdog = Watchdog(timeout_seconds=0.25)
         queue, spec, n = self._queue_and_spec()
         with fault_injection(plan, seed=0):
-            launch_with_retry(queue, n, spec, policy=RetryPolicy(),
-                              watchdog=watchdog)
+            run_with_retry(lambda: queue.parallel_for(n, spec), queue,
+                           spec, policy=RetryPolicy(), watchdog=watchdog)
         burned = [e for e in queue.timeline.events
                   if e.name == f"watchdog:{spec.name}"]
         assert [e.duration for e in burned] == [0.25]
@@ -276,14 +277,15 @@ class TestRetryAccounting:
 
     def test_fault_and_recovery_events_are_traced(self):
         from repro.resilience import (FaultPlan, FaultRule, RetryPolicy,
-                                      fault_injection, launch_with_retry)
+                                      fault_injection, run_with_retry)
         plan = FaultPlan(name="fail-once", rules=(
             FaultRule("launch-failure", at_ops=(0,)),))
         queue, spec, n = self._queue_and_spec()
         tracer = Tracer()
         with tracing(tracer):
             with fault_injection(plan, seed=0):
-                launch_with_retry(queue, n, spec, policy=RetryPolicy())
+                run_with_retry(lambda: queue.parallel_for(n, spec), queue,
+                               spec, policy=RetryPolicy())
         names = [i.name for i in tracer.instants]
         assert "fault:launch-failure" in names
         assert "recovery:retry" in names

@@ -49,9 +49,6 @@ class TestValidation:
 
 
 class TestDerivedQuantities:
-    def test_max_threads(self):
-        assert make_device().max_threads == 16
-
     def test_total_bandwidth(self):
         assert make_device().total_bandwidth == pytest.approx(100.0e9)
 

@@ -66,13 +66,6 @@ class TestFirstTouch:
         allocation.reset_pages()
         assert np.all(allocation.page_domains == -1)
 
-    def test_home_histogram(self):
-        allocation = UsmAllocation(3 * PAGE_SIZE)
-        allocation.touch(0, PAGE_SIZE, 0)
-        allocation.touch(PAGE_SIZE, 2 * PAGE_SIZE, 1)
-        histogram = allocation.home_histogram()
-        assert histogram == {-1: 1, 0: 1, 1: 1}
-
 
 class TestLocality:
     def test_untouched_counts_as_local(self):
@@ -167,5 +160,5 @@ class TestMemoryManager:
     def test_allocations_iterator(self):
         manager = UsmMemoryManager()
         manager.virtual(PAGE_SIZE)
-        manager.malloc_device(4, np.float32)
+        manager.malloc_shared(4, np.float32)
         assert len(list(manager.allocations())) == 2

@@ -29,8 +29,7 @@ from repro.resilience import (Checkpointer, FaultInjector, FaultPlan,
                               FaultRule, ResilientPushEngine, RetryPolicy,
                               Watchdog, active_fault_injector,
                               chaos_self_check, fault_injection,
-                              launch_with_retry, named_plan,
-                              PLAN_NAMES)
+                              named_plan, run_with_retry, PLAN_NAMES)
 
 
 def cpu_queue(n=2048, scenario="precalculated"):
@@ -221,8 +220,8 @@ class TestInjectionSites:
         with fault_injection(plan, seed=0):
             with pytest.raises(MemoryModelError):
                 queue.parallel_for(n, spec)
-            record = launch_with_retry(queue, n, spec,
-                                       policy=RetryPolicy())
+            record = run_with_retry(lambda: queue.parallel_for(n, spec),
+                                    queue, spec, policy=RetryPolicy())
         assert record is not None
         assert not any(s.allocation.poisoned for s in spec.streams
                        if s.allocation is not None)
@@ -230,7 +229,6 @@ class TestInjectionSites:
     def test_genuine_memory_error_not_swallowed(self):
         # run_with_retry only scrubs *poisoned* allocations; a
         # MemoryModelError with nothing to scrub must propagate.
-        from repro.resilience.recovery import run_with_retry
         queue, spec, _ = cpu_queue()
 
         def broken():
@@ -270,7 +268,8 @@ class TestInjectionSites:
         policy = RetryPolicy(max_attempts=3)
         with fault_injection(plan, seed=0):
             with pytest.raises(KernelError):
-                launch_with_retry(queue, n, spec, policy=policy)
+                run_with_retry(lambda: queue.parallel_for(n, spec),
+                               queue, spec, policy=policy)
         backoffs = [e for e in queue.timeline.events
                     if e.name.startswith("backoff:")]
         assert len(backoffs) == 2    # attempts - 1

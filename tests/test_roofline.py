@@ -90,3 +90,18 @@ class TestCliRoofline:
         out = capsys.readouterr().out
         assert "ridge" in out
         assert "memory" in out
+        rows = [line.split() for line in out.splitlines()
+                if line.split()[:1] in (["cpu"], ["p630"],
+                                        ["iris-xe-max"])]
+        # The six rows, pinned: the graph's one launch group is
+        # classified as its push spec alone.
+        assert rows == [
+            ["cpu", "precalculated", "1.76", "5.62", "memory", "0.50"],
+            ["cpu", "analytical", "6.79", "5.62", "compute", "0.43"],
+            ["p630", "precalculated", "1.76", "6.31", "memory", "2.34"],
+            ["p630", "analytical", "6.79", "6.31", "compute", "1.78"],
+            ["iris-xe-max", "precalculated", "1.76", "21.12", "memory",
+             "1.37"],
+            ["iris-xe-max", "analytical", "6.79", "21.12", "memory",
+             "0.97"],
+        ]

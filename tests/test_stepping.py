@@ -96,7 +96,6 @@ class TestTrajectoryRecorder:
         advance(ensemble, NullField(), 1e-16, 7, callback=recorder)
         assert recorder.positions().shape == (7, 3, 3)
         assert recorder.momenta().shape == (7, 3, 3)
-        assert recorder.gammas().shape == (7, 3)
         assert len(recorder.times) == 7
 
     def test_recorded_positions_are_snapshots(self):
