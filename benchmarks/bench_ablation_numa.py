@@ -12,6 +12,7 @@ Run:  pytest benchmarks/bench_ablation_numa.py --benchmark-only -s
 from repro.bench import format_table
 from repro.bench.calibration import cost_model_for, xeon_8260l_node
 from repro.bench.harness import replay_paper_graph
+from repro.bench.metrics import nsps_from_steps
 from repro.bench.scenarios import runtime_config_for
 from repro.fp import Precision
 from repro.oneapi import Queue
@@ -21,23 +22,30 @@ from conftest import once
 
 
 def _steady_launch(model_n, parallelization):
+    """NSPS and timing of the last of four replayed steps.
+
+    Plain DPC++ places its chunks anew on every launch, so its remote
+    traffic and NSPS vary from step to step; both figures come from the
+    same step, the last (three warm-up steps).
+    """
     device = xeon_8260l_node()
     queue = Queue(device, runtime_config_for(parallelization),
                   cost_model_for(device))
     _, records = replay_paper_graph(queue, model_n, Layout.SOA,
                                     Precision.SINGLE, "precalculated",
                                     steps=4)
-    return records[-1]
+    steady, _ = nsps_from_steps([r.simulated_seconds for r in records],
+                                model_n, warmup=3)
+    return steady, records[-1].timing
 
 
 def test_remote_traffic_attribution(benchmark, model_n):
     def attribute():
         out = {}
         for parallelization in ("OpenMP", "DPC++", "DPC++ NUMA"):
-            record = _steady_launch(model_n, parallelization)
-            timing = record.timing
+            nsps, timing = _steady_launch(model_n, parallelization)
             out[parallelization] = {
-                "nsps": record.nsps(),
+                "nsps": nsps,
                 "remote_fraction": timing.remote_bytes
                 / max(timing.bytes_moved, 1.0),
             }

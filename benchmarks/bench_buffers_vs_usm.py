@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.bench import format_table
 from repro.bench.calibration import cost_model_for, iris_xe_max
+from repro.bench.metrics import nsps_from_steps
 from repro.fp import Precision
 from repro.oneapi import AccessMode, Queue
 from repro.oneapi.builders import make_gpu_descriptor
@@ -27,6 +28,13 @@ N = 1_000_000
 STEPS = 5
 
 
+def _steady(records):
+    """Steady NSPS of one-launch steps, skipping two warm-up steps."""
+    steady, _ = nsps_from_steps([r.simulated_seconds for r in records], N,
+                                warmup=2)
+    return steady
+
+
 def _steady_nsps(queue, spec, accessors=None):
     records = []
     for _ in range(STEPS):
@@ -36,7 +44,7 @@ def _steady_nsps(queue, spec, accessors=None):
         else:
             records.append(queue.submit(N, spec, accessors(),
                                         precision=Precision.SINGLE))
-    return sum(r.nsps() for r in records[2:]) / (STEPS - 2)
+    return _steady(records)
 
 
 def test_buffers_free_on_shared_memory_device(benchmark):
@@ -83,8 +91,8 @@ def test_host_sync_every_step_hurts_discrete_card(benchmark):
                 N, spec, [queue.access(data, AccessMode.READ_WRITE)],
                 precision=Precision.SINGLE))
             data.host_data(write=True)     # host touches it every step
-        resident_nsps = sum(r.nsps() for r in resident[2:]) / (STEPS - 2)
-        syncing_nsps = sum(r.nsps() for r in syncing[2:]) / (STEPS - 2)
+        resident_nsps = _steady(resident)
+        syncing_nsps = _steady(syncing)
         return resident_nsps, syncing_nsps, data
 
     resident_nsps, syncing_nsps, data = once(benchmark, run)

@@ -431,7 +431,7 @@ def _report(config: RunConfig, engine, ensemble, cache,
 
     n = config.n_particles
     if config.mode == "sharded":
-        nsps = engine.nsps()
+        nsps = fields["group_report"].nsps
         first_step_nsps = engine.first_step_seconds * 1.0e9 / n
     else:
         nsps, first_step_nsps = nsps_from_steps(engine.step_seconds, n,

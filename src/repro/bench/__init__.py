@@ -31,7 +31,7 @@ from .scenarios import (
     CPU_PARALLELIZATIONS,
     runtime_config_for,
 )
-from .metrics import nsps_from_records, measure_real_nsps, MeasuredResult
+from .metrics import nsps_from_steps, measure_real_nsps, MeasuredResult
 from .harness import (
     ModelResult,
     model_push_nsps,
@@ -60,7 +60,7 @@ __all__ = [
     "BenchmarkCase",
     "CPU_PARALLELIZATIONS",
     "runtime_config_for",
-    "nsps_from_records",
+    "nsps_from_steps",
     "measure_real_nsps",
     "MeasuredResult",
     "ModelResult",

@@ -1,21 +1,20 @@
-"""Metrics: NSPS from simulated launch records and from real wall time.
+"""Metrics: NSPS from simulated step seconds and from real wall time.
 
 NSPS (nanoseconds per particle per step) is the paper's figure of
 merit: average iteration time in nanoseconds divided by the particle
 count and the steps per iteration.
 
-Public return types: :func:`nsps_from_records` returns the steady-state
-NSPS as a ``float``; :func:`nsps_from_steps` returns the steady-state
+Public return types: :func:`nsps_from_steps` returns the steady-state
 and first-step NSPS of a run's whole steps as a ``(float, float)``
-pair — the one routine every run report (push, resilient, PIC, service
-job) takes its NSPS from; :func:`measure_real_nsps` returns a
+pair — the one routine that averages simulated seconds into NSPS.
+Every run report (push, resilient, PIC, service job), each shard of a
+sharded run, the paper harness and the trace summary
+(:mod:`repro.observability.summary`) take their NSPS from it; the
+summary passes each launch's seconds per item, because one tracing
+scope can hold launches of several shards or runs, which differ in
+``n_items``.  :func:`measure_real_nsps` returns a
 :class:`MeasuredResult` (``nsps``, ``n_particles``, ``steps``,
-``total_seconds``).  :func:`nsps_from_steps` is also the paper
-harness's steady-state average.  :func:`nsps_from_records` serves only
-the trace summary (:mod:`repro.observability.summary`), whose
-per-kernel launch samples can differ in ``n_items`` (PIC with
-ionization); for the harness's one launch per step it agrees with
-:func:`nsps_from_steps` to round-off.
+``total_seconds``) from the host clock.
 """
 
 from __future__ import annotations
@@ -29,31 +28,9 @@ from ..errors import ConfigurationError
 from ..fields.base import FieldSource
 from ..fields.precalculated import PrecalculatedField
 from ..observability.tracer import trace_span
-from ..oneapi.queue import KernelLaunchRecord
 from ..particles.ensemble import ParticleEnsemble
 
-__all__ = ["nsps_from_records", "nsps_from_steps", "MeasuredResult",
-           "measure_real_nsps"]
-
-
-def nsps_from_records(records: Sequence[KernelLaunchRecord],
-                      skip_warmup: int = 2) -> float:
-    """Steady-state NSPS over launch records, skipping warm-up launches.
-
-    ``records`` are queue launch records or a trace's launch samples —
-    anything with an ``nsps()`` method.
-
-    The paper measures 10 iterations and notes the first is ~50% slower
-    (JIT + cold memory); its NSPS averages over all of them, where the
-    warm-up is diluted by the 1000 steps per iteration.  Here each
-    record is a single step, so the first launches carry the whole
-    warm-up — skipping them recovers the steady state the paper's
-    averages effectively report.
-    """
-    if not records:
-        raise ConfigurationError("no launch records to average")
-    steady = records[skip_warmup:] if len(records) > skip_warmup else records
-    return sum(r.nsps() for r in steady) / len(steady)
+__all__ = ["nsps_from_steps", "MeasuredResult", "measure_real_nsps"]
 
 
 def nsps_from_steps(step_seconds: Sequence[float], n_items: int,
@@ -65,9 +42,18 @@ def nsps_from_steps(step_seconds: Sequence[float], n_items: int,
     NSPS, skipping the ``warmup`` steps that carry JIT and cold pages
     (all steps count when there are no more than ``warmup``).  The
     first-step figure keeps that cold cost visible.
+
+    The paper measures 10 iterations of 1000 steps, where the slow
+    first iteration is diluted; here a step is one iteration, so the
+    first steps carry the whole warm-up and skipping them recovers the
+    steady state the paper's averages report.
     """
     if not step_seconds:
         raise ConfigurationError("no steps to average")
+    if n_items < 1:
+        raise ConfigurationError(f"n_items must be >= 1, got {n_items}")
+    if warmup < 0:
+        raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
     steady = step_seconds[warmup:] if len(step_seconds) > warmup \
         else list(step_seconds)
     return (sum(steady) / len(steady) * 1.0e9 / n_items,

@@ -44,8 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..errors import ConfigurationError, DeviceLostError
 from ..fields.base import FieldSource
 from ..observability.tracer import active_tracer, trace_span
@@ -112,7 +110,8 @@ class _ShardState:
         self.last_push: Optional[SimEvent] = None
         self.last_exchange: Optional[SimEvent] = None
         self.busy_seconds = 0.0
-        self.nsps_samples: List[float] = []
+        #: Simulated seconds of each push step of this epoch.
+        self.step_seconds: List[float] = []
         self.steps = 0
 
     @property
@@ -250,13 +249,6 @@ class ShardedPushEngine:
         every abandoned device-set epoch."""
         return self._seconds_before_reset + self.measured_seconds
 
-    def nsps(self) -> float:
-        """Group NSPS over the steps since the last measurement reset."""
-        work = self.ensemble.size * (self.steps_done - self._steps_at_reset)
-        if work == 0:
-            raise ConfigurationError("no particle-steps completed yet")
-        return self.measured_seconds * 1.0e9 / work
-
     def reset_measurement(self) -> None:
         """Start a fresh measurement epoch after warm-up steps.
 
@@ -275,7 +267,7 @@ class ShardedPushEngine:
         self.exchange.report = ExchangeReport()
         for state in self.shards:
             state.busy_seconds = 0.0
-            state.nsps_samples.clear()
+            state.step_seconds.clear()
             state.steps = 0
             # Old events belong to the cleared timelines; depending on
             # them would teleport their end times into the new epoch.
@@ -291,22 +283,30 @@ class ShardedPushEngine:
         return totals
 
     def report(self) -> GroupReport:
-        """Accounting snapshot (call after :meth:`run`)."""
+        """Accounting snapshot (call after :meth:`run`).
+
+        A shard's ``mean_nsps`` averages its push steps.  The group's
+        ``nsps`` divides the measured makespan instead: exchange
+        overlaps the pushes, so the steps do not add up.  Both are NaN
+        before any step of the measurement epoch.
+        """
+        from ..bench.metrics import nsps_from_steps
         totals = self._total_busy()
         busy = [totals[s.member.name] for s in self.shards]
         shards = [ShardReport(
             name=s.member.name, key=s.member.key, particles=s.size,
             steps=s.steps, busy_seconds=totals[s.member.name],
-            mean_nsps=(float(np.mean(s.nsps_samples))
-                       if s.nsps_samples else float("nan")))
+            mean_nsps=(nsps_from_steps(s.step_seconds, s.size, warmup=0)[0]
+                       if s.step_seconds else float("nan")))
             for s in self.shards]
+        work = self.ensemble.size * (self.steps_done - self._steps_at_reset)
         return GroupReport(
             n_devices=len(self.group),
             strategy=self.strategy.name,
             n_particles=self.ensemble.size,
             steps=self.steps_done,
             simulated_seconds=self.measured_seconds,
-            nsps=(self.nsps() if self.steps_done > self._steps_at_reset
+            nsps=(self.measured_seconds * 1.0e9 / work if work
                   else float("nan")),
             imbalance=load_imbalance(busy) if any(b > 0.0 for b in busy)
             else 0.0,
@@ -391,7 +391,7 @@ class ShardedPushEngine:
                 seconds = state.runner.step_seconds[-1] \
                     + record.timing.recovery_seconds
                 state.busy_seconds += seconds
-                state.nsps_samples.append(seconds * 1.0e9 / record.n_items)
+                state.step_seconds.append(seconds)
                 state.steps += 1
             exchange_deps = [
                 [e for e in (s.last_push, s.last_exchange) if e is not None]

@@ -13,14 +13,15 @@ on real oneAPI hardware:
   runtime reports into.  Untraced runs pay a single ``None`` check per
   instrumentation site;
 * :mod:`~repro.observability.counters` — per-kernel accumulators
-  (launches, flops, bytes, modelled vs. wall seconds, JIT and
-  first-touch penalties) keyed by the same kernel names
+  (launches, bytes, modelled vs. wall seconds, JIT and first-touch
+  penalties) keyed by the same kernel names
   :mod:`repro.oneapi.roofline` analyses;
 * :mod:`~repro.observability.export` — Chrome ``trace_event`` JSON
   export, loadable in ``chrome://tracing`` or https://ui.perfetto.dev;
 * :mod:`~repro.observability.summary` — the flat per-kernel summary
   table and the steady-state NSPS recomputation that must agree with
-  the bench harness exactly (the traced-vs-untraced regression guard).
+  the bench harness to round-off (the traced-vs-untraced regression
+  guard).
 
 Capture a trace around any code that drives the simulated runtime::
 
@@ -46,7 +47,7 @@ from .tracer import (
     trace_span,
     tracing,
 )
-from .counters import KernelStats, LaunchSample
+from .counters import KernelStats
 from .export import chrome_trace_events, to_chrome_trace, write_chrome_trace
 from .summary import format_kernel_summary, kernel_summary
 
@@ -60,7 +61,6 @@ __all__ = [
     "trace_span",
     "tracing",
     "KernelStats",
-    "LaunchSample",
     "chrome_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",

@@ -2,12 +2,13 @@
 
 :func:`kernel_summary` reduces a tracer's per-kernel statistics to one
 row per ``(scope, kernel)`` pair; its steady NSPS is
-:func:`repro.bench.metrics.nsps_from_records` over the trace's launch
-samples, which skips the same two warm-up launches as the bench
-harness.  The harness averages whole-step seconds
-(:func:`~repro.bench.metrics.nsps_from_steps`); with one launch per
-step the two agree to round-off — the invariant the ``repro trace``
-CLI and the regression-guard test rely on.
+:func:`repro.bench.metrics.nsps_from_steps` over each launch's modelled
+seconds per item, skipping the same two warm-up launches as the bench
+harness skips steps.  Seconds per item, because one tracing scope can
+hold launches of several shards or runs, which differ in ``n_items``.
+The harness averages whole-step seconds over its fixed particle count;
+with one launch per step the two agree to round-off — the invariant
+the ``repro trace`` CLI and the regression-guard test rely on.
 """
 
 from __future__ import annotations
@@ -38,16 +39,19 @@ def kernel_summary(tracer: Tracer,
 
 def _row(scope: str, name: str, stats: KernelStats,
          skip_warmup: int) -> Dict[str, Any]:
-    from ..bench.metrics import nsps_from_records
-    first = stats.samples[0] if stats.samples else None
+    from ..bench.metrics import nsps_from_steps
+    steady_nsps = first_nsps = 0.0
+    if stats.launch_seconds:
+        per_item = [seconds / n if n > 0 else 0.0 for seconds, n
+                    in zip(stats.launch_seconds, stats.launch_items)]
+        steady_nsps, first_nsps = nsps_from_steps(per_item, 1, skip_warmup)
     return {
         "scope": scope,
         "kernel": name,
         "launches": stats.launches,
         "items": stats.items,
-        "steady_nsps": nsps_from_records(stats.samples, skip_warmup)
-        if stats.samples else 0.0,
-        "first_nsps": first.nsps() if first is not None else 0.0,
+        "steady_nsps": steady_nsps,
+        "first_nsps": first_nsps,
         "modelled_seconds": stats.modelled_seconds,
         "wall_seconds": stats.wall_seconds,
         "warmup_seconds": stats.warmup_seconds,
@@ -55,7 +59,7 @@ def _row(scope: str, name: str, stats: KernelStats,
         "remote_fraction": (stats.remote_bytes / stats.bytes_moved
                             if stats.bytes_moved else 0.0),
         "cold_pages": stats.cold_pages,
-        "bound": stats.samples[-1].bound if stats.samples else "-",
+        "bound": stats.bound,
     }
 
 

@@ -88,12 +88,6 @@ class LaunchTiming:
     #: Whether memory or compute dominated the roofline.
     bound: str = "memory"
 
-    def nsps(self, n_items: int, steps_per_launch: int = 1) -> float:
-        """Nanoseconds per item per step for this launch."""
-        if n_items <= 0 or steps_per_launch <= 0:
-            raise KernelError("n_items and steps_per_launch must be positive")
-        return self.total_seconds * 1.0e9 / (n_items * steps_per_launch)
-
 
 def stream_multiplier(stream: MemoryStream, write_allocate: bool) -> float:
     """DRAM traffic per span byte of one stream.

@@ -98,10 +98,6 @@ class KernelLaunchRecord:
         """Total simulated wall time of the launch."""
         return self.timing.total_seconds
 
-    def nsps(self) -> float:
-        """Simulated nanoseconds per item for this launch."""
-        return self.timing.nsps(self.n_items)
-
 
 @dataclass(frozen=True)
 class CommandRecord:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.bench import (measure_real_nsps, nsps_from_records,
+from repro.bench import (measure_real_nsps, nsps_from_steps,
                          paper_time_step, paper_wave, runtime_config_for,
                          BenchmarkCase, PAPER_PARTICLES,
                          PAPER_STEPS_PER_ITERATION, PAPER_ITERATIONS)
@@ -80,21 +80,32 @@ class TestRuntimeConfigFor:
 
 
 class TestMetrics:
-    def test_nsps_from_records_skips_warmup(self):
-        class FakeRecord:
-            def __init__(self, value):
-                self._value = value
+    def test_nsps_from_steps_skips_warmup(self):
+        steady, _ = nsps_from_steps([100e-6, 50e-6, 1e-6, 3e-6], 1000,
+                                    warmup=2)
+        assert steady == pytest.approx(2.0)
 
-            def nsps(self):
-                return self._value
+    def test_nsps_from_steps_short_run_averages_every_step(self):
+        # No more steps than the warm-up window: every step counts.
+        assert nsps_from_steps([10e-6, 5e-6], 1000, warmup=2)[0] == \
+            pytest.approx(7.5)
+        assert nsps_from_steps([10e-6, 5e-6], 1000, warmup=3)[0] == \
+            pytest.approx(7.5)
 
-        records = [FakeRecord(100.0), FakeRecord(50.0),
-                   FakeRecord(1.0), FakeRecord(1.0)]
-        assert nsps_from_records(records) == pytest.approx(1.0)
+    def test_nsps_from_steps_first_step_figure(self):
+        _, first = nsps_from_steps([100e-6, 50e-6, 1e-6], 1000, warmup=2)
+        assert first == pytest.approx(100.0)
+        steady, first = nsps_from_steps([4e-6, 2e-6], 2000, warmup=0)
+        assert (steady, first) == (pytest.approx(1.5), pytest.approx(2.0))
 
-    def test_nsps_from_records_requires_records(self):
+    def test_nsps_from_steps_requires_steps(self):
         with pytest.raises(ConfigurationError):
-            nsps_from_records([])
+            nsps_from_steps([], 1000, warmup=0)
+
+    @pytest.mark.parametrize("n_items, warmup", [(0, 0), (-5, 2), (10, -1)])
+    def test_nsps_from_steps_rejects_bad_arguments(self, n_items, warmup):
+        with pytest.raises(ConfigurationError):
+            nsps_from_steps([1.0], n_items, warmup)
 
     def test_measure_real_nsps_runs(self):
         ensemble = paper_ensemble(2000, Layout.SOA, Precision.DOUBLE)

@@ -74,10 +74,9 @@ def test_more_devices_than_particles():
 
 def test_nsps_requires_completed_steps():
     runner = _runner("2x p630")
-    with pytest.raises(ConfigurationError):
-        runner.nsps()
+    assert runner.report().nsps != runner.report().nsps  # NaN: no step
     runner.run(2)
-    assert runner.nsps() > 0.0
+    assert runner.report().nsps > 0.0
 
 
 def test_reset_measurement_excludes_jit_warmup():

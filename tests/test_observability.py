@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.api import RunConfig, run_push
 from repro.bench.harness import model_push_nsps
-from repro.bench.metrics import nsps_from_records
 from repro.bench.scenarios import BenchmarkCase
 from repro.errors import TraceError
 from repro.fp import Precision
@@ -13,7 +13,7 @@ from repro.observability import (Tracer, active_tracer, chrome_trace_events,
                                  format_kernel_summary, install_tracer,
                                  kernel_summary, to_chrome_trace, trace_span,
                                  tracing, write_chrome_trace)
-from repro.observability.counters import KernelStats
+from repro.oneapi.costmodel import LaunchTiming
 from repro.particles import Layout
 
 pytestmark = pytest.mark.trace
@@ -171,29 +171,42 @@ class TestNspsGuard:
         assert abs(row["first_nsps"] - result.first_launch_nsps) < 1.0e-9
 
     def test_steady_nsps_skips_warmup_like_metrics(self):
-        stats = KernelStats(name="k", scope="s")
-        durations = [10.0e-6, 5.0e-6, 1.0e-6, 1.0e-6, 1.0e-6]
-        for total in durations:
+        def traced(durations):
+            tracer = Tracer()
+            for total in durations:
+                timing = LaunchTiming(total_seconds=total)
+                tracer.kernel_launch("k", 1000, timing, scope="s")
+            return kernel_summary(tracer)[0]
 
-            class FakeTiming:
-                total_seconds = total
-                memory_seconds = total
-                compute_seconds = 0.0
-                scheduling_seconds = 0.0
-                jit_seconds = 0.0
-                cold_page_seconds = 0.0
-                transfer_seconds = 0.0
-                bytes_moved = 0.0
-                remote_bytes = 0.0
-                cold_pages = 0
-                bound = "memory"
-
-            stats.add_launch(1000, FakeTiming())
+        row = traced([10.0e-6, 5.0e-6, 1.0e-6, 1.0e-6, 1.0e-6])
         # skip the first two launches, average the steady tail
-        assert nsps_from_records(stats.samples) == \
-            pytest.approx(1.0, abs=1e-12)
+        assert row["steady_nsps"] == pytest.approx(1.0, abs=1e-12)
+        assert row["first_nsps"] == pytest.approx(10.0)
         # fewer launches than the warm-up window: average everything
-        assert nsps_from_records(stats.samples[:2]) == pytest.approx(7.5)
+        assert traced([10.0e-6, 5.0e-6])["steady_nsps"] == \
+            pytest.approx(7.5)
+
+    def test_mixed_size_launches_keep_parent_figures(self):
+        # Both shards of this group trace into one scope, so its one
+        # kernel row interleaves launches of 7322 and 2679 items.  The
+        # figures were recorded before the summary and the shard
+        # reports moved onto nsps_from_steps.
+        with tracing() as tracer:
+            report = run_push(RunConfig(
+                n_particles=10001, steps=4, group="cpu, iris-xe-max",
+                strategy="bandwidth"))
+        (row,) = kernel_summary(tracer)
+        assert row["kernel"] == "boris-precalculated-SoA-float"
+        assert row["launches"] == 12
+        assert row["items"] == 60006
+        assert row["steady_nsps"] == pytest.approx(7.561939489616668,
+                                                   rel=1e-12)
+        assert row["first_nsps"] == pytest.approx(20724.434662363576,
+                                                  rel=1e-12)
+        shards = {s.particles: s.mean_nsps
+                  for s in report.group_report.shards}
+        assert shards[7322] == pytest.approx(2.227615108725342, rel=1e-12)
+        assert shards[2679] == pytest.approx(12.89626387050799, rel=1e-12)
 
     def test_summary_table_formats(self):
         tracer, _ = traced_small_cell()

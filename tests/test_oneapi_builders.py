@@ -62,6 +62,7 @@ class TestGpuBuilder:
                                 memory_gbps=10.0)
 
     def test_usable_with_cost_model(self):
+        from repro.bench.metrics import nsps_from_steps
         from repro.fp import Precision as P
         from repro.oneapi import Queue
         from repro.oneapi.runtime import build_push_spec
@@ -73,4 +74,5 @@ class TestGpuBuilder:
         queue.parallel_for(1_000_000, spec, precision=P.SINGLE)  # warm-up
         record = queue.parallel_for(1_000_000, spec, precision=P.SINGLE)
         # 82 effective bytes / 50 GB/s ~ 1.6 ns.
-        assert 1.0 < record.nsps() < 3.0
+        nsps, _ = nsps_from_steps([record.simulated_seconds], 1_000_000, 0)
+        assert 1.0 < nsps < 3.0

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from repro.backends.registry import (cost_model_for_descriptor,
                                      descriptor_for, resolve_device)
 from repro.bench import paper_time_step, paper_wave
+from repro.bench.metrics import nsps_from_steps
 from repro.bench.scenarios import paper_ensemble
-from repro.errors import KernelError
+from repro.errors import ConfigurationError, KernelError
 from repro.fp import Precision
 from repro.oneapi import (CostModel, DynamicScheduler, KernelSpec,
                           MemoryStream, NumaArenaScheduler, StaticScheduler,
@@ -320,9 +321,9 @@ class TestValidation:
     def test_nsps_validation(self, device, topology):
         model = CostModel(device)
         timing = run(model, simple_spec(), StaticScheduler(), topology)
-        assert timing.nsps(N_ITEMS) > 0.0
-        with pytest.raises(KernelError):
-            timing.nsps(0)
+        assert nsps_from_steps([timing.total_seconds], N_ITEMS, 0)[0] > 0.0
+        with pytest.raises(ConfigurationError):
+            nsps_from_steps([timing.total_seconds], 0, 0)
 
 
 # -- the analytic estimate ------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.metrics import nsps_from_steps
 from repro.errors import ConfigurationError, KernelError
 from repro.oneapi import (DynamicScheduler, KernelSpec, MemoryStream,
                           NumaArenaScheduler, Queue, RuntimeConfig,
@@ -101,7 +102,9 @@ class TestKernelLaunches:
     def test_nsps_metric(self):
         queue = Queue(make_device())
         record = queue.parallel_for(1_000_000, spec())
-        assert record.nsps() == pytest.approx(
+        steady, first = nsps_from_steps([record.simulated_seconds],
+                                        1_000_000, 0)
+        assert steady == first == pytest.approx(
             record.simulated_seconds * 1e9 / 1_000_000)
 
     def test_cost_model_device_mismatch_rejected(self):

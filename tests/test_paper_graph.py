@@ -7,7 +7,8 @@ scripts — replays the paper's step graph through the graph executor
 below were produced by the earlier direct-launch harness; the graph
 replay must reproduce them (steady NSPS to round-off, the rest
 exactly), fault-free and under the ``transient`` fault plan.  The
-structural test keeps "one way to run a step" from regressing.
+structural tests keep "one way to run a step" and "one steady-state
+NSPS routine" from regressing.
 """
 
 import ast
@@ -141,19 +142,33 @@ class TestReplayPaperGraph:
         assert records[0].timing.recovery_seconds == backoffs[0]
 
 
+def _trees():
+    """``(relative path, parsed module)`` of every file of ``src/repro``."""
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
 def _callers(name):
     """Files of ``src/repro`` (relative paths) that call ``name``, as a
     bare function or as a method."""
     files = set()
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for rel, tree in _trees():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             called = getattr(func, "attr", getattr(func, "id", None))
             if called == name:
-                files.add(path.relative_to(SRC).as_posix())
+                files.add(rel)
     return files
+
+
+def _definitions(name):
+    """Files of ``src/repro`` that define a function, method or class
+    named ``name``."""
+    return {rel for rel, tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and node.name == name}
 
 
 class TestOneWayToRunAStep:
@@ -164,3 +179,16 @@ class TestOneWayToRunAStep:
         # equality, not a subset, so a scan that finds nothing fails
         assert _callers("parallel_for") == {"oneapi/graph.py",
                                             "oneapi/queue.py"}
+
+
+class TestOneNspsRoutine:
+    def test_nsps_from_steps_is_the_one_average(self):
+        assert _definitions("nsps_from_steps") == {"bench/metrics.py"}
+
+    def test_no_class_defines_an_nsps_method(self):
+        assert _definitions("nsps") == set()
+
+    def test_deleted_routines_stay_gone(self):
+        for name in ("nsps_from_records", "LaunchSample"):
+            assert not any(name in path.read_text()
+                           for path in SRC.rglob("*.py")), name
