@@ -21,34 +21,38 @@ from repro.particles import Layout
 from conftest import once
 
 
-def _steady_launch(model_n, parallelization):
-    """NSPS and timing of the last of four replayed steps.
+#: Replayed steps per implementation, the first ``WARMUP`` excluded.
+STEPS, WARMUP = 12, 2
+
+
+def _steady_launches(model_n, parallelization):
+    """Steady NSPS and remote-traffic fraction over replayed steps.
 
     Plain DPC++ places its chunks anew on every launch, so its remote
-    traffic and NSPS vary from step to step; both figures come from the
-    same step, the last (three warm-up steps).
+    traffic and NSPS vary from step to step; both figures are means
+    over the same steady steps: NSPS from ``nsps_from_steps``, the
+    remote fraction as remote over moved bytes summed over those steps.
     """
     device = xeon_8260l_node()
     queue = Queue(device, runtime_config_for(parallelization),
                   cost_model_for(device))
     _, records = replay_paper_graph(queue, model_n, Layout.SOA,
                                     Precision.SINGLE, "precalculated",
-                                    steps=4)
+                                    steps=STEPS)
     steady, _ = nsps_from_steps([r.simulated_seconds for r in records],
-                                model_n, warmup=3)
-    return steady, records[-1].timing
+                                model_n, warmup=WARMUP)
+    timings = [r.timing for r in records[WARMUP:]]
+    remote = sum(t.remote_bytes for t in timings) \
+        / max(sum(t.bytes_moved for t in timings), 1.0)
+    return steady, remote
 
 
 def test_remote_traffic_attribution(benchmark, model_n):
     def attribute():
         out = {}
         for parallelization in ("OpenMP", "DPC++", "DPC++ NUMA"):
-            nsps, timing = _steady_launch(model_n, parallelization)
-            out[parallelization] = {
-                "nsps": nsps,
-                "remote_fraction": timing.remote_bytes
-                / max(timing.bytes_moved, 1.0),
-            }
+            nsps, remote = _steady_launches(model_n, parallelization)
+            out[parallelization] = {"nsps": nsps, "remote_fraction": remote}
         return out
 
     result = once(benchmark, attribute)

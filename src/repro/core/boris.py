@@ -93,94 +93,134 @@ def boris_push(ensemble: ParticleEnsemble, fields: FieldValues,
     """Advance every particle of ``ensemble`` by one Boris step.
 
     ``fields`` holds per-particle E and B values (shape ``(N,)`` per
-    component) at the particles' current positions, time ``t(n)``.  All
-    arithmetic runs in the ensemble's storage precision; for AoS
-    ensembles the component views are strided, so the kernel performs
-    the non-unit-stride accesses the paper discusses.
+    component) at the particles' current positions, time ``t(n)``; they
+    are cast to the storage precision first.  All arithmetic runs in
+    the ensemble's storage precision; for AoS ensembles the component
+    views are strided, so the kernel performs the non-unit-stride
+    accesses the paper discusses.
+
+    The step runs in place, in ``tests/_reference_boris.py``'s
+    operation order: each sum, product, quotient and square root keeps
+    its operands and their order, and only where its result is written
+    changes, so every value has the same bits as the plain expressions.
+    The passes it saves:
+
+    * ``1/(m c)``, ``q dt/2`` and ``(q dt/2) (1/c)`` depend on the
+      species only.  They are computed on the typed species table, a
+      few entries, and gathered per particle (one scalar each when the
+      block holds one species): the same operation on the same
+      operands gives the same bits.
+    * ``(q dt/2) E`` enters both half kicks and is computed once.
+    * ``p(n+1/2)`` and ``gamma`` are written straight into the
+      ensemble, and the drift adds to the positions in place.
     """
     dtype = ensemble.precision.dtype
-    dt_fp = dtype.type(dt)
-    half = dtype.type(0.5)
-    one = dtype.type(1.0)
-    two = dtype.type(2.0)
-    inv_c = dtype.type(1.0 / SPEED_OF_LIGHT)
+    fp = dtype.type
+    dt_fp = fp(dt)
+    half = fp(0.5)
+    one = fp(1.0)
+    two = fp(2.0)
+    inv_c = fp(1.0 / SPEED_OF_LIGHT)
 
-    # Typed-LUT lookups: the species table is cast to the storage
-    # precision once and gathered per particle, instead of gathering
-    # float64 and casting the O(N) result on every call.
-    mass = ensemble.masses(dtype)
-    charge = ensemble.charges(dtype)
-    inv_mc = one / (mass * dtype.type(SPEED_OF_LIGHT))
-    e_coeff = charge * dt_fp * half
+    table = ensemble.type_table
+    mass_lut, charge_lut = table.typed_luts(dtype)
+    inv_mc_lut = one / (mass_lut * fp(SPEED_OF_LIGHT))
+    e_coeff_lut = charge_lut * dt_fp * half
+    luts = (mass_lut, inv_mc_lut, e_coeff_lut, e_coeff_lut * inv_c)
+    # The whole chain must stay in storage precision.  The in-place
+    # stores below would cast a float64 result back without a word
+    # (numpy's ``same_kind`` rule), so a float64 operand would give the
+    # right answer by the wrong, unrepresentative arithmetic.  The
+    # fields are cast and the components are stored in ``dtype``; the
+    # species constants are the only other operands.
+    if any(lut.dtype != dtype for lut in luts):
+        raise SimulationError(
+            f"boris_push drifted out of storage precision: species "
+            f"constants are {[str(lut.dtype) for lut in luts]}, the "
+            f"ensemble stores {dtype}")
+    mass, inv_mc, e_coeff, e_coeff_over_c = table.gather(
+        ensemble.type_ids, *luts)
 
-    ex = np.asarray(fields.ex, dtype=dtype)
-    ey = np.asarray(fields.ey, dtype=dtype)
-    ez = np.asarray(fields.ez, dtype=dtype)
-    bx = np.asarray(fields.bx, dtype=dtype)
-    by = np.asarray(fields.by, dtype=dtype)
-    bz = np.asarray(fields.bz, dtype=dtype)
-
+    ex, ey, ez, bx, by, bz = (np.asarray(component, dtype=dtype)
+                              for component in fields)
     px = ensemble.component("px")
     py = ensemble.component("py")
     pz = ensemble.component("pz")
 
+    # (q dt/2) E, for both half kicks.
+    kick_x = e_coeff * ex
+    kick_y = e_coeff * ey
+    kick_z = e_coeff * ez
+
     # Step 1: half electric kick -> p-.
-    pmx = px + e_coeff * ex
-    pmy = py + e_coeff * ey
-    pmz = pz + e_coeff * ez
+    pmx = px + kick_x
+    pmy = py + kick_y
+    pmz = pz + kick_z
 
     # gamma(p-) at time level n.
-    um2 = (pmx * inv_mc) ** 2 + (pmy * inv_mc) ** 2 + (pmz * inv_mc) ** 2
-    gamma_n = np.sqrt(one + um2)
+    gamma_n = _u_squared(pmx, pmy, pmz, inv_mc)
+    gamma_n += one
+    np.sqrt(gamma_n, out=gamma_n)
 
     # Step 2: rotation.  t = q B dt / (2 gamma m c), s = 2 t / (1 + t^2).
-    t_coeff = e_coeff * inv_c / (gamma_n * mass)
+    t_coeff = np.multiply(gamma_n, mass, out=gamma_n)
+    np.divide(e_coeff_over_c, t_coeff, out=t_coeff)
     tx = bx * t_coeff
     ty = by * t_coeff
     tz = bz * t_coeff
-    t2 = tx * tx + ty * ty + tz * tz
-    s_coeff = two / (one + t2)
+    s_coeff = tx * tx
+    s_coeff += ty * ty
+    s_coeff += tz * tz
+    s_coeff += one
+    np.divide(two, s_coeff, out=s_coeff)
     sx = tx * s_coeff
     sy = ty * s_coeff
     sz = tz * s_coeff
 
     # p' = p- + p- x t
-    ppx = pmx + (pmy * tz - pmz * ty)
-    ppy = pmy + (pmz * tx - pmx * tz)
-    ppz = pmz + (pmx * ty - pmy * tx)
+    ppx = _cross_add(pmx, pmy, tz, pmz, ty)
+    ppy = _cross_add(pmy, pmz, tx, pmx, tz)
+    ppz = _cross_add(pmz, pmx, ty, pmy, tx)
 
-    # p+ = p- + p' x s
-    plx = pmx + (ppy * sz - ppz * sy)
-    ply = pmy + (ppz * sx - ppx * sz)
-    plz = pmz + (ppx * sy - ppy * sx)
-
-    # Step 3: half electric kick -> p(n+1/2), stored back.
-    px_new = plx + e_coeff * ex
-    py_new = ply + e_coeff * ey
-    pz_new = plz + e_coeff * ez
+    # p+ = p- + p' x s, then step 3: the second half kick, stored.
+    np.add(_cross_add(pmx, ppy, sz, ppz, sy), kick_x, out=px)
+    np.add(_cross_add(pmy, ppz, sx, ppx, sz), kick_y, out=py)
+    np.add(_cross_add(pmz, ppx, sy, ppy, sx), kick_z, out=pz)
 
     # Step 4: new gamma, velocity, position drift.
-    u2 = (px_new * inv_mc) ** 2 + (py_new * inv_mc) ** 2 \
-        + (pz_new * inv_mc) ** 2
-    gamma_new = np.sqrt(one + u2)
-    v_coeff = dt_fp / (gamma_new * mass)
+    gamma = ensemble.component("gamma")
+    u2 = _u_squared(px, py, pz, inv_mc)
+    u2 += one
+    np.sqrt(u2, out=gamma)
+    v_coeff = gamma * mass
+    np.divide(dt_fp, v_coeff, out=v_coeff)
+    for axis, p in zip("xyz", (px, py, pz)):
+        position = ensemble.component(axis)
+        position += np.multiply(p, v_coeff, out=pmx)
 
-    # The whole chain must have stayed in storage precision: a float64
-    # operand anywhere above silently promotes everything after it, and
-    # the stores below would round it away — right answer, wrong (and
-    # unrepresentative) arithmetic.
-    if px_new.dtype != dtype or gamma_new.dtype != dtype:
-        raise SimulationError(
-            f"boris_push drifted out of storage precision: computed "
-            f"{px_new.dtype}/{gamma_new.dtype}, ensemble stores {dtype}")
 
-    px[:] = px_new
-    py[:] = py_new
-    pz[:] = pz_new
-    ensemble.component("gamma")[:] = gamma_new
-    ensemble.component("x")[:] += px_new * v_coeff
-    ensemble.component("y")[:] += py_new * v_coeff
-    ensemble.component("z")[:] += pz_new * v_coeff
+def _u_squared(px: np.ndarray, py: np.ndarray, pz: np.ndarray,
+               inv_mc: np.ndarray) -> np.ndarray:
+    """``(px/mc)^2 + (py/mc)^2 + (pz/mc)^2`` in a fresh array, summed
+    left to right (``x ** 2`` on an array is one rounded product)."""
+    total = px * inv_mc
+    total *= total
+    u = py * inv_mc
+    u *= u
+    total += u
+    np.multiply(pz, inv_mc, out=u)
+    u *= u
+    total += u
+    return total
+
+
+def _cross_add(base: np.ndarray, a: np.ndarray, b: np.ndarray,
+               c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``base + (a * b - c * d)`` in a fresh array: one component of
+    ``p + p x v``."""
+    out = a * b
+    out -= c * d
+    return np.add(base, out, out=out)
 
 
 class BorisPusher:

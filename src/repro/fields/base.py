@@ -63,6 +63,20 @@ class FieldSource(abc.ABC):
         must not be modified.
         """
 
+    def evaluate_into(self, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                      t: float, out: FieldValues) -> None:
+        """Write the field at ``x, y, z``, time ``t``, into ``out``.
+
+        ``out`` holds six writable arrays of the inputs' shape, in any
+        floating dtype and stride (a precalculated field array's views).
+        Each value is computed in float64 and rounded to ``out``'s
+        precision once on the store.  This default evaluates, then
+        assigns; a source may override it to skip the intermediate
+        arrays, with the same bits.
+        """
+        for target, value in zip(out, self.evaluate(x, y, z, t)):
+            target[...] = value
+
     def evaluate_at(self, position: FP3, t: float) -> Tuple[FP3, FP3]:
         """Scalar evaluation at a single point: returns ``(E, B)`` as FP3s."""
         values = self.evaluate(np.array([position.x]), np.array([position.y]),

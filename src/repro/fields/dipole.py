@@ -44,7 +44,18 @@ those, and the tests compare raw bits):
   assigned in place; they use only ``+ - * /``, which IEEE 754 rounds
   per element.
 * The ``R = 0`` substitute and limits of ``f1/R`` and ``f2/R^2`` are
-  selected only when some point sits exactly at the origin.
+  assigned only where some point sits exactly at the origin, and the
+  origin is looked for only when some point needs the series.
+
+:meth:`MDipoleWave.evaluate_into` is the one evaluation path; it writes
+straight into a caller's six arrays (the precalculated field's
+storage), and :meth:`MDipoleWave.evaluate` hands it six fresh float64
+arrays.  Each expression is chained in place with ``out=``, keeping
+every operation's operands and their order, so it rounds as the plain
+expression does, and the last product of each component is rounded to
+the storage precision once, on its store.  ``z * z`` (in ``R^2`` and
+``B_z``) and ``(-2 A0) * y`` (in ``E_x`` and the corrected ``B_y``)
+are each computed once: the same product of the same operands.
 
 Setting ``paper_typos=True`` reproduces the literal printed equations
 for comparison.
@@ -53,7 +64,7 @@ for comparison.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -73,18 +84,51 @@ def _closed_forms(safe: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed forms of ``f1``, ``f2``, ``f3`` at ``safe`` (no zeros).
 
-    ``sin``, ``cos``, ``1/x`` and the powers are computed once and
-    freed on return, before the series are built, so sharing them does
-    not raise the peak memory of a field evaluation.
+    ``sin``, ``cos``, ``1/x`` and the powers are computed once and each
+    function is chained in place, in its expression's order:
+    ``sin/x^2 - cos/x``, ``(3/x^3 - 1/x) sin - (3 cos)/x^2`` and
+    ``(1/x - 1/x^3) sin + cos/x^2``.  ``f3`` is built last, in the
+    buffers of ``1/x``, ``x^3`` and ``cos``, which nothing needs after
+    it.
     """
     sin = np.sin(safe)
     cos = np.cos(safe)
     safe2 = safe ** 2
     safe3 = safe ** 3
     inv = 1.0 / safe
-    return (sin / safe2 - cos / safe,
-            (3.0 / safe3 - inv) * sin - 3.0 * cos / safe2,
-            (inv - 1.0 / safe3) * sin + cos / safe2)
+    f1 = sin / safe2
+    scratch = cos / safe
+    f1 -= scratch
+    f2 = 3.0 / safe3
+    f2 -= inv
+    f2 *= sin
+    np.multiply(3.0, cos, out=scratch)
+    scratch /= safe2
+    f2 -= scratch
+    f3 = np.subtract(inv, np.divide(1.0, safe3, out=safe3), out=inv)
+    f3 *= sin
+    f3 += np.divide(cos, safe2, out=cos)
+    return f1, f2, f3
+
+
+def _radial(x: np.ndarray, magnitude: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                       Optional[np.ndarray]]:
+    """``f1, f2, f3`` of a float64 array ``x`` and its series mask.
+
+    ``magnitude`` is ``|x|`` (``x`` itself where it cannot be negative).
+    The mask is None when no point is below the series threshold.
+    """
+    small = magnitude < _SERIES_THRESHOLD
+    if not small.any():
+        return (*_closed_forms(x), None)
+    f1, f2, f3 = _closed_forms(np.where(small, 1.0, x))
+    xs = x[small]
+    x2 = xs * xs
+    f1[small] = xs * (1.0 / 3.0 + x2 * (-1.0 / 30.0 + x2 / 840.0))
+    f2[small] = x2 * (1.0 / 15.0 + x2 * (-1.0 / 210.0 + x2 / 7560.0))
+    f3[small] = 2.0 / 3.0 + x2 * (-2.0 / 15.0 + x2 / 140.0)
+    return f1, f2, f3, small
 
 
 def dipole_radial(x: np.ndarray
@@ -111,16 +155,7 @@ def dipole_radial(x: np.ndarray
     """
     xv = np.asarray(x, dtype=np.float64)
     flat = xv.reshape(-1)
-    small = np.abs(flat) < _SERIES_THRESHOLD
-    any_small = bool(small.any())
-    f1, f2, f3 = _closed_forms(np.where(small, 1.0, flat) if any_small
-                               else flat)
-    if any_small:
-        xs = flat[small]
-        x2 = xs * xs
-        f1[small] = xs * (1.0 / 3.0 + x2 * (-1.0 / 30.0 + x2 / 840.0))
-        f2[small] = x2 * (1.0 / 15.0 + x2 * (-1.0 / 210.0 + x2 / 7560.0))
-        f3[small] = 2.0 / 3.0 + x2 * (-2.0 / 15.0 + x2 / 140.0)
+    f1, f2, f3, _ = _radial(flat, np.abs(flat))
     return f1.reshape(xv.shape), f2.reshape(xv.shape), f3.reshape(xv.shape)
 
 
@@ -230,42 +265,94 @@ class MDipoleWave(FieldSource):
     def evaluate(self, x: np.ndarray, y: np.ndarray, z: np.ndarray,
                  t: float) -> FieldValues:
         xv = np.asarray(x, dtype=np.float64)
+        out = FieldValues(*(np.empty(xv.size) for _ in FieldValues._fields))
+        self.evaluate_into(*(np.asarray(axis, dtype=np.float64).reshape(-1)
+                             for axis in (xv, y, z)), t, out)
+        return FieldValues(*(component.reshape(xv.shape)
+                             for component in out))
+
+    def evaluate_into(self, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                      t: float, out: FieldValues) -> None:
+        """Write the field at 1-D coordinate arrays into ``out``.
+
+        The arithmetic is the plain whole-array expression of each
+        component (``tests/_reference_dipole.py``), chained in place:
+        every operation keeps its operands and their order, so every
+        intermediate has the same bits.  Each component's last product
+        is stored straight into ``out``; numpy computes it in float64
+        and rounds it to ``out``'s precision once, as assigning the
+        float64 result does.  ``ez`` is one fill, and ``z * z`` and
+        ``(-2 A0) * y`` are computed once for the two components each
+        enters (see the module docstring).
+        """
+        k = self.wavenumber
+        xv = np.asarray(x, dtype=np.float64)
         yv = np.asarray(y, dtype=np.float64)
         zv = np.asarray(z, dtype=np.float64)
 
-        r = np.sqrt(xv * xv + yv * yv + zv * zv)
-        f1, f2, f3 = dipole_radial(self.wavenumber * r)
+        zz = zv * zv
+        r = xv * xv
+        r += yv * yv
+        r += zz
+        np.sqrt(r, out=r)
+        kr = k * r
+        f1, f2, f3, small = _radial(kr, kr)
 
         # f1/R and f2/R^2 are finite at the origin (f1 ~ kR/3,
         # f2 ~ (kR)^2/15); substitute R = 1 where R = 0 — the series
-        # numerators vanish there at the same order.  The origin is
-        # rare, so the substitute and the limits are selected only when
-        # some R is 0.
-        origin = r == 0.0
-        at_origin = bool(origin.any())
-        safe_r = np.where(origin, 1.0, r) if at_origin else r
-        safe_r2 = safe_r * safe_r
-        f1_over_r = f1 / safe_r
-        f2_over_r2 = f2 / safe_r2
-        if at_origin:
-            f1_over_r = np.where(origin, self.wavenumber / 3.0, f1_over_r)
-            f2_over_r2 = np.where(origin, self.wavenumber ** 2 / 15.0,
-                                  f2_over_r2)
+        # numerators vanish there at the same order.  R = 0 implies a
+        # series point, so the origin is looked for only when there is
+        # one, and the substitute and limits are assigned only where it
+        # is.
+        origin = None
+        if small is not None:
+            origin = r == 0.0
+            if not origin.any():
+                origin = None
+        if origin is not None:
+            r[origin] = 1.0
+        r2 = r * r
+        f1_over_r = np.divide(f1, r, out=f1)
+        f2_over_r2 = np.divide(f2, r2,
+                               out=None if self.paper_typos else f2)
+        if origin is not None:
+            f1_over_r[origin] = k / 3.0
+            f2_over_r2[origin] = k ** 2 / 15.0
 
         two_a0 = 2.0 * self.amplitude * self.envelope(t)
         cos_t = math.cos(self.omega * t)
         sin_t = math.sin(self.omega * t)
 
-        ex = -two_a0 * yv * cos_t * f1_over_r
-        ey = two_a0 * xv * cos_t * f1_over_r
-        ez = np.zeros_like(xv)
+        a_y = -two_a0 * yv
+        np.multiply(a_y * cos_t, f1_over_r, out=out.ex)
+        a_x = two_a0 * xv
+        a_x *= cos_t
+        np.multiply(a_x, f1_over_r, out=out.ey)
+        out.ez.fill(0.0)
 
-        bx = -two_a0 * xv * zv * sin_t * f2_over_r2
+        np.multiply(-two_a0, xv, out=a_x)
         if self.paper_typos:
-            by = -two_a0 * xv * yv * sin_t * f2_over_r2
-            z2_over_r2 = np.where(origin, 0.0, zv * zv / safe_r2)
-            bz = -two_a0 * z2_over_r2 * sin_t * (z2_over_r2 * f2 + f3)
+            b = a_x * zv
+            b *= sin_t
+            np.multiply(b, f2_over_r2, out=out.bx)
+            a_x *= yv
+            a_x *= sin_t
+            np.multiply(a_x, f2_over_r2, out=out.by)
+            z2_over_r2 = np.divide(zz, r2, out=zz)
+            if origin is not None:
+                z2_over_r2[origin] = 0.0
+            np.multiply(-two_a0, z2_over_r2, out=a_y)
+            a_y *= sin_t
+            z2_over_r2 *= f2
+            z2_over_r2 += f3
+            np.multiply(a_y, z2_over_r2, out=out.bz)
         else:
-            by = -two_a0 * yv * zv * sin_t * f2_over_r2
-            bz = -two_a0 * sin_t * (zv * zv * f2_over_r2 + f3)
-        return FieldValues(ex, ey, ez, bx, by, bz)
+            a_x *= zv
+            a_x *= sin_t
+            np.multiply(a_x, f2_over_r2, out=out.bx)
+            a_y *= zv
+            a_y *= sin_t
+            np.multiply(a_y, f2_over_r2, out=out.by)
+            zz *= f2_over_r2
+            zz += f3
+            np.multiply(-two_a0 * sin_t, zz, out=out.bz)

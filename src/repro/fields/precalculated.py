@@ -126,17 +126,17 @@ class PrecalculatedField:
 
         This is the *untimed* preparation step of the "Precalculated
         Fields" scenario: the benchmark harness calls it between timed
-        push kernels so the kernel itself performs loads only.
+        push kernels so the kernel itself performs loads only.  The
+        source writes into the six component arrays itself
+        (:meth:`~repro.fields.base.FieldSource.evaluate_into`).
         """
         if ensemble.size != self._size:
             raise LayoutError(
                 f"ensemble size {ensemble.size} does not match field array "
                 f"size {self._size}")
-        values = source.evaluate(
+        source.evaluate_into(
             ensemble.component("x"), ensemble.component("y"),
-            ensemble.component("z"), t)
-        for name in FIELD_COMPONENTS:
-            self.component(name)[:] = getattr(values, name)
+            ensemble.component("z"), t, self.values())
 
     @classmethod
     def from_source(cls, source: FieldSource, ensemble: ParticleEnsemble,

@@ -171,8 +171,8 @@ class ParticleEnsemble(abc.ABC):
     def masses(self, dtype=None) -> np.ndarray:
         """Per-particle rest masses [g] (float64, or ``dtype``).
 
-        A ``dtype`` gathers from the type table's cached typed LUT —
-        the storage-precision path the kernels use every step.
+        A ``dtype`` gathers from the type table's cached typed LUT
+        (:meth:`~repro.particles.types.ParticleTypeTable.typed_luts`).
         """
         return self._type_table.masses_of(self.type_ids, dtype=dtype)
 

@@ -255,6 +255,24 @@ def test_nsps_counts_recovery_like_the_resilient_engine():
     assert nsps["default"] > nsps[None]
 
 
+def test_fault_free_job_agrees_with_run_push(layout, precision):
+    # Metamorphic: one fault-free job through the service and the same
+    # config through ``run_push`` run the same engine on the same
+    # device model.  The job's one placement starts on an empty
+    # timeline and covers the whole run, so the device seconds it
+    # banks are the run's simulated seconds, exactly.
+    config = RunConfig(n_particles=3000, steps=4, warmup=2, layout=layout,
+                       precision=precision, device="iris-xe-max")
+    service = PushService(fleet="1x iris-xe-max")
+    service.submit(JobSpec("j", config))
+    job = service.run().jobs["j"]
+    solo = run_push(config)
+    assert job.completed and job.steps == 6 and job.restores == 0
+    assert job.digest == solo.digest
+    assert job.nsps == pytest.approx(solo.nsps, rel=1e-12)
+    assert job.device_seconds == solo.simulated_seconds
+
+
 #: One malformed value per field; a fuzz example breaks at most one.
 _MALFORMED_JOB = {
     "n_particles": [0], "steps": [0], "warmup": [-1], "layout": ["bogus"],

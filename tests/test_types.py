@@ -118,3 +118,25 @@ class TestVectorizedLookup:
                 type_table.masses_of(bad, dtype=dtype)
             with pytest.raises(ConfigurationError):
                 type_table.charges_of(bad, dtype=dtype)
+
+    def test_gather_is_a_scalar_per_table_for_one_species(self, type_table):
+        masses, charges = type_table.typed_luts(np.float32)
+        assert masses.dtype == charges.dtype == np.float32
+        ids = np.full(300, 2, dtype=np.int16)
+        got = type_table.gather(ids, masses, charges)
+        assert all(np.ndim(value) == 0 for value in got)
+        assert got[0] == masses[2] and got[1] == charges[2]
+        assert np.asarray(got[0]).dtype == np.float32
+        mixed = ids.copy()
+        mixed[::3] = 0
+        got = type_table.gather(mixed, masses, charges)
+        np.testing.assert_array_equal(got[0], masses[mixed])
+        np.testing.assert_array_equal(got[1], charges[mixed])
+        assert type_table.gather(ids[:0], masses)[0].size == 0
+
+    def test_gather_rejects_out_of_range_ids(self, type_table):
+        masses, _ = type_table.typed_luts(np.float64)
+        for bad in (np.full(4, 3, dtype=np.int16),
+                    np.full(4, -1, dtype=np.int16)):
+            with pytest.raises(ConfigurationError):
+                type_table.gather(bad, masses)
