@@ -57,6 +57,21 @@ def test_stage_deposition_esirkepov(benchmark, plasma):
     benchmark(deposit)
 
 
+def test_stage_deposition_esirkepov_all_movers(benchmark, plasma):
+    """Every particle changes its node on every axis, so each one
+    scatters its full window (no ring contribution is skipped)."""
+    grid, ensemble, dt = plasma
+    old = ensemble.positions()
+    offset = old / SPACING - np.floor(old / SPACING)
+    ensemble.set_positions(old + np.where(offset < 0.5, -0.7, 0.7) * SPACING)
+
+    def deposit():
+        grid.clear_currents()
+        deposit_current_esirkepov(grid, ensemble, old, dt)
+
+    benchmark(deposit)
+
+
 def test_stage_field_solve(benchmark, plasma):
     grid, _, dt = plasma
     solver = FdtdSolver(grid, dt)

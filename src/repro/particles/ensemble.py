@@ -168,17 +168,13 @@ class ParticleEnsemble(abc.ABC):
 
     # -- physics helpers ----------------------------------------------------
 
-    def masses(self, dtype=None) -> np.ndarray:
-        """Per-particle rest masses [g] (float64, or ``dtype``).
+    def masses(self) -> np.ndarray:
+        """Per-particle rest masses [g] (float64)."""
+        return self._type_table.masses_of(self.type_ids)
 
-        A ``dtype`` gathers from the type table's cached typed LUT
-        (:meth:`~repro.particles.types.ParticleTypeTable.typed_luts`).
-        """
-        return self._type_table.masses_of(self.type_ids, dtype=dtype)
-
-    def charges(self, dtype=None) -> np.ndarray:
-        """Per-particle charges [statC] (float64, or ``dtype``)."""
-        return self._type_table.charges_of(self.type_ids, dtype=dtype)
+    def charges(self) -> np.ndarray:
+        """Per-particle charges [statC] (float64)."""
+        return self._type_table.charges_of(self.type_ids)
 
     def update_gammas(self) -> None:
         """Recompute the stored gamma component from the momenta.

@@ -121,30 +121,21 @@ class ParticleTypeTable:
         """Charge [statC] of the species with the given id."""
         return self[type_id].charge
 
-    def masses_of(self, type_ids: np.ndarray,
-                  dtype: Optional[np.dtype] = None) -> np.ndarray:
-        """Vectorized mass lookup for an array of type ids.
+    def masses_of(self, type_ids: np.ndarray) -> np.ndarray:
+        """Vectorized float64 mass lookup for an array of type ids.
 
-        ``dtype`` selects a cached cast of the table (storage-precision
-        lookups gather from an O(#species) typed LUT instead of casting
-        the O(N) result); None keeps the float64 master table.  The
-        gather is ``np.take``, which gives the same values as
+        The gather is ``np.take``, which gives the same values as
         ``lut[type_ids]`` in about 30 us instead of 53 us per 16,384
-        ``int16`` ids.
+        ``int16`` ids.  Storage-precision constants come from
+        :meth:`typed_luts` and :meth:`gather` instead.
         """
         self._check_ids(type_ids)
-        lut = self._mass_lut if dtype is None else self.typed_luts(dtype)[0]
-        return np.take(lut, type_ids)
+        return np.take(self._mass_lut, type_ids)
 
-    def charges_of(self, type_ids: np.ndarray,
-                   dtype: Optional[np.dtype] = None) -> np.ndarray:
-        """Vectorized charge lookup for an array of type ids.
-
-        ``dtype`` behaves as in :meth:`masses_of`.
-        """
+    def charges_of(self, type_ids: np.ndarray) -> np.ndarray:
+        """Vectorized float64 charge lookup, as :meth:`masses_of`."""
         self._check_ids(type_ids)
-        lut = self._charge_lut if dtype is None else self.typed_luts(dtype)[1]
-        return np.take(lut, type_ids)
+        return np.take(self._charge_lut, type_ids)
 
     def gather(self, type_ids: np.ndarray,
                *luts: np.ndarray) -> Tuple[np.ndarray, ...]:

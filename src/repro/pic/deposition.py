@@ -34,6 +34,31 @@ sequentially, so each cell sums ``target + v1 + v2 + ...`` in
 several species deposit into one grid after a single
 ``clear_currents()``.
 
+**Esirkepov core and ring.**  The Esirkepov window is ``w`` nodes per
+axis (4 for CIC, 5 for TSC), wide enough for any sub-cell move.  A
+particle whose node (``floor`` for CIC, ``round`` for TSC) stays the
+same on every axis has both its old and new support inside the
+window's core, nodes ``1 .. w-2``, so its form factors are exactly 0
+on the ring around it.  Window point ``(l, i, j)`` of current ``J_a``
+(``l`` along axis ``a``) then carries an exact ±0 whenever ``i`` or
+``j`` is on the ring: every term of its weight has a ring factor.
+Along ``l`` nothing is skipped, so each running sum keeps its
+round-off residue.  So every particle scatters the ``w × (w-2)²``
+core points and only the *movers* (particles whose node changes on
+some axis) scatter the rest: the tail holds, point by point in the
+same order, a segment of all ``N`` particles for a core point and a
+segment of the ``M`` movers, in particle order, for a ring point —
+``16N + 48M`` entries for CIC and ``45N + 80M`` for TSC instead of
+``64N`` and ``125N``.
+
+Skipping the zeros moves no bit.  ``np.bincount`` starts each cell at
++0.0, and a running sum that is zero is always +0.0 (``x + -x`` and
+``+0.0 + -0.0`` both round to +0.0 by default), so adding ±0 leaves it
+unchanged.  A zero matters only to a -0.0 target cell, which
+``_scatter_add`` restores while only -0.0 contributions reach it: a
+skipped +0.0 would have cleared it.  So when any current holds -0.0,
+every particle counts as a mover, which rebuilds the full window.
+
 **Accumulation precision contract.**  Deposition always *accumulates*
 in float64 (:data:`ACCUMULATION_DTYPE`), whatever the ensemble's
 storage precision: the grid's current arrays are float64, and a
@@ -53,6 +78,7 @@ import weakref
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import SimulationError
 from ..fields.grid import YeeGrid
@@ -130,6 +156,11 @@ def _scatter_buffers(cells: int, count: int
     return index, np.empty(cells + count)
 
 
+def _negative_zeros(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` holds -0.0."""
+    return np.signbit(values) & (values == 0.0)
+
+
 def _scatter_add(target: np.ndarray, index: np.ndarray,
                  weights: np.ndarray) -> None:
     """``np.add.at(target.flat, index[cells:], weights[cells:])``.
@@ -144,10 +175,10 @@ def _scatter_add(target: np.ndarray, index: np.ndarray,
     head, values = weights[:cells], weights[cells:]
     # bincount starts each cell at +0.0, and 0.0 + -0.0 is +0.0, so a
     # -0.0 cell is restored while only -0.0 contributions reach it.
-    negative_zero = np.signbit(head) & (head == 0.0)
+    negative_zero = _negative_zeros(head)
     sums = np.bincount(index, weights=weights, minlength=cells)
     if negative_zero.any():
-        hit = ~(np.signbit(values) & (values == 0.0))
+        hit = ~_negative_zeros(values)
         negative_zero &= np.bincount(index[cells:][hit],
                                      minlength=cells) == 0
         sums[negative_zero] = -0.0
@@ -236,14 +267,111 @@ def _shape_on_window(frac: np.ndarray, base: np.ndarray,
     window covers the full support (guaranteed for sub-cell motion).
     """
     offsets = (np.arange(width) - margin)[:, None]
-    distance = np.abs(frac[None, :] - (base[None, :] + offsets))
+    distance = frac[None, :] - (base[None, :] + offsets)
+    np.abs(distance, out=distance)
     if shape is Shape.CIC:
-        return np.maximum(0.0, 1.0 - distance)
+        np.subtract(1.0, distance, out=distance)
+        return np.maximum(0.0, distance, out=distance)
     # TSC: quadratic spline of support 1.5 cells.
     inner = 0.75 - distance ** 2
     outer = 0.5 * (1.5 - distance) ** 2
     return np.where(distance <= 0.5, inner,
                     np.where(distance <= 1.5, outer, 0.0))
+
+
+def _tail_views(tail: np.ndarray, width: int, n: int, m: int
+                ) -> Tuple[np.ndarray, ...]:
+    """The ``(core, top, bottom, sides)`` views of an Esirkepov tail.
+
+    The tail holds window point ``(l, i, j)`` in window-point-major
+    order: a segment of all ``n`` particles when ``i`` and ``j`` are
+    both core indices (``1 .. width-2``), else a segment of the ``m``
+    movers.  With ``k = width - 2``, four views partition it:
+
+    * ``core`` ``(width, k, k, n)``: ``i`` and ``j`` in the core;
+    * ``top`` and ``bottom`` ``(width, 1, width, m)``: ``i`` is ``0``,
+      or ``width-1``;
+    * ``sides`` ``(width, k, 2, m)``: ``i`` in the core, ``j`` is ``0``
+      or ``width-1``.
+
+    With ``m == n`` the tail is the full ``(width, width, width, n)``
+    window in C order.
+    """
+    k = width - 2
+    row = 2 * m + k * n            # one core row i: ring, core, ring
+    cap = width * m                # row i = 0 or width-1
+    block = 2 * cap + k * row      # one l
+
+    def view(offset, shape, strides):
+        return as_strided(tail[offset:], shape,
+                          tuple(s * tail.itemsize for s in strides))
+
+    return (view(cap + m, (width, k, k, n), (block, row, n, 1)),
+            view(0, (width, 1, width, m), (block, cap, m, 1)),
+            view(cap + k * row, (width, 1, width, m), (block, cap, m, 1)),
+            view(cap, (width, k, 2, m), (block, row, m + k * n, 1)))
+
+
+def _current_flux(ds_a: np.ndarray, s0_b: np.ndarray, ds_b: np.ndarray,
+                  s0_c: np.ndarray, ds_c: np.ndarray, scale: np.ndarray,
+                  out: np.ndarray, scratch: Tuple[np.ndarray, ...]) -> None:
+    """``scale * cumsum_l(W_a)`` on one part of the window, into ``out``.
+
+    ``W_a[l, i, j] = ds_a[l] * (s0_b[i] s0_c[j] + ds_b[i] s0_c[j] / 2
+    + s0_b[i] ds_c[j] / 2 + ds_b[i] ds_c[j] / 3)`` is Esirkepov's
+    density-decomposition weight; ``out`` is ``(width, i, j, p)`` and
+    the inputs are ``(width, p)`` along ``l`` and ``(i or j, p)``
+    across it.  Every element takes the same operations in the same
+    order whatever part of the window it is computed in, so splitting
+    the window moves no bit.
+
+    The transverse plane and the running sum live in the three flat
+    ``scratch`` buffers, and each slot of ``out`` is written once.
+    ``out`` is a strided view of the scatter tail: an in-place ufunc on
+    it would make numpy copy it first, since it cannot cheaply rule out
+    the view overlapping itself.
+    """
+    plane, term, total = (buffer[:out[0].size].reshape(out.shape[1:])
+                          for buffer in scratch)
+    sb, db = s0_b[:, None], ds_b[:, None]
+    sc, dc = s0_c[None], ds_c[None]
+    np.multiply(sb, sc, out=plane)
+    np.multiply(0.5 * db, sc, out=term)
+    plane += term
+    np.multiply(0.5 * sb, dc, out=term)
+    plane += term
+    np.multiply(db, dc, out=term)
+    term /= 3.0
+    plane += term
+    # The cumulative sum along l: the same additions, in the same
+    # order, as np.cumsum(axis=0).
+    np.multiply(ds_a[0], plane, out=total)
+    np.multiply(total, scale, out=out[0])
+    for l in range(1, out.shape[0]):
+        np.multiply(ds_a[l], plane, out=term)
+        total += term
+        np.multiply(total, scale, out=out[l])
+
+
+def _columns(values: np.ndarray, movers: np.ndarray) -> np.ndarray:
+    """The movers' columns (last axis) of ``values``, C-contiguous (a
+    fancy-indexed subset would not be); ``values`` itself when every
+    particle moves."""
+    if movers.size == values.shape[-1]:
+        return values
+    return np.take(values, movers, axis=-1)
+
+
+def _window_cells(cells_a: np.ndarray, cells_b: np.ndarray,
+                  cells_c: np.ndarray, out: np.ndarray,
+                  scratch: np.ndarray) -> None:
+    """Flat cell index ``cells_a[l] + cells_b[i] + cells_c[j]`` of every
+    point of one part of the window, into ``out``; ``scratch`` is a
+    flat buffer (see :func:`_current_flux`)."""
+    cross = scratch[:out[0].size].reshape(out.shape[1:])
+    np.add(cells_b[:, None], cells_c[None], out=cross)
+    for l in range(out.shape[0]):
+        np.add(cells_a[l], cross, out=out[l])
 
 
 def deposit_current_esirkepov(grid: YeeGrid, ensemble: ParticleEnsemble,
@@ -279,60 +407,73 @@ def deposit_current_esirkepov(grid: YeeGrid, ensemble: ParticleEnsemble,
     margin, width = _window_parameters(shape)
     dims = grid.dims
     qw = charge_weight(ensemble)
-    if shape is Shape.CIC:
-        base = [np.floor(f0[:, a]).astype(np.int64) for a in range(3)]
-    else:
-        base = [np.round(f0[:, a]).astype(np.int64) for a in range(3)]
+    names = ("jx", "jy", "jz")
+    targets = [grid.currents[name] for name in names]
+    for target in targets:
+        _check_accumulator(target)
+    snap = np.floor if shape is Shape.CIC else np.round
+    node0 = snap(f0)
+    base = [node0[:, a].astype(np.int64) for a in range(3)]
     s0 = [_shape_on_window(f0[:, a], base[a], shape, margin, width)
           for a in range(3)]
-    s1 = [_shape_on_window(f1[:, a], base[a], shape, margin, width)
+    ds = [_shape_on_window(f1[:, a], base[a], shape, margin, width)
           for a in range(3)]
-    ds = [s1[a] - s0[a] for a in range(3)]
-
-    # Esirkepov density-decomposition weights, shape (w, w, w, N).
-    def w_factor(a: int, b: int, c: int, out: np.ndarray) -> None:
-        """W along axis ``a`` with transverse axes ``b`` and ``c``."""
-        sb, sc = s0[b][:, None, :], s0[c][None, :, :]
-        db, dc = ds[b][:, None, :], ds[c][None, :, :]
-        plane = sb * sc
-        plane += 0.5 * db * sc
-        plane += 0.5 * sb * dc
-        plane += db * dc / 3.0
-        np.multiply(ds[a][:, None, None, :], plane[None], out=out)
-
-    # J_a(i+1/2) = J_a(i-1/2) - (q w d_a / (V dt)) W_a  =>  cumulative sum.
-    cell_volume = grid.cell_volume
-    spacing = grid.spacing
-    names = ("jx", "jy", "jz")
-    for name in names:
-        _check_accumulator(grid.currents[name])
+    for a in range(3):
+        ds[a] -= s0[a]
     # Flat-index contribution of every window point along each axis,
     # shape (w, N).
     strides = flat_strides(dims)
     offsets = (np.arange(width) - margin)[:, None]
-    axis_cells = [np.mod(base[x][None, :] + offsets, dims[x]) * strides[x]
-                  for x in range(3)]
-    # One bincount input serves the three currents in turn: window
-    # point (l, m, n) of particle p sits at [l, m, n, p] of its tail.
+    axis_cells = [base[x][None, :] + offsets for x in range(3)]
+    for x in range(3):
+        np.mod(axis_cells[x], dims[x], out=axis_cells[x])
+        axis_cells[x] *= strides[x]
+    # A particle whose node does not change on any axis has both
+    # supports inside the core, so its ring contributions are exact
+    # zeros (see the module docstring).  Zeros matter only to a -0.0
+    # target cell; then everyone takes the full window.
+    if any(_negative_zeros(target).any() for target in targets):
+        movers = np.arange(qw.size)
+    else:
+        movers = np.flatnonzero((snap(f1) != node0).any(axis=1))
+    s0_m, ds_m, cells_m = ([_columns(v, movers) for v in values]
+                           for values in (s0, ds, axis_cells))
+
+    # One bincount input serves the three currents in turn (see
+    # _tail_views for its layout).
     cells = grid.num_cells
-    window = (width, width, width, qw.size)
-    index, weights = _scatter_buffers(cells, int(np.prod(window)))
-    window_cells = index[cells:].reshape(window)
-    flux = weights[cells:].reshape(window)
-    # Transverse axis order per component keeps the (l, m, n) index
+    n, m = qw.size, movers.size
+    k = width - 2
+    index, weights = _scatter_buffers(
+        cells, width * (k * k * n + (width * width - k * k) * m))
+    index_parts = _tail_views(index[cells:], width, n, m)
+    flux_parts = _tail_views(weights[cells:], width, n, m)
+    # Room for the transverse plane of the largest part, the core.
+    scratch = tuple(np.empty(k * k * n) for _ in range(3))
+    cross = np.empty(k * k * n, dtype=np.intp)
+    # Rows of the (l, i, j) window each part covers along i and j: the
+    # core, each cap (one row, every column) and the sides (the core
+    # rows, the first and last column).
+    core, top, bottom = slice(1, -1), slice(None, 1), slice(-1, None)
+    every, ends = slice(None), slice(None, None, width - 1)
+    rows = ((core, core), (top, every), (bottom, every), (core, ends))
+    # Transverse axis order per component keeps the (l, i, j) index
     # meaning (a-axis, b-axis, c-axis).
     transverse = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+    cell_volume = grid.cell_volume
+    spacing = grid.spacing
     for a in range(3):
         b, c = transverse[a]
-        w_factor(a, b, c, out=flux)
-        # In-place cumulative sum along l: the same additions, in the
-        # same order, as np.cumsum(axis=0).
-        for l in range(1, width):
-            flux[l] += flux[l - 1]
-        # Rounding is symmetric in sign, so W * -s is bit-equal to -(W * s).
-        flux *= -(qw * spacing[a] / (cell_volume * dt))
-        # l runs along axis a, m along axis b, n along axis c.
-        np.add(axis_cells[a][:, None, None],
-               (axis_cells[b][:, None] + axis_cells[c][None])[None],
-               out=window_cells)
-        _scatter_add(grid.currents[names[a]], index, weights)
+        # J_a(i+1/2) = J_a(i-1/2) - (q w d_a / (V dt)) W_a: a cumulative
+        # sum.  Rounding is symmetric in sign, so W * -s is bit-equal
+        # to -(W * s).
+        scale = -(qw * spacing[a] / (cell_volume * dt))
+        everyone = (s0, ds, axis_cells, scale)
+        moving = (s0_m, ds_m, cells_m, _columns(scale, movers))
+        for (s, d, cl, sc), (i, j), out, out_cells in zip(
+                (everyone, moving, moving, moving), rows,
+                flux_parts, index_parts):
+            _current_flux(d[a], s[b][i], d[b][i], s[c][j], d[c][j], sc,
+                          out, scratch)
+            _window_cells(cl[a], cl[b][i], cl[c][j], out_cells, cross)
+        _scatter_add(targets[a], index, weights)

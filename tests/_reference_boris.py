@@ -47,8 +47,8 @@ def boris_step(ensemble: ParticleEnsemble, fields: FieldValues, dt: float,
     inv_c = fp(1.0 / SPEED_OF_LIGHT)
     c = fp(SPEED_OF_LIGHT)
 
-    masses = ensemble.masses(dtype)
-    charges = ensemble.charges(dtype)
+    mass_lut, charge_lut = ensemble.type_table.typed_luts(dtype)
+    type_ids = ensemble.type_ids
     ex, ey, ez, bx, by, bz = (np.asarray(component, dtype=dtype)
                               for component in fields)
     x, y, z = (ensemble.component(name) for name in ("x", "y", "z"))
@@ -56,7 +56,7 @@ def boris_step(ensemble: ParticleEnsemble, fields: FieldValues, dt: float,
     gamma = ensemble.component("gamma")
 
     for i in range(ensemble.size):
-        mass, charge = masses[i], charges[i]
+        mass, charge = mass_lut[type_ids[i]], charge_lut[type_ids[i]]
         inv_mc = one / (mass * c)
         e_coeff = charge * dt_fp * half
 

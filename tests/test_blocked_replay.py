@@ -182,8 +182,7 @@ class TestEnsembleView:
         np.testing.assert_array_equal(master.component("px")[3:7], -1.0)
         assert master.component("px")[2] != -1.0
         np.testing.assert_array_equal(master.type_ids[3:7], 2)
-        np.testing.assert_array_equal(view.masses(np.float32),
-                                      master.masses(np.float32)[3:7])
+        np.testing.assert_array_equal(view.masses(), master.masses()[3:7])
 
     def test_aos_views_are_strided_soa_views_contiguous(self, layout):
         component = _filled_ensemble(layout).view(2, 8).component("x")

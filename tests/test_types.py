@@ -69,6 +69,16 @@ class TestRegistration:
             type_table[42]
 
 
+def lookups(table, dtype):
+    """The (mass, charge) lookups of one precision: the float64
+    ``masses_of`` / ``charges_of``, or ``gather`` on the ``dtype``
+    tables of ``typed_luts``."""
+    if dtype is None:
+        return table.masses_of, table.charges_of
+    return tuple(lambda ids, lut=lut: table.gather(ids, lut)[0]
+                 for lut in table.typed_luts(dtype))
+
+
 class TestVectorizedLookup:
     def test_masses_of(self, type_table):
         ids = np.array([0, 2, 1, 0], dtype=np.int16)
@@ -98,12 +108,11 @@ class TestVectorizedLookup:
         for ids in (rng.integers(0, 3, 16_384).astype(np.int16),
                     rng.integers(0, 3, (4, 5)).astype(np.int16),
                     np.int16(2), np.array([], dtype=np.int16)):
-            for lookup, master in ((type_table.masses_of,
-                                    type_table._mass_lut),
-                                   (type_table.charges_of,
-                                    type_table._charge_lut)):
+            for lookup, master in zip(lookups(type_table, dtype),
+                                      (type_table._mass_lut,
+                                       type_table._charge_lut)):
                 lut = master if dtype is None else master.astype(dtype)
-                got, want = lookup(ids, dtype=dtype), lut[ids]
+                got, want = lookup(ids), lut[ids]
                 assert np.shape(got) == np.shape(want)
                 assert np.asarray(got).dtype == np.asarray(want).dtype
                 np.testing.assert_array_equal(got, want)
@@ -114,10 +123,9 @@ class TestVectorizedLookup:
         # still run first on every path.
         for bad in (np.array([0, 3], dtype=np.int16),
                     np.array([-1, 0], dtype=np.int16), np.int16(-3)):
-            with pytest.raises(ConfigurationError):
-                type_table.masses_of(bad, dtype=dtype)
-            with pytest.raises(ConfigurationError):
-                type_table.charges_of(bad, dtype=dtype)
+            for lookup in lookups(type_table, dtype):
+                with pytest.raises(ConfigurationError):
+                    lookup(bad)
 
     def test_gather_is_a_scalar_per_table_for_one_species(self, type_table):
         masses, charges = type_table.typed_luts(np.float32)

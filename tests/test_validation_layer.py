@@ -400,13 +400,14 @@ class TestTypedSpeciesLuts:
     def test_dtype_lookup_matches_cast_of_float64(self):
         ensemble = paper_ensemble(32, Layout.SOA, Precision.SINGLE)
         for dtype in (np.float32, np.float64):
+            masses, charges = ensemble.type_table.typed_luts(dtype)
             np.testing.assert_array_equal(
-                ensemble.masses(dtype),
+                np.take(masses, ensemble.type_ids),
                 ensemble.masses().astype(dtype))
             np.testing.assert_array_equal(
-                ensemble.charges(dtype),
+                np.take(charges, ensemble.type_ids),
                 ensemble.charges().astype(dtype))
-            assert ensemble.masses(dtype).dtype == np.dtype(dtype)
+            assert masses.dtype == charges.dtype == np.dtype(dtype)
 
     def test_typed_cache_invalidated_on_register(self):
         from repro.constants import ELECTRON_MASS, ELEMENTARY_CHARGE
@@ -414,12 +415,12 @@ class TestTypedSpeciesLuts:
 
         table = default_type_table()
         ids = np.zeros(4, dtype=np.int16)
-        table.masses_of(ids, dtype=np.float32)   # warm the typed cache
+        table.typed_luts(np.float32)             # warm the typed cache
         new_id = table.register(ParticleSpecies("muon",
                                                 206.768 * ELECTRON_MASS,
                                                 -ELEMENTARY_CHARGE))
         muon_ids = np.full(4, new_id, dtype=np.int16)
-        masses = table.masses_of(muon_ids, dtype=np.float32)
+        masses = np.take(table.typed_luts(np.float32)[0], muon_ids)
         np.testing.assert_array_equal(
             masses, np.full(4, np.float32(206.768 * ELECTRON_MASS)))
 
