@@ -43,8 +43,7 @@ Quickstart::
 from __future__ import annotations
 
 import math
-import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -407,15 +406,12 @@ def _plan_stats(executor) -> Dict[str, int]:
             "kernels_eliminated": plan.kernels_eliminated}
 
 
-@contextmanager
 def _checkpointer(config: RunConfig):
-    """A step-granular checkpointer in a scratch directory, or None."""
+    """A step-granular checkpointer held in memory, or None."""
     if config.checkpoint_every <= 0:
-        yield None
-        return
+        return None
     from .resilience import Checkpointer
-    with tempfile.TemporaryDirectory() as scratch:
-        yield Checkpointer(scratch, every=config.checkpoint_every)
+    return Checkpointer(every=config.checkpoint_every)
 
 
 def _report(config: RunConfig, engine, ensemble, cache,
@@ -461,14 +457,13 @@ def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
     injection = nullcontext() if config.fault_plan is None else \
         fault_injection(named_plan(config.fault_plan),
                         seed=config.fault_seed)
-    with _checkpointer(config) as checkpointer:
-        engine = ResilientPushEngine(
-            ensemble, config.scenario, source, dt, devices=ladder,
-            checkpointer=checkpointer, fusion=config.fusion,
-            diagnostics=config.diagnostics,
-            threads_per_unit=config.threads_per_unit, program_cache=cache)
-        with injection:
-            _, recovery = engine.run(config.warmup + config.steps)
+    engine = ResilientPushEngine(
+        ensemble, config.scenario, source, dt, devices=ladder,
+        checkpointer=_checkpointer(config), fusion=config.fusion,
+        diagnostics=config.diagnostics,
+        threads_per_unit=config.threads_per_unit, program_cache=cache)
+    with injection:
+        _, recovery = engine.run(config.warmup + config.steps)
     device = config.device if config.mode == "single" \
         else recovery.final_device
     report = _report(config, engine, ensemble, cache, device=device,
@@ -488,12 +483,10 @@ def _run_sharded(config: RunConfig, source, dt: float) -> "_RunOutcome":
                         program_cache=cache)
     strategy = strategy_by_name(config.strategy, config.precision) \
         if config.strategy is not None else None
-    with _checkpointer(config) as checkpointer:
-        engine = ShardedPushEngine(
-            group, ensemble, config.scenario, source, dt,
-            strategy=strategy,
-            checkpointer=checkpointer, fusion=config.fusion)
-        group_report = engine.run_measured(config.warmup, config.steps)
+    engine = ShardedPushEngine(
+        group, ensemble, config.scenario, source, dt, strategy=strategy,
+        checkpointer=_checkpointer(config), fusion=config.fusion)
+    group_report = engine.run_measured(config.warmup, config.steps)
     report = _report(config, engine, ensemble, cache, device=config.group,
                      group_report=group_report)
     return report, ensemble, engine.queues()

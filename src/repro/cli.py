@@ -233,13 +233,15 @@ def _cmd_validate(args: argparse.Namespace) -> None:
         # Differential half: every engine x layout x precision x fusion
         # combination against the scalar reference (plus per-queue
         # hazard replay, which raises on a missing depends_on edge).
-        from .validation import run_differential
-        print()
-        diff = run_differential(
-            n=getattr(args, "diff_particles", 192),
-            steps=getattr(args, "diff_steps", 3))
-        print(diff.render())
-        failed = failed or not diff.all_passed
+        # The service cells ride along: fault-free and device-loss jobs
+        # against solo run_push runs of the same config.
+        from .validation import run_differential, run_service_differential
+        for sweep in (run_differential, run_service_differential):
+            print()
+            diff = sweep(n=getattr(args, "diff_particles", 192),
+                         steps=getattr(args, "diff_steps", 3))
+            print(diff.render())
+            failed = failed or not diff.all_passed
     if not getattr(args, "no_pic", False):
         # PIC half: every scenario x layout x execution mode of the
         # lowered PIC step must agree with the reference simulation to
@@ -842,7 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="check every paper claim against the model, then run the "
              "differential sweep (every engine x layout x precision x "
-             "fusion vs the scalar reference; see docs/VALIDATION.md)")
+             "fusion vs the scalar reference, plus service jobs vs solo "
+             "runs; see docs/VALIDATION.md)")
     validate.add_argument("--diff-particles", type=int, default=192,
                           help="ensemble size of the differential sweep "
                                "(default 192; the scalar reference is "
@@ -852,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 3)")
     validate.add_argument("--no-differential", action="store_true",
                           help="paper-claim checks only, skip the "
-                               "differential sweep")
+                               "differential and service sweeps")
     validate.add_argument("--no-pic", action="store_true",
                           help="skip the PIC differential sweep (every "
                                "scenario x deposition x layout x mode "

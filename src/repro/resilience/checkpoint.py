@@ -1,31 +1,45 @@
 """Step-granular checkpoint management for long runs.
 
-A :class:`Checkpointer` owns a directory of ``.npz`` checkpoints named
-by step number, writes one every ``every`` steps, prunes old ones down
-to ``keep``, and restores the latest on demand.  Two payload flavours
-share the naming and pruning logic:
+A :class:`Checkpointer` writes a checkpoint every ``every`` steps,
+prunes old ones down to ``keep``, and restores the latest on demand.
+It comes in two flavours that share the cadence, pruning and tracing:
+
+* **on disk** (``Checkpointer(directory)``) — a directory of
+  ``ckpt-<step>.npz`` archives that outlive the process.  Used by
+  callers that name a directory: ``PicSimulation.run(checkpointer=...)``,
+  the ``checkpoint_resume`` example and the multi-device scaling
+  benchmark;
+* **held** (``Checkpointer()``, ``directory=None``) — each checkpoint
+  is a private in-memory copy of the ensemble (a
+  :class:`HeldCheckpoint`).  Used for scratch checkpoints that only a
+  failover inside the same process ever reads: the job service,
+  ``run_push`` and the chaos self-check.
+
+Two payloads exist:
 
 * **push state** (:meth:`save_push` / :meth:`load_push`) — one
   ensemble plus its (step, time) pair, for bare Boris-push loops
-  (:class:`~repro.resilience.runner.ResilientPushEngine`, the
-  ``checkpoint_resume`` example);
+  (:class:`~repro.resilience.runner.ResilientPushEngine`, the sharded
+  runner).  Both flavours hold it;
 * **simulation state** (:meth:`save_simulation` /
   :meth:`load_simulation`) — a whole
   :class:`~repro.pic.simulation.PicSimulation`, offered to
-  ``PicSimulation.run(checkpointer=...)`` after every step.
+  ``PicSimulation.run(checkpointer=...)`` after every step.  On disk
+  only: a held checkpointer raises
+  :class:`~repro.errors.ConfigurationError`.
 
-Restores are bit-identical (the `.npz` round trip preserves every
-array exactly), which is what lets a device-loss recovery replay from
-the last checkpoint and still produce the same final particle state as
-an uninterrupted run.
+Restores are bit-identical in both flavours (the `.npz` round trip and
+the held copy preserve every array exactly), which is what lets a
+device-loss recovery replay from the last checkpoint and still produce
+the same final particle state as an uninterrupted run.
 
-Checkpoints are plain, uncompressed ``np.savez`` archives written by
-:mod:`repro.io`: about 36-38% larger than compressed ones and several
-times faster to write.  Compressed checkpoints from earlier versions
-still restore, also from a directory that mixes both.  Each save is
-atomic (temporary file, then rename), so an interrupted save never
-leaves a truncated ``ckpt-<step>.npz`` for :meth:`latest_step` to
-pick; an unreadable archive raises
+On-disk checkpoints are plain, uncompressed ``np.savez`` archives
+written by :mod:`repro.io`: about 36-38% larger than compressed ones
+and several times faster to write.  Compressed checkpoints from
+earlier versions still restore, also from a directory that mixes both.
+Each save is atomic (temporary file, then rename), so an interrupted
+save never leaves a truncated ``ckpt-<step>.npz`` for
+:meth:`latest_step` to pick; an unreadable archive raises
 :class:`~repro.errors.ConfigurationError`.
 """
 
@@ -34,49 +48,78 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..observability.tracer import active_tracer
-from ..particles.ensemble import COMPONENTS
+from ..particles.ensemble import COMPONENTS, ParticleEnsemble
 from .. import io
 
-__all__ = ["Checkpointer"]
+__all__ = ["Checkpointer", "HeldCheckpoint"]
 
 #: Checkpoint filename pattern: ``ckpt-<step>.npz``.
 _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.npz$")
 
 
+class HeldCheckpoint(NamedTuple):
+    """One in-memory push checkpoint: what a held save returns.
+
+    ``ensemble`` is a private copy; nothing else references it.
+    :meth:`stat` mirrors ``Path.stat`` so size accounting reads the
+    same for both flavours.
+    """
+
+    step: int
+    time: float
+    ensemble: ParticleEnsemble
+
+    def stat(self) -> os.stat_result:
+        """A stat record whose ``st_size`` is the bytes held."""
+        return os.stat_result((0,) * 6 + (self.ensemble.nbytes,)
+                              + (0,) * 3)
+
+
 class Checkpointer:
-    """Manages a directory of step-granular checkpoints.
+    """Manages step-granular checkpoints, on disk or held in memory.
 
     Args:
-        directory: Where checkpoints live (created if missing).
+        directory: Where checkpoints live (created if missing).  None
+            holds them in memory for the life of the checkpointer.
         every: Save cadence in steps (``maybe_*`` saves when
             ``step % every == 0`` and ``step > 0``; explicit ``save_*``
             calls always write).
         keep: How many most-recent checkpoints survive pruning.
     """
 
-    def __init__(self, directory, every: int = 10, keep: int = 3) -> None:
+    def __init__(self, directory=None, every: int = 10,
+                 keep: int = 3) -> None:
         if every < 1:
             raise ConfigurationError(f"every must be >= 1, got {every}")
         if keep < 1:
             raise ConfigurationError(f"keep must be >= 1, got {keep}")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.directory = None
+        if directory is not None:
+            self.directory = Path(directory)
+            self.directory.mkdir(parents=True, exist_ok=True)
+        self._held: Dict[int, HeldCheckpoint] = {}
         self.every = int(every)
         self.keep = int(keep)
         self.saved_count = 0
 
-    # -- directory bookkeeping -------------------------------------------
+    # -- bookkeeping -------------------------------------------------------
 
     def path_for(self, step: int) -> Path:
-        """Path of the checkpoint for one step."""
+        """Path of the checkpoint for one step (on disk only)."""
+        if self.directory is None:
+            raise ConfigurationError(
+                "a held checkpointer (directory=None) writes no files; "
+                "PIC simulation checkpoints need a directory")
         return self.directory / f"ckpt-{step:08d}.npz"
 
     def steps_on_disk(self) -> List[int]:
-        """Checkpointed step numbers, ascending."""
+        """Checkpointed step numbers, ascending (held ones too)."""
+        if self.directory is None:
+            return sorted(self._held)
         steps = []
         for name in os.listdir(self.directory):
             match = _CKPT_RE.match(name)
@@ -89,34 +132,48 @@ class Checkpointer:
         steps = self.steps_on_disk()
         return steps[-1] if steps else None
 
+    def _step_to_load(self, step: Optional[int]) -> int:
+        """``step``, or the latest one; raises when nothing is saved."""
+        step = self.latest_step() if step is None else step
+        if step is None:
+            raise ConfigurationError(
+                f"no checkpoints in {self.directory or 'memory'}")
+        return step
+
     def should_save(self, step: int) -> bool:
         """Whether the cadence calls for a checkpoint at ``step``."""
         return step > 0 and step % self.every == 0
 
+    def _drop(self, step: int) -> int:
+        """Delete one checkpoint; returns the bytes it took."""
+        if self.directory is None:
+            return self._held.pop(step).stat().st_size
+        path = self.path_for(step)
+        size = path.stat().st_size
+        path.unlink()
+        return size
+
     def _prune(self) -> None:
         for step in self.steps_on_disk()[:-self.keep]:
-            self.path_for(step).unlink()
+            self._drop(step)
 
     def gc(self) -> int:
-        """Delete every checkpoint in the directory; returns the count.
+        """Delete every checkpoint; returns the count.
 
         The end-of-life prune: once a run has completed successfully
-        its checkpoints are pure disk liability (restoring one would
+        its checkpoints are pure liability (restoring one would
         *rewind* finished work), so the service layer calls this in a
         job's cleanup phase.  Emits a ``checkpoint:gc`` tracer instant
-        recording how much was reclaimed.  Failed runs skip GC — their
-        checkpoints are the evidence.
+        recording how many bytes were reclaimed.  Failed runs skip GC
+        — their checkpoints are the evidence.
         """
         steps = self.steps_on_disk()
-        reclaimed = 0
-        for step in steps:
-            path = self.path_for(step)
-            reclaimed += path.stat().st_size
-            path.unlink()
+        reclaimed = sum(self._drop(step) for step in steps)
         tracer = active_tracer()
         if tracer is not None:
             tracer.instant("checkpoint:gc", "recovery",
-                           directory=str(self.directory),
+                           directory=None if self.directory is None
+                           else str(self.directory),
                            pruned=len(steps), bytes=reclaimed)
         return len(steps)
 
@@ -129,16 +186,22 @@ class Checkpointer:
 
     # -- push-state flavour ----------------------------------------------
 
-    def save_push(self, step: int, ensemble, time: float) -> Path:
-        """Checkpoint a push loop's state at ``step``; returns the path."""
-        path = self.path_for(step)
-        io.save_push_state(path, ensemble, time, step)
+    def save_push(self, step: int, ensemble, time: float
+                  ) -> Union[Path, HeldCheckpoint]:
+        """Checkpoint a push loop's state at ``step``; returns the path
+        (on disk) or the :class:`HeldCheckpoint`."""
+        if self.directory is None:
+            saved = self._held[step] = HeldCheckpoint(
+                step, time, ensemble.copy())
+        else:
+            saved = self.path_for(step)
+            io.save_push_state(saved, ensemble, time, step)
         self._trace(step)
         self._prune()
-        return path
+        return saved
 
     def maybe_save_push(self, step: int, ensemble, time: float
-                        ) -> Optional[Path]:
+                        ) -> Union[Path, HeldCheckpoint, None]:
         """:meth:`save_push` when the cadence says so, else None."""
         if self.should_save(step):
             return self.save_push(step, ensemble, time)
@@ -146,11 +209,16 @@ class Checkpointer:
 
     def load_push(self, step: Optional[int] = None
                   ) -> Tuple[int, float, object]:
-        """Restore ``(step, time, ensemble)`` (latest when unspecified)."""
-        step = self.latest_step() if step is None else step
-        if step is None:
-            raise ConfigurationError(
-                f"no checkpoints in {self.directory}")
+        """Restore ``(step, time, ensemble)`` (latest when unspecified).
+
+        The ensemble is always a fresh copy the caller may mutate.
+        """
+        step = self._step_to_load(step)
+        if self.directory is None:
+            if step not in self._held:
+                raise ConfigurationError(f"no checkpoint held at step {step}")
+            held = self._held[step]
+            return held.step, held.time, held.ensemble.copy()
         return io.load_push_state(self.path_for(step))
 
     def restore_push(self, ensemble) -> Tuple[int, float]:
@@ -166,7 +234,7 @@ class Checkpointer:
         ensemble.type_ids[:] = restored.type_ids
         return step, time
 
-    # -- whole-simulation flavour ----------------------------------------
+    # -- whole-simulation flavour (on disk only) -------------------------
 
     def save_simulation(self, simulation) -> Path:
         """Checkpoint a PIC simulation at its current step count."""
@@ -184,8 +252,5 @@ class Checkpointer:
 
     def load_simulation(self, step: Optional[int] = None, pusher=None):
         """Restore the PIC simulation (latest checkpoint by default)."""
-        step = self.latest_step() if step is None else step
-        if step is None:
-            raise ConfigurationError(
-                f"no checkpoints in {self.directory}")
-        return io.load_simulation(self.path_for(step), pusher=pusher)
+        return io.load_simulation(self.path_for(self._step_to_load(step)),
+                                  pusher=pusher)

@@ -17,7 +17,6 @@ errors the taxonomy documents.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -93,23 +92,21 @@ def chaos_self_check(seeds: Sequence[int] = (0, 1, 2),
     for plan_name in plans:
         for seed in seeds:
             ensemble = _fresh_ensemble(n_particles, seed)
-            with tempfile.TemporaryDirectory() as scratch:
-                checkpointer = Checkpointer(scratch, every=5, keep=2)
-                runner = None
-                with fault_injection(named_plan(plan_name),
-                                     seed=seed) as injector:
-                    try:
-                        runner = ResilientPushEngine(
-                            ensemble, "analytical", source, dt,
-                            policy=RetryPolicy(seed=seed),
-                            checkpointer=checkpointer)
-                        runner.run(steps)
-                        outcome = "completed"
-                    except DeviceLostError:
-                        outcome = "exhausted"
-                    except _DOCUMENTED_TERMINAL:
-                        outcome = "gave-up"
-                    # anything else propagates: self-check failure
+            runner = None
+            with fault_injection(named_plan(plan_name),
+                                 seed=seed) as injector:
+                try:
+                    runner = ResilientPushEngine(
+                        ensemble, "analytical", source, dt,
+                        policy=RetryPolicy(seed=seed),
+                        checkpointer=Checkpointer(every=5, keep=2))
+                    runner.run(steps)
+                    outcome = "completed"
+                except DeviceLostError:
+                    outcome = "exhausted"
+                except _DOCUMENTED_TERMINAL:
+                    outcome = "gave-up"
+                # anything else propagates: self-check failure
             if not _finite(ensemble):
                 raise AssertionError(
                     f"chaos cell plan={plan_name!r} seed={seed} produced "

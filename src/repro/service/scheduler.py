@@ -31,8 +31,9 @@ Design points:
   new placement (:meth:`~repro.resilience.runner.ResilientPushEngine.
   move_to`).  The engine owns the step loop: transient-fault retries,
   the checkpoint cadence and the restore after a device loss.
-* **Failover = checkpoint + requeue.**  Every job writes a step-0
-  checkpoint at first launch and then on a cadence; a device loss
+* **Failover = checkpoint + requeue.**  Every job holds a step-0
+  checkpoint in memory from its first launch and then one on a cadence
+  (no files: only this service ever reads them); a device loss
   makes the job's engine restore the latest checkpoint (bit-exact);
   the scheduler banks the consumed device seconds, marks the node dead
   and requeues the job.  The physics kernels are device-independent,
@@ -49,8 +50,6 @@ contract.
 
 from __future__ import annotations
 
-import re
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -75,8 +74,6 @@ DEFAULT_FLEET = "2x iris-xe-max, 1x p630, 1x cpu"
 
 #: Placement preference among equally-warm nodes (paper Table 3 order).
 _LADDER_RANK = {"iris-xe-max": 0, "p630": 1, "cpu": 2}
-
-_SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 @dataclass
@@ -168,13 +165,11 @@ class PushService:
             :data:`DEFAULT_FLEET`).
         queue: Admission queue; a default-capacity
             :class:`~repro.service.queue.JobQueue` when None.
-        workdir: Directory for per-job checkpoints.  None means a
-            private temporary directory that is removed when
-            :meth:`run` returns — pass a real path to keep failed
-            jobs' checkpoints as evidence.
         checkpoint_every: Checkpoint cadence in steps (>= 1; the
             service *requires* checkpoints — they are its failover
-            mechanism).
+            mechanism).  Each job's checkpoints are held in memory
+            (a held :class:`~repro.resilience.checkpoint.Checkpointer`):
+            only a failover inside this service ever reads them.
         retry_policy: Transient-fault retry policy shared by all jobs.
         watchdog: Launch watchdog shared by all jobs.
         preempt_margin: Minimum priority gap before a waiting job may
@@ -191,7 +186,6 @@ class PushService:
 
     def __init__(self, fleet: str = DEFAULT_FLEET,
                  queue: Optional[JobQueue] = None,
-                 workdir: Optional[str] = None,
                  checkpoint_every: int = 4,
                  retry_policy: Optional[RetryPolicy] = None,
                  watchdog: Optional[Watchdog] = None,
@@ -218,12 +212,6 @@ class PushService:
         self.preempt_margin = max(1, int(preempt_margin))
         self.max_preemptions = int(max_preemptions)
         self.on_event = on_event
-        self._scratch = None
-        if workdir is None:
-            self._scratch = tempfile.TemporaryDirectory(
-                prefix="repro-service-")
-            workdir = self._scratch.name
-        self.workdir = workdir
         self.clock = 0.0
         self._jobs: Dict[str, _Job] = {}
         self._order: List[str] = []
@@ -253,9 +241,8 @@ class PushService:
         """
         report = JobReport(name=spec.name, tenant=spec.tenant,
                            priority=spec.priority, submitted=spec.arrival)
-        directory = f"{self.workdir}/{_SAFE_NAME.sub('_', spec.name)}"
-        job = _Job(spec, report, Checkpointer(
-            directory, every=self.checkpoint_every))
+        job = _Job(spec, report,
+                   Checkpointer(every=self.checkpoint_every))
         job.seq = self._next_seq
         self._next_seq += 1
         try:
@@ -308,31 +295,27 @@ class PushService:
         limit = 1000 + 200 * sum(
             1 + job.target_steps for job in self._jobs.values())
         iterations = 0
-        try:
-            while self._live():
-                iterations += 1
-                if iterations > limit:
-                    raise ServiceError(
-                        f"scheduler made no progress after {limit} "
-                        f"iterations — this is a bug, not a job failure")
-                self._place()
-                event = self._next_event()
-                if event is None:
-                    arrival = self.queue.next_arrival(self.clock)
-                    if arrival is not None:
-                        self.clock = arrival
-                        continue
-                    self._fail_stranded()
+        while self._live():
+            iterations += 1
+            if iterations > limit:
+                raise ServiceError(
+                    f"scheduler made no progress after {limit} "
+                    f"iterations — this is a bug, not a job failure")
+            self._place()
+            event = self._next_event()
+            if event is None:
+                arrival = self.queue.next_arrival(self.clock)
+                if arrival is not None:
+                    self.clock = arrival
                     continue
-                when, _, job = event
-                self.clock = max(self.clock, when)
-                if job.sharded:
-                    self._collect_sharded(job)
-                else:
-                    self._advance_single(job)
-        finally:
-            if self._scratch is not None:
-                self._scratch.cleanup()
+                self._fail_stranded()
+                continue
+            when, _, job = event
+            self.clock = max(self.clock, when)
+            if job.sharded:
+                self._collect_sharded(job)
+            else:
+                self._advance_single(job)
         reports = {name: self._jobs[name].report for name in self._order}
         states = [r.state for r in reports.values()]
         return ServiceReport(

@@ -20,14 +20,14 @@ tolerance and hazard semantics.
 from .differential import (ComboResult, DifferentialReport, DigestCheck,
                            RunValidation, ULP_TOLERANCES, compare_ensembles,
                            reference_push, run_differential,
-                           run_pic_differential, ulp_distance,
-                           validate_run)
+                           run_pic_differential, run_service_differential,
+                           ulp_distance, validate_run)
 from .hazard import (Hazard, assert_hazard_free, check_queue, find_hazards)
 
 __all__ = [
     "Hazard", "find_hazards", "check_queue", "assert_hazard_free",
     "ComboResult", "DigestCheck", "DifferentialReport", "RunValidation",
     "ULP_TOLERANCES", "compare_ensembles", "reference_push",
-    "run_differential", "run_pic_differential", "ulp_distance",
-    "validate_run",
+    "run_differential", "run_pic_differential",
+    "run_service_differential", "ulp_distance", "validate_run",
 ]

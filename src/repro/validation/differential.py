@@ -61,7 +61,8 @@ from .hazard import assert_hazard_free
 __all__ = ["ULP_TOLERANCES", "ulp_distance", "reference_push",
            "compare_ensembles", "ComboResult", "DigestCheck",
            "DifferentialReport", "run_differential",
-           "run_pic_differential", "RunValidation", "validate_run"]
+           "run_pic_differential", "run_service_differential",
+           "RunValidation", "validate_run"]
 
 #: Maximum accepted ULP distance from the scalar reference, per storage
 #: precision.  The reference runs every intermediate in double, the
@@ -549,6 +550,101 @@ def run_pic_differential(n: int = 192, steps: int = 3,
             if tracer is not None:
                 tracer.validation(f"digest:{name}", check.passed,
                                   distinct=len(union))
+    return report
+
+
+# -- the service sweep ---------------------------------------------------
+
+#: Warm-up steps of every service cell.  The ``device-loss`` plan
+#: strikes a single-device job's fifth step, so with four warm-up steps
+#: the loss lands mid-run for any ``steps >= 1``.
+_SERVICE_WARMUP = 4
+
+#: Checkpoint cadence of every service cell.  The single-device loss
+#: then lands one step after the step-3 checkpoint, so the restore
+#: replays a step and a restore that got the particles wrong shows in
+#: the digest.
+_SERVICE_CHECKPOINT_EVERY = 3
+
+#: Service cells: (label, fault plan, fleet, placement of the config).
+#: Device-loss jobs need a spare card to fail over to.
+_SERVICE_CELLS = (
+    ("fault-free", None, "1x iris-xe-max", {"device": "iris-xe-max"}),
+    ("device-loss", "device-loss", "2x iris-xe-max",
+     {"device": "iris-xe-max"}),
+    ("device-loss-sharded", "device-loss", "2x iris-xe-max, 1x p630",
+     {"group": "2x iris-xe-max"}),
+)
+
+
+def _service_failures(cell: str, job, solo) -> List[str]:
+    """What one service job got wrong against its solo ``run_push``.
+
+    Every cell must complete with the solo digest.  A fault-free job
+    runs the same engine on the same device model from an empty
+    timeline, so its ``nsps`` and device seconds are the solo run's
+    too; a device-loss job must have restored exactly once.
+    """
+    if not job.completed:
+        return [f"job {job.state}: {job.error}"]
+    failures = [] if job.digest == solo.digest else \
+        ["digest differs from the solo run_push"]
+    if cell == "fault-free":
+        if job.restores != 0:
+            failures.append(f"{job.restores} restores")
+        if not math.isclose(job.nsps, solo.nsps, rel_tol=1e-12):
+            failures.append(f"nsps {job.nsps!r} != {solo.nsps!r}")
+        if job.device_seconds != solo.simulated_seconds:
+            failures.append(f"device seconds {job.device_seconds!r} != "
+                            f"{solo.simulated_seconds!r}")
+    elif job.restores != 1:
+        failures.append(f"{job.restores} restores, expected 1")
+    return failures
+
+
+def run_service_differential(n: int = 192, steps: int = 3,
+                             layouts: Sequence[Layout] = (Layout.AOS,
+                                                          Layout.SOA),
+                             precisions: Sequence[Precision] = (
+                                 Precision.SINGLE, Precision.DOUBLE)
+                             ) -> DifferentialReport:
+    """Service jobs against solo ``run_push`` runs of the same config.
+
+    Each layout x precision runs three service cells: a fault-free
+    single-device job (digest, ``nsps`` and device seconds equal to the
+    solo run's), a ``device-loss`` single-device job and a
+    ``device-loss`` sharded job (each completed, restored once from its
+    checkpoint, digest equal to the solo fault-free run's).  Physics
+    kernels are device-independent, so failover must not change a bit.
+    """
+    from ..api import RunConfig, run_push
+    from ..service import JobSpec, PushService
+
+    tracer = active_tracer()
+    report = DifferentialReport(
+        n_particles=n, steps=steps,
+        tolerances={p.value: 0.0 for p in precisions})
+    for precision, layout in product(precisions, layouts):
+        for cell, plan, fleet, placement in _SERVICE_CELLS:
+            config = RunConfig(n_particles=n, steps=steps,
+                               warmup=_SERVICE_WARMUP, layout=layout,
+                               precision=precision, **placement)
+            service = PushService(
+                fleet=fleet, checkpoint_every=_SERVICE_CHECKPOINT_EVERY)
+            service.submit(JobSpec("cell", config, fault_plan=plan))
+            job = service.run().jobs["cell"]
+            failures = _service_failures(cell, job, run_push(config))
+            result = ComboResult(
+                engine=f"service[{cell}]", layout=layout.value,
+                precision=precision.value,
+                fusion=FUSION_LABELS[config.fusion], max_ulp=0.0,
+                worst_component="-", digest=job.digest,
+                commands_checked=0, passed=not failures,
+                detail="; ".join(failures))
+            report.results.append(result)
+            if tracer is not None:
+                tracer.validation(f"service:{result.label}",
+                                  result.passed)
     return report
 
 

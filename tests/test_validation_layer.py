@@ -547,3 +547,38 @@ class TestScheduleExactTiling:
         schedule = Schedule.from_chunks([Chunk(0, 4, 0), Chunk(4, 10, 1)],
                                         self._topology(), 10, dynamic=False)
         assert schedule.n_items == 10
+
+
+# -- the service sweep ----------------------------------------------------
+
+class TestServiceSweep:
+    def test_small_service_sweep_passes(self):
+        from repro.validation import run_service_differential
+
+        report = run_service_differential(n=32, steps=1)
+        # fault-free, device-loss and sharded device-loss, per profile
+        assert len(report.results) == 12
+        assert report.all_passed, report.render()
+        assert {r.engine for r in report.results} == {
+            "service[fault-free]", "service[device-loss]",
+            "service[device-loss-sharded]"}
+
+    def test_a_restore_that_keeps_the_lost_state_is_flagged(
+            self, monkeypatch):
+        # A restore that rewinds the clock but not the particles replays
+        # a step over already-advanced state.  The fault-free cell never
+        # restores; the single-device loss lands a step after its last
+        # checkpoint, so its digest must show the fault.
+        from repro.resilience import Checkpointer
+        from repro.validation import run_service_differential
+
+        monkeypatch.setattr(Checkpointer, "restore_push",
+                            lambda self, ensemble: self.load_push()[:2])
+        report = run_service_differential(n=32, steps=1,
+                                          layouts=(Layout.SOA,),
+                                          precisions=(Precision.DOUBLE,))
+        verdicts = {r.engine: (r.passed, r.detail) for r in report.results}
+        assert verdicts["service[fault-free]"] == (True, "")
+        assert verdicts["service[device-loss]"] == (
+            False, "digest differs from the solo run_push")
+        assert not report.all_passed
