@@ -1,7 +1,8 @@
 """Real wall-clock benchmarks of the PIC substrate stages.
 
 Times each stage of the self-consistent loop (interpolation, push,
-deposition, field solve) and one full step, on this host.  The paper's
+deposition, periodic wrap, field solve) and one full step, on this
+host.  The paper's
 observation that the pusher dominates "for realistic problems due to a
 large number of macroparticles" is checked by construction: with many
 particles per cell, particle stages dwarf the grid stage.
@@ -70,6 +71,14 @@ def test_stage_deposition_esirkepov_all_movers(benchmark, plasma):
         deposit_current_esirkepov(grid, ensemble, old, dt)
 
     benchmark(deposit)
+
+
+def test_stage_wrap_positions(benchmark, plasma):
+    """The periodic wrap after a push of 0.01 cell per axis, which
+    carries about 0.3% of the particles out of the box."""
+    grid, ensemble, _ = plasma
+    positions = ensemble.positions() + 0.01 * SPACING
+    benchmark(grid.wrap_positions, positions)
 
 
 def test_stage_field_solve(benchmark, plasma):

@@ -84,11 +84,29 @@ class RegularGrid3D:
                 + (np.arange(n) + stagger) * self.spacing[axis])
 
     def wrap_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Map positions into the periodic box (copy)."""
+        """Map positions into the periodic box (copy).
+
+        Bit-equal to ``origin + np.mod(positions - origin, extent)``,
+        but only the box-crossers pay the division: on ``(0, extent)``
+        ``np.mod`` returns its argument exactly, and per step only a
+        few particles leave that interval.  NaN and infinities fail the
+        test too, so they still go through ``np.mod``.  Each axis is
+        one strided column: a ``(3,)`` operand broadcast against
+        ``(N, 3)`` would run numpy's inner loop three elements at a
+        time.
+        """
         pos = np.asarray(positions, dtype=np.float64)
-        org = np.asarray(self.origin)
-        ext = np.asarray(self.extent)
-        return org + np.mod(pos - org, ext)
+        wrapped = np.empty(pos.shape)
+        columns = zip(pos.reshape(-1, 3).T, wrapped.reshape(-1, 3).T,
+                      self.origin, self.extent)
+        for column, out, org, ext in columns:
+            offset = column - org
+            inside = offset > 0.0
+            inside &= offset < ext
+            cross = np.flatnonzero(~inside)
+            offset[cross] = np.mod(offset[cross], ext)
+            np.add(org, offset, out=out)
+        return wrapped
 
     def __repr__(self) -> str:
         return (f"RegularGrid3D(origin={self.origin}, spacing={self.spacing}, "

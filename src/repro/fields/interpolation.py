@@ -23,8 +23,9 @@ from .base import FieldSource, FieldValues
 from .grid import YeeGrid, YEE_STAGGER
 
 __all__ = ["Shape", "shape_weights", "cell_fractions", "flat_strides",
-           "axis_stencil", "interpolate_cic", "interpolate_component",
-           "interpolate_from_yee_grid", "GridFieldSource"]
+           "periodic_rows", "axis_stencil", "interpolate_cic",
+           "interpolate_component", "interpolate_from_yee_grid",
+           "GridFieldSource"]
 
 #: Bound on ``|fraction|``: at and beyond it a cell index overflows int64.
 _INDEX_LIMIT = 2.0 ** 63
@@ -43,6 +44,36 @@ class Shape(enum.Enum):
         return self.value + 1
 
 
+def _stencil_rows(shape: Shape, fraction: np.ndarray
+                  ) -> Tuple[np.ndarray, range, np.ndarray]:
+    """The stencil of particles at ``fraction`` (cell units), as rows.
+
+    Returns ``(node, shifts, weights)``: stencil point ``r`` of
+    particle ``p`` is grid node ``node[p] + shifts[r]`` (unwrapped)
+    with weight ``weights[r, p]``; ``weights`` is ``(support, N)``.
+    """
+    frac = np.asarray(fraction, dtype=np.float64)
+    if shape is Shape.NGP:
+        node = np.round(frac).astype(np.int64)
+        return node, range(1), np.ones((1, frac.size))
+    if shape is Shape.CIC:
+        left = np.floor(frac).astype(np.int64)
+        d = frac - left
+        weights = np.empty((2, frac.size))
+        np.subtract(1.0, d, out=weights[0])
+        weights[1] = d
+        return left, range(2), weights
+    if shape is Shape.TSC:
+        center = np.round(frac).astype(np.int64)
+        d = frac - center
+        weights = np.empty((3, frac.size))
+        weights[0] = 0.5 * (0.5 - d) ** 2
+        weights[1] = 0.75 - d ** 2
+        weights[2] = 0.5 * (0.5 + d) ** 2
+        return center, range(-1, 2), weights
+    raise ConfigurationError(f"unknown shape {shape!r}")
+
+
 def shape_weights(shape: Shape, fraction: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-axis interpolation stencil for particles at ``fraction``.
@@ -53,25 +84,9 @@ def shape_weights(shape: Shape, fraction: np.ndarray
     ``(N, support)``: the grid node indices (unwrapped) and their
     weights, which sum to 1 per particle.
     """
-    frac = np.asarray(fraction, dtype=np.float64)
-    if shape is Shape.NGP:
-        idx = np.round(frac).astype(np.int64)
-        return idx[:, None], np.ones((frac.size, 1))
-    if shape is Shape.CIC:
-        left = np.floor(frac).astype(np.int64)
-        d = frac - left
-        indices = np.stack([left, left + 1], axis=1)
-        weights = np.stack([1.0 - d, d], axis=1)
-        return indices, weights
-    if shape is Shape.TSC:
-        center = np.round(frac).astype(np.int64)
-        d = frac - center
-        indices = np.stack([center - 1, center, center + 1], axis=1)
-        weights = np.stack([0.5 * (0.5 - d) ** 2,
-                            0.75 - d ** 2,
-                            0.5 * (0.5 + d) ** 2], axis=1)
-        return indices, weights
-    raise ConfigurationError(f"unknown shape {shape!r}")
+    node, shifts, weights = _stencil_rows(shape, fraction)
+    indices = node + np.asarray(shifts)[:, None]
+    return indices.T, weights.T
 
 
 def cell_fractions(positions: np.ndarray, origin, spacing) -> np.ndarray:
@@ -100,19 +115,59 @@ def flat_strides(dims) -> Tuple[int, int, int]:
     return dims[1] * dims[2], dims[2], 1
 
 
+#: A lookup table may span at most this many periods of its axis.
+_TABLE_PERIODS = 4
+
+
+def periodic_rows(node: np.ndarray, shifts, n: int, stride: int = 1
+                  ) -> np.ndarray:
+    """``np.mod(node + shifts[r], n) * stride`` for each ``r``, bit for bit.
+
+    ``node`` is an int64 ``(N,)`` array, ``shifts`` a sequence of ints;
+    returns int64 rows, ``(len(shifts), N)``.  Integer division costs
+    several nanoseconds per element, while a stencil's nodes lie within
+    a period or so of the box.  So the wrapped, scaled value of every
+    integer the rows can hold, ``node.min() + min(shifts)`` to
+    ``node.max() + max(shifts)``, is computed once into a small table,
+    and each row is one lookup of ``node - node.min()`` in it, offset
+    by the row's shift.  When that range spans more than a few periods
+    or outnumbers the rows' elements (far-away unwrapped positions),
+    the table would cost more than it saves and ``np.mod`` runs.
+    """
+    node = np.asarray(node, dtype=np.int64)
+    rows = np.empty((len(shifts), node.size), dtype=np.int64)
+    first = min(shifts)
+    if node.size:
+        low = int(node.min())
+        span = int(node.max()) - low + max(shifts) - first + 1
+        if span <= min(_TABLE_PERIODS * n, rows.size):
+            table = np.arange(low + first, low + first + span) % n
+            table *= stride
+            rel = node - low
+            for row, shift in zip(rows, shifts):
+                # Every index is in range, so "clip" clips nothing; it
+                # lets take write into the row unbuffered.
+                np.take(table[shift - first:], rel, out=row, mode="clip")
+            return rows
+    np.add(node, np.asarray(shifts)[:, None], out=rows)
+    np.mod(rows, n, out=rows)
+    rows *= stride
+    return rows
+
+
 def axis_stencil(shape: Shape, frac: np.ndarray, dims, axis: int
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """One axis's periodic stencil for particles at ``frac`` (cell units).
 
-    Returns ``(offsets, weights)``, each ``(support, N)``: the wrapped
-    node indices times the axis's flat stride, so the flat index of a
-    3-D stencil point is the sum of one offset per axis.
+    Returns ``(offsets, weights)``, each ``(support, N)`` with one
+    C-ordered row per stencil point, the rows the gather streams
+    through: the wrapped node indices times the axis's flat stride, so
+    the flat index of a 3-D stencil point is the sum of one offset per
+    axis.
     """
-    idx, wgt = shape_weights(shape, frac)
-    # C-ordered rows: the gather streams through one row per point.
-    offsets = np.mod(idx.T, dims[axis], order="C")
-    offsets *= flat_strides(dims)[axis]
-    return offsets, np.ascontiguousarray(wgt.T)
+    node, shifts, weights = _stencil_rows(shape, frac)
+    return (periodic_rows(node, shifts, dims[axis],
+                          flat_strides(dims)[axis]), weights)
 
 
 def _plane(x, y) -> Tuple[np.ndarray, np.ndarray]:

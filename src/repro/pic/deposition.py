@@ -83,7 +83,7 @@ from numpy.lib.stride_tricks import as_strided
 from ..errors import SimulationError
 from ..fields.grid import YeeGrid
 from ..fields.interpolation import (Shape, axis_stencil, cell_fractions,
-                                    flat_strides)
+                                    flat_strides, periodic_rows)
 from ..particles.ensemble import ParticleEnsemble
 
 __all__ = ["ACCUMULATION_DTYPE", "charge_weight",
@@ -423,11 +423,8 @@ def deposit_current_esirkepov(grid: YeeGrid, ensemble: ParticleEnsemble,
     # Flat-index contribution of every window point along each axis,
     # shape (w, N).
     strides = flat_strides(dims)
-    offsets = (np.arange(width) - margin)[:, None]
-    axis_cells = [base[x][None, :] + offsets for x in range(3)]
-    for x in range(3):
-        np.mod(axis_cells[x], dims[x], out=axis_cells[x])
-        axis_cells[x] *= strides[x]
+    axis_cells = [periodic_rows(base[x], range(-margin, width - margin),
+                                dims[x], strides[x]) for x in range(3)]
     # A particle whose node does not change on any axis has both
     # supports inside the core, so its ring contributions are exact
     # zeros (see the module docstring).  Zeros matter only to a -0.0

@@ -432,6 +432,23 @@ def test_device_loss_failover_accounting():
     assert events.count("launch") == 2
 
 
+def test_device_loss_restore_replays_a_step():
+    """Set up as ``repro validate``'s ``service[device-loss]`` cells:
+    four warm-up steps and a checkpoint every 3, so the loss lands one
+    step after the step-3 checkpoint.  The restore must then replay a
+    step, and a restore that left the particles alone would show in
+    the digest."""
+    service = PushService(fleet="2x iris-xe-max", checkpoint_every=3)
+    config = small_config(n_particles=192, steps=3, warmup=4,
+                          device="iris-xe-max")
+    service.submit(JobSpec("replay", config, fault_plan="device-loss"))
+    job = service.run().jobs["replay"]
+    assert job.completed
+    assert job.restores == 1
+    assert job.replayed_steps == 1
+    assert job.digest == run_push(config).digest
+
+
 def test_fleet_exhaustion_is_a_typed_failure():
     service = PushService(fleet="1x iris-xe-max")
     service.submit(JobSpec("doomed", small_config(),
