@@ -174,12 +174,8 @@ def _pricing_devices(config) -> List[Tuple[str, DeviceDescriptor]]:
     if mode == "sharded":
         from ..distributed.group import parse_group_spec
         keys = parse_group_spec(config.group)
-    elif mode == "resilient":
-        if config.devices is not None and len(config.devices):
-            keys = [config.devices[0]]
-        else:
-            from ..resilience.runner import DEVICE_LADDER
-            keys = [DEVICE_LADDER[0]]
+    elif mode == "resilient" and config.devices:
+        keys = [config.devices[0]]
     else:
         keys = [config.device]
     return [(key, descriptor_for(key)) for key in keys]

@@ -12,9 +12,11 @@ reachable through one declarative :class:`RunConfig`, returning one
 Mode selection is by configuration shape, not by flag:
 
 * ``group`` set (a spec string like ``"2x iris-xe-max"``) — sharded
-  run across a :class:`~repro.distributed.group.DeviceGroup`;
+  run across a :class:`~repro.distributed.group.DeviceGroup`, under
+  ``fault_plan`` when one is set;
 * ``devices`` ladder or ``fault_plan`` set — resilient run walking the
-  fallback chain under the named fault plan;
+  fallback chain under the named fault plan (without ``devices`` the
+  chain starts at ``device``);
 * otherwise — a plain single-device run on ``device``: the same
   resilient engine on the one-rung ladder ``(device,)``.
 
@@ -127,9 +129,13 @@ class RunConfig:
         group: Device-group spec string ("2x iris-xe-max"); selects the
             sharded engine.
         devices: Fallback ladder of device keys; selects the resilient
-            engine (default ladder when only ``fault_plan`` is set).
+            engine.  When only ``fault_plan`` is set, the ladder is
+            ``device`` followed by the rest of
+            :data:`~repro.resilience.runner.DEVICE_LADDER`.
         fault_plan: Named fault plan to inject (see
-            :mod:`repro.resilience.plans`).
+            :mod:`repro.resilience.plans`) around the run of a ladder or
+            a group; a group recovers from device loss by
+            redistribution, which needs ``checkpoint_every``.
         fault_seed: Fault injector RNG seed.
         fusion: What the per-step kernel graph times: True fuses
             compatible kernels, False launches every node unfused,
@@ -442,27 +448,33 @@ def _report(config: RunConfig, engine, ensemble, cache,
         cache_stats=cache.stats.as_dict(), **fields)
 
 
-def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
+def _fault_injection(config: RunConfig):
+    """The run's fault plan installed, or a no-op without one."""
+    if config.fault_plan is None:
+        return nullcontext()
     from .resilience import fault_injection, named_plan
+    return fault_injection(named_plan(config.fault_plan),
+                           seed=config.fault_seed)
+
+
+def _run_resilient(config: RunConfig, source, dt: float) -> "_RunOutcome":
     from .resilience.runner import DEVICE_LADDER, ResilientPushEngine
 
     ensemble = _make_ensemble(config)
-    if config.mode == "single":
-        ladder = (config.device,)
-    elif config.devices is not None:
+    if config.devices is not None:
         ladder = tuple(config.devices)
+    elif config.mode == "single":
+        ladder = (config.device,)
     else:
-        ladder = DEVICE_LADDER
+        ladder = (config.device,) + tuple(
+            key for key in DEVICE_LADDER if key != config.device)
     cache = _program_cache(config)
-    injection = nullcontext() if config.fault_plan is None else \
-        fault_injection(named_plan(config.fault_plan),
-                        seed=config.fault_seed)
     engine = ResilientPushEngine(
         ensemble, config.scenario, source, dt, devices=ladder,
         checkpointer=_checkpointer(config), fusion=config.fusion,
         diagnostics=config.diagnostics,
         threads_per_unit=config.threads_per_unit, program_cache=cache)
-    with injection:
+    with _fault_injection(config):
         _, recovery = engine.run(config.warmup + config.steps)
     device = config.device if config.mode == "single" \
         else recovery.final_device
@@ -486,7 +498,8 @@ def _run_sharded(config: RunConfig, source, dt: float) -> "_RunOutcome":
     engine = ShardedPushEngine(
         group, ensemble, config.scenario, source, dt, strategy=strategy,
         checkpointer=_checkpointer(config), fusion=config.fusion)
-    group_report = engine.run_measured(config.warmup, config.steps)
+    with _fault_injection(config):
+        group_report = engine.run_measured(config.warmup, config.steps)
     report = _report(config, engine, ensemble, cache, device=config.group,
                      group_report=group_report)
     return report, ensemble, engine.queues()

@@ -25,8 +25,9 @@ bare key (``cpu``, ``iris-xe-max``) works; ``repro devices --backend
 cuda`` filters the inventory and ``repro bench portability`` scores
 the portable configuration across the whole matrix (docs/BACKENDS.md).
 
-``--particles`` scales the modelled ensemble (default: the paper's
-1e7; the model is O(1) in memory, so the default is cheap).
+``--particles N`` sets the particle count of every command that runs
+particles, given before or after the command; each command's default
+is its entry in :data:`DEFAULT_PARTICLES`.
 
 Any command can also be traced in place with the ``--trace`` flag,
 accepted before or after the command:
@@ -37,22 +38,24 @@ per-kernel summary table; see ``docs/PROFILING.md``.
 
 Fault injection (see ``docs/RESILIENCE.md``) follows the same pattern:
 ``--fault-plan PLAN --fault-seed N`` runs any command with the named
-deterministic fault plan installed, and ``python -m repro faults``
-runs a resilient push under that plan (``default`` when none is
-given)::
+deterministic fault plan installed::
 
-    python -m repro faults --fault-plan device-loss --steps 20
-    python -m repro faults --self-check        # chaos seed matrix
+    python -m repro push --fault-plan device-loss --checkpoint-every 5
     python -m repro bench table2 --fault-plan transient --fault-seed 7
 
-``python -m repro push`` is the facade command: one
-:class:`repro.api.RunConfig` driven end to end (single-device,
-resilient or sharded — the mode follows from the flags), with
-``--fusion/--no-fusion`` selecting the kernel-graph execution path
+``python -m repro push`` is the one push-run command: one
+:class:`repro.api.RunConfig` driven end to end.  The mode follows from
+the flags: single-device by default, resilient under ``--fault-plan``
+(the fallback ladder starts at ``--device``), sharded with ``--group``
+(split by ``--strategy``).  A sharded run also prints its per-shard
+table and exchange line, a resilient run its recovery summary.
+``--fusion/--no-fusion`` selects the kernel-graph execution path
 (``repro bench fusion`` is the fused-vs-unfused comparison).
-``repro shard`` and ``repro faults`` are facade runs too: each builds
-a ``RunConfig`` (a group, or a fault plan over the fallback ladder)
-and prints the group or recovery report of that one ``run_push``.
+
+``python -m repro validate`` checks the paper's claims, runs the
+differential sweeps and ends with the chaos self-check: every fault
+plan x three seeds, where a cell that escapes the documented error
+taxonomy or loses finite physics fails the command.
 
 ``python -m repro serve`` runs a multi-job demo schedule through the
 fault-tolerant job scheduler (:mod:`repro.service`) — mixed priorities
@@ -63,10 +66,12 @@ For these two commands the global ``--fault-plan`` scopes injection to
 *per-job* injectors instead of installing one process-wide.  See
 ``docs/SERVICE.md``.
 
-Runner commands (``bench shard faults push pic serve submit``, and
-``trace`` passing through) share one normalized flag set —
-``--device``, ``--group``, ``--precision``, ``--layout`` — defined
-once in a parent parser, so every command spells them identically.
+The runner commands (``bench push pic serve submit trace``) share one
+normalized flag set — ``--device``, ``--precision``, ``--layout`` —
+defined once in a parent parser, so every command spells them
+identically.  ``--group`` belongs to the two commands that run a
+device group, ``push`` and ``submit``: every flag a command accepts is
+one it reads.
 """
 
 from __future__ import annotations
@@ -83,16 +88,30 @@ from .particles.ensemble import Layout
 
 __all__ = ["main"]
 
-#: The paper's ensemble size — the default of ``repro validate``
-#: (``repro bench`` instead replays each suite's committed baseline
-#: configuration when ``--particles`` is omitted).
-DEFAULT_PARTICLES = 10_000_000
+#: Each command's ``--particles`` default.  ``validate`` checks the
+#: paper's ensemble size; the physics-carrying commands stay modest.
+#: A command missing here gets None: ``repro bench`` and ``repro
+#: trace`` replay each suite's own configuration, ``repro pic`` the
+#: scenario's ensemble.
+DEFAULT_PARTICLES = {
+    "validate": 10_000_000,
+    "roofline": 1_000_000,
+    "push": 200_000,
+    "escape": 5_000,
+    "serve": 2_000,
+    "submit": 2_000,
+}
+
+#: The chaos section of ``repro validate``: every fault plan x these
+#: seeds, each a resilient push of ``CHAOS_STEPS`` steps.
+CHAOS_SEEDS = (0, 1, 2)
+CHAOS_STEPS = 40
 
 
-def _particles(args: argparse.Namespace) -> int:
-    """The global ``--particles`` with the paper's default applied."""
+def _particles(args: argparse.Namespace, command: str) -> Optional[int]:
+    """``--particles``, or ``command``'s :data:`DEFAULT_PARTICLES`."""
     return args.particles if args.particles is not None \
-        else DEFAULT_PARTICLES
+        else DEFAULT_PARTICLES.get(command)
 
 
 def _baseline_dir(args: argparse.Namespace):
@@ -120,21 +139,16 @@ def _record_cells(args: argparse.Namespace, suite: str, cells,
     print(f"recorded snapshot -> {path}")
 
 
-def _run_bench_suite(suite_name: str, args: argparse.Namespace,
-                     n=None) -> None:
+def _run_bench_suite(suite_name: str, args: argparse.Namespace) -> None:
     """Display one declared suite: run, render, optionally record."""
     from .errors import ConfigurationError
     from .regress import get_suite
     test = get_suite(suite_name, directory=_baseline_dir(args))
-    kwargs = {}
-    if suite_name == "measure":
-        kwargs["steps"] = getattr(args, "measure_steps", 5)
-        n = getattr(args, "measure_particles", 200_000)
     if getattr(args, "record", False) and not test.has_baseline:
         raise ConfigurationError(
             f"suite {suite_name!r} records no baseline (sanity-only or "
             f"host-dependent); drop --record")
-    artifact = test.run(n=n, **kwargs)
+    artifact = test.run(n=args.particles)
     print(test.render(artifact))
     if test.has_baseline:
         _record_cells(args, suite_name, test.cells(artifact),
@@ -175,13 +189,13 @@ def _cmd_bench(args: argparse.Namespace) -> None:
             "repro bench: name a suite, or pass --list / --regress "
             "(try 'repro bench --list')")
     for name in suites:
-        _run_bench_suite(name, args, n=args.particles)
+        _run_bench_suite(name, args)
 
 
 def _cmd_escape(args: argparse.Namespace) -> None:
     from .analysis import run_escape_study
     curve = run_escape_study(args.power_pw * 1.0e22,
-                             n_particles=args.escape_particles,
+                             n_particles=_particles(args, "escape"),
                              cycles=args.cycles,
                              samples_per_cycle=2,
                              steps_per_cycle=200)
@@ -199,7 +213,7 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
     from .bench.harness import replay_paper_graph
     from .oneapi import Queue
 
-    n = 1_000_000
+    n = _particles(args, "roofline")
     rows = []
     for device_name in DEVICE_NAMES:
         device = device_by_name(device_name)
@@ -226,7 +240,7 @@ def _cmd_roofline(args: argparse.Namespace) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> None:
     from .bench.validation import validate_against_paper
-    report = validate_against_paper(n=_particles(args))
+    report = validate_against_paper(n=_particles(args, "validate"))
     print(report.render())
     failed = not report.all_passed
     if not getattr(args, "no_differential", False):
@@ -253,8 +267,45 @@ def _cmd_validate(args: argparse.Namespace) -> None:
             steps=getattr(args, "pic_diff_steps", 2))
         print(pic.render())
         failed = failed or not pic.all_passed
+    print()
+    failed = not _chaos_check() or failed
     if failed:
         raise SystemExit(1)
+
+
+def _chaos_check() -> bool:
+    """Print the chaos self-check table; True when every cell passed.
+
+    A cell passes when its run completed, or ended through an error the
+    taxonomy documents, with finite physics; :func:`chaos_self_check`
+    raises otherwise, and the cell's row names what escaped.
+    """
+    from .resilience import chaos_self_check
+    from .resilience.plans import PLAN_NAMES
+    rows = []
+    survived = escaped = 0
+    for plan in PLAN_NAMES:
+        for seed in CHAOS_SEEDS:
+            try:
+                (cell,) = chaos_self_check(seeds=(seed,), steps=CHAOS_STEPS,
+                                           plans=(plan,)).values()
+            except Exception as exc:    # any escape is what this reports
+                escaped += 1
+                rows.append([plan, seed, f"FAIL {type(exc).__name__}",
+                             "-", "-", "-"])
+                continue
+            survived += cell.survived
+            rows.append([plan, seed, cell.outcome, cell.faults,
+                         cell.retries, cell.devices_lost])
+    print(format_table(
+        ["plan", "seed", "outcome", "faults", "retries", "lost"],
+        rows, "Chaos self-check — every plan x seed matrix"))
+    verdict = (f"{escaped} cells escaped the documented error taxonomy "
+               f"or lost finite physics" if escaped else
+               "every cell stayed within the documented error taxonomy "
+               "and kept finite physics")
+    print(f"{survived}/{len(rows)} cells completed all steps; {verdict}")
+    return not escaped
 
 
 def _cmd_devices(args: argparse.Namespace) -> None:
@@ -283,70 +334,6 @@ def _cmd_devices(args: argparse.Namespace) -> None:
           "see docs/DISTRIBUTED.md and docs/BACKENDS.md)")
 
 
-def _cmd_shard(args: argparse.Namespace) -> None:
-    from .api import RunConfig, run_push
-
-    group_spec = args.group or "2x iris-xe-max"
-    report = run_push(RunConfig(
-        n_particles=args.shard_particles, steps=args.steps, warmup=2,
-        group=group_spec, strategy=args.strategy,
-        layout=args.layout or Layout.SOA,
-        precision=args.precision or Precision.SINGLE,
-        checkpoint_every=args.checkpoint_every)).group_report
-    rows = [[s.name, s.key, s.particles, s.steps,
-             f"{s.busy_seconds * 1e3:.2f} ms",
-             "-" if s.mean_nsps != s.mean_nsps else f"{s.mean_nsps:.2f}"]
-            for s in report.shards]
-    print(format_table(
-        ["shard", "key", "particles", "steps", "busy", "NSPS"],
-        rows,
-        f"Sharded push — {group_spec!r}, strategy {report.strategy}"))
-    print(f"group NSPS {report.nsps:.3f} over {args.steps} steps "
-          f"({report.n_particles} particles on {report.n_devices} "
-          f"devices); imbalance {report.imbalance:.2f}")
-    print(f"exchange: {report.exchange.transfers} transfers, "
-          f"{report.exchange.total_bytes} bytes, "
-          f"{report.exchange.stalls} stalls; "
-          f"redistributions {report.redistributions}")
-
-
-def _cmd_faults(args: argparse.Namespace) -> None:
-    from .api import RunConfig, run_push
-    from .resilience import chaos_self_check
-    from .resilience.runner import DEVICE_LADDER
-
-    if args.self_check:
-        results = chaos_self_check(seeds=tuple(range(args.check_seeds)),
-                                   steps=args.steps)
-        rows = [[r.plan, r.seed, r.outcome, r.faults, r.retries,
-                 r.devices_lost]
-                for r in results.values()]
-        print(format_table(
-            ["plan", "seed", "outcome", "faults", "retries", "lost"],
-            rows, "Chaos self-check — every plan x seed matrix"))
-        survived = sum(r.survived for r in results.values())
-        print(f"{survived}/{len(results)} cells completed all steps; "
-              f"every cell stayed within the documented error taxonomy "
-              f"and kept finite physics")
-        return
-
-    # --device moves that rung to the front of the fallback ladder
-    ladder = DEVICE_LADDER if args.device is None else \
-        (args.device,) + tuple(d for d in DEVICE_LADDER
-                               if d != args.device)
-    warmup = min(2, max(args.steps - 1, 0))
-    report = run_push(RunConfig(
-        n_particles=args.fault_particles, steps=args.steps - warmup,
-        warmup=warmup, devices=ladder,
-        fault_plan=args.fault_plan or "default",
-        fault_seed=args.fault_seed,
-        layout=args.layout or Layout.SOA,
-        precision=args.precision or Precision.SINGLE,
-        checkpoint_every=args.checkpoint_every))
-    print(report.recovery.summary())
-    print(f"  NSPS with recovery cost folded in: {report.nsps:.2f}")
-
-
 def _cmd_push(args: argparse.Namespace) -> None:
     from .api import RunConfig, run_push
 
@@ -354,11 +341,11 @@ def _cmd_push(args: argparse.Namespace) -> None:
         scenario=args.scenario,
         layout=args.layout or Layout.SOA,
         precision=args.precision or Precision.SINGLE,
-        n_particles=args.push_particles, steps=args.steps,
+        n_particles=_particles(args, "push"), steps=args.steps,
         warmup=args.warmup,
         device=args.device or "iris-xe-max", group=args.group,
-        fault_plan=getattr(args, "fault_plan", None),
-        fault_seed=getattr(args, "fault_seed", 0),
+        strategy=args.strategy, fault_plan=args.fault_plan,
+        fault_seed=args.fault_seed,
         fusion=args.fusion, diagnostics=args.diagnostics,
         checkpoint_every=args.checkpoint_every,
         persist_cache=args.persist_cache,
@@ -410,6 +397,27 @@ def _cmd_push(args: argparse.Namespace) -> None:
                        f"particles x {report.steps} steps"))
     for warning in report.calibration_warnings:
         print(f"warning: {warning}")
+    group = report.group_report
+    if group is not None:
+        print()
+        rows = [[s.name, s.key, s.particles, s.steps,
+                 f"{s.busy_seconds * 1e3:.2f} ms",
+                 "-" if s.mean_nsps != s.mean_nsps else f"{s.mean_nsps:.2f}"]
+                for s in group.shards]
+        print(format_table(
+            ["shard", "key", "particles", "steps", "busy", "NSPS"],
+            rows,
+            f"Sharded push — {args.group!r}, strategy {group.strategy}"))
+        print(f"group NSPS {group.nsps:.3f} over {report.steps} steps "
+              f"({group.n_particles} particles on {group.n_devices} "
+              f"devices); imbalance {group.imbalance:.2f}")
+        print(f"exchange: {group.exchange.transfers} transfers, "
+              f"{group.exchange.total_bytes} bytes, "
+              f"{group.exchange.stalls} stalls; "
+              f"redistributions {group.redistributions}")
+    if report.mode == "resilient":
+        print()
+        print(report.recovery.summary())
 
 
 def _cmd_pic(args: argparse.Namespace) -> None:
@@ -419,7 +427,7 @@ def _cmd_pic(args: argparse.Namespace) -> None:
         scenario=args.scenario,
         layout=args.layout or Layout.SOA,
         precision=args.precision or Precision.DOUBLE,
-        n_particles=args.pic_particles, steps=args.steps,
+        n_particles=_particles(args, "pic"), steps=args.steps,
         warmup=args.warmup, seed=args.seed,
         deposition=args.deposition, solver=args.solver,
         device=args.device or "iris-xe-max",
@@ -463,14 +471,14 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     service = PushService(
         fleet=args.fleet,
         on_event=None if args.quiet else _service_stream)
-    plan = getattr(args, "fault_plan", None) or "device-loss"
+    plan = args.fault_plan or "device-loss"
     tenants = ("alice", "bob")
     print(f"schedule: {args.jobs} jobs on {args.fleet!r} "
           f"(job-1 carries the {plan!r} fault plan)")
     for index in range(args.jobs):
         spec = JobSpec(
             f"job-{index}",
-            RunConfig(n_particles=args.serve_particles,
+            RunConfig(n_particles=_particles(args, "serve"),
                       steps=args.steps, warmup=1,
                       device=args.device or "iris-xe-max",
                       layout=args.layout or Layout.SOA,
@@ -478,7 +486,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             tenant=tenants[index % len(tenants)],
             priority=index % 3,
             fault_plan=plan if index == 1 else None,
-            fault_seed=getattr(args, "fault_seed", 0))
+            fault_seed=args.fault_seed)
         try:
             service.submit(spec)
         except JobRejectedError as exc:
@@ -498,7 +506,7 @@ def _cmd_submit(args: argparse.Namespace) -> None:
         scenario=args.scenario,
         layout=args.layout or Layout.SOA,
         precision=args.precision or Precision.SINGLE,
-        n_particles=args.submit_particles, steps=args.steps,
+        n_particles=_particles(args, "submit"), steps=args.steps,
         warmup=args.warmup,
         device=args.device or "iris-xe-max", group=args.group,
         fusion=args.fusion)
@@ -506,8 +514,8 @@ def _cmd_submit(args: argparse.Namespace) -> None:
                    priority=args.priority,
                    deadline_seconds=args.deadline,
                    budget_seconds=args.budget,
-                   fault_plan=getattr(args, "fault_plan", None),
-                   fault_seed=getattr(args, "fault_seed", 0))
+                   fault_plan=args.fault_plan,
+                   fault_seed=args.fault_seed)
     service = PushService(
         fleet=args.fleet,
         on_event=None if args.quiet else _service_stream)
@@ -556,16 +564,30 @@ def _add_fault_flags(parser: argparse.ArgumentParser, default) -> None:
                              "faults; default 0)")
 
 
+def _add_particles_flag(parser: argparse.ArgumentParser, default) -> None:
+    defaults = ", ".join(f"{command} {n:,}"
+                         for command, n in DEFAULT_PARTICLES.items())
+    parser.add_argument("--particles", type=int, default=default,
+                        help=f"particle count (default: {defaults}; pic "
+                             f"takes the scenario's, bench and trace "
+                             f"each suite's own configuration)")
+
+
+def _add_group_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--group", default=None, metavar="SPEC",
+                        help="device-group spec: comma-separated keys, "
+                             "each optionally '<n>x <key>' (e.g. "
+                             "'2x iris-xe-max'); selects sharded "
+                             "execution")
+
+
 def _runner_parent() -> argparse.ArgumentParser:
     """The shared flag set of every runner command.
 
     One definition, attached as an argparse *parent*, so ``bench``,
-    ``shard``, ``faults``, ``push``, ``pic``, ``serve``, ``submit``
-    and ``trace`` all spell device/group/precision/layout selection
-    identically.
-    Commands map each flag onto their own semantics (``bench`` filters
-    recorded cells; ``shard`` builds its ensemble; ``faults``
-    reorders the fallback ladder).
+    ``push``, ``pic``, ``serve``, ``submit`` and ``trace`` all spell
+    device/precision/layout selection identically.  ``bench`` and
+    ``trace`` filter recorded cells by them; the others run on them.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--device", default=None, metavar="SPEC",
@@ -576,11 +598,6 @@ def _runner_parent() -> argparse.ArgumentParser:
                              "or keys exit 2 (command-specific "
                              "default; for tables, filters recorded "
                              "cells)")
-    parent.add_argument("--group", default=None, metavar="SPEC",
-                        help="device-group spec: comma-separated keys, "
-                             "each optionally '<n>x <key>' (e.g. "
-                             "'2x iris-xe-max'); selects sharded "
-                             "execution where supported")
     parent.add_argument("--precision", choices=["float", "double"],
                         default=None,
                         help="arithmetic precision (command-specific "
@@ -610,11 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Regenerate the tables and figures of the Boris-on-"
                     "DPC++ paper from the simulated oneAPI runtime.")
-    parser.add_argument("--particles", type=int, default=None,
-                        help="modelled particle count (default: "
-                             "'repro bench' replays each suite's "
-                             "committed baseline configuration; "
-                             "'repro validate' uses the paper's 1e7)")
+    _add_particles_flag(parser, default=None)
     _add_trace_flag(parser, default=None)
     _add_fault_flags(parser, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -647,60 +660,21 @@ def build_parser() -> argparse.ArgumentParser:
                             "suite=/device=/backend=/tag=NAME; repeat "
                             "to AND (e.g. --filter smoke, --filter "
                             "device=cpu,tag=paper)")
-    bench.add_argument("--measure-particles", type=int, default=200_000,
-                       help="ensemble size of the 'measure' suite "
-                            "(default 200000)")
-    bench.add_argument("--measure-steps", type=int, default=5,
-                       help="timed steps of the 'measure' suite "
-                            "(default 5)")
     escape = sub.add_parser("escape",
                             help="particle-escape physics study")
     escape.add_argument("--power-pw", type=float, default=0.1,
                         help="wave power in PW (paper: 0.1)")
-    escape.add_argument("--escape-particles", type=int, default=5_000)
     escape.add_argument("--cycles", type=int, default=5)
-    faults = sub.add_parser(
-        "faults", parents=[parent],
-        help="drive a resilient push under a named fault plan, or run "
-             "the chaos self-check matrix")
-    faults.add_argument("--steps", type=int, default=40,
-                        help="push steps to run, the first two of them "
-                             "warm-up (default 40)")
-    faults.add_argument("--fault-particles", type=int, default=4096,
-                        help="ensemble size for the resilient push "
-                             "(default 4096; physics-carrying, so keep "
-                             "it modest)")
-    faults.add_argument("--checkpoint-every", type=int, default=5,
-                        help="step-granular checkpoint cadence (default 5)")
-    faults.add_argument("--self-check", action="store_true",
-                        help="run every plan x seed chaos cell and "
-                             "verify nothing escapes the documented "
-                             "error taxonomy")
-    faults.add_argument("--check-seeds", type=int, default=3,
-                        help="seeds per plan for --self-check (default 3)")
-    from .distributed.sharding import STRATEGY_NAMES
-    shard = sub.add_parser(
-        "shard", parents=[parent],
-        help="run a sharded push across a multi-device group "
-             "(see docs/DISTRIBUTED.md; --group defaults to "
-             "'2x iris-xe-max')")
-    shard.add_argument("--strategy", choices=STRATEGY_NAMES,
-                       default="even",
-                       help="sharding strategy (default even)")
-    shard.add_argument("--steps", type=int, default=12,
-                       help="measured push steps (default 12; two "
-                            "warm-up steps run and reset first)")
-    shard.add_argument("--shard-particles", type=int, default=200_000,
-                       help="ensemble size (default 200000; "
-                            "physics-carrying, so keep it modest)")
-    shard.add_argument("--checkpoint-every", type=int, default=5,
-                       help="checkpoint cadence enabling device-loss "
-                            "redistribution (default 5)")
     push = sub.add_parser(
         "push", parents=[parent],
         help="run one push workload through the repro.api facade "
              "(single-device, resilient or sharded — the mode follows "
              "from the flags; see docs/API.md)")
+    _add_group_flag(push)
+    from .distributed.sharding import STRATEGY_NAMES
+    push.add_argument("--strategy", choices=STRATEGY_NAMES, default=None,
+                      help="sharding strategy of a --group run (default "
+                           "even)")
     push.add_argument("--scenario", choices=["precalculated", "analytical"],
                       default="precalculated",
                       help="field handling (default precalculated)")
@@ -709,9 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     push.add_argument("--warmup", type=int, default=2,
                       help="warm-up steps excluded from steady NSPS "
                            "(default 2)")
-    push.add_argument("--push-particles", type=int, default=200_000,
-                      help="ensemble size (default 200000; "
-                           "physics-carrying, so keep it modest)")
     push.add_argument("--fusion", action=argparse.BooleanOptionalAction,
                       default=None,
                       help="kernel-graph execution: --fusion fuses "
@@ -752,9 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     pic.add_argument("--scenario", choices=scenario_names(),
                      default="laser-slab",
                      help="registered PIC scenario (default laser-slab)")
-    pic.add_argument("--pic-particles", type=int, default=None,
-                     help="ensemble size (default: the scenario's; "
-                          "physics-carrying, so keep it modest)")
     pic.add_argument("--steps", type=int, default=8,
                      help="measured PIC steps (default 8)")
     pic.add_argument("--warmup", type=int, default=2,
@@ -793,9 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "priorities and tenants)")
     serve.add_argument("--steps", type=int, default=6,
                        help="measured push steps per job (default 6)")
-    serve.add_argument("--serve-particles", type=int, default=2000,
-                       help="ensemble size per job (default 2000; "
-                            "physics-carrying, so keep it modest)")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress the streamed per-job lifecycle "
                             "events")
@@ -805,6 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(priority, tenant, deadline, budget); --fault-plan "
              "injects faults scoped to this job; exits 1 if the job "
              "fails, 2 if admission rejects it")
+    _add_group_flag(submit)
     submit.add_argument("--name", default="job",
                         help="job name (default 'job')")
     submit.add_argument("--fleet", default=DEFAULT_FLEET, metavar="SPEC",
@@ -819,8 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--warmup", type=int, default=2,
                         help="warm-up steps excluded from steady NSPS "
                              "(default 2)")
-    submit.add_argument("--submit-particles", type=int, default=2000,
-                        help="ensemble size (default 2000)")
     submit.add_argument("--priority", type=int, default=0,
                         help="scheduling priority (larger = more "
                              "urgent; default 0)")
@@ -845,7 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="check every paper claim against the model, then run the "
              "differential sweep (every engine x layout x precision x "
              "fusion vs the scalar reference, plus service jobs vs solo "
-             "runs; see docs/VALIDATION.md)")
+             "runs) and the chaos self-check (every fault plan x three "
+             "seeds; see docs/VALIDATION.md)")
     validate.add_argument("--diff-particles", type=int, default=192,
                           help="ensemble size of the differential sweep "
                                "(default 192; the scalar reference is "
@@ -854,8 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="push steps per sweep combination "
                                "(default 3)")
     validate.add_argument("--no-differential", action="store_true",
-                          help="paper-claim checks only, skip the "
-                               "differential and service sweeps")
+                          help="skip the differential and service "
+                               "sweeps")
     validate.add_argument("--no-pic", action="store_true",
                           help="skip the PIC differential sweep (every "
                                "scenario x deposition x layout x mode "
@@ -874,25 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="show one backend only ('oneapi' or "
                               "'cuda'); validated by the registry, so "
                               "an unknown name exits 2")
-    commands = [
-        bench,
-        escape,
-        sub.add_parser("roofline",
-                       help="arithmetic-intensity analysis per device"),
-        validate,
-        devices,
-        faults,
-        shard,
-        push,
-        pic,
-        serve,
-        submit,
-    ]
-    for command in commands:
-        # accept --trace after the command too; SUPPRESS keeps a value
-        # given before the command from being clobbered by the default
-        _add_trace_flag(command, default=argparse.SUPPRESS)
-        _add_fault_flags(command, default=argparse.SUPPRESS)
+    roofline = sub.add_parser(
+        "roofline", help="arithmetic-intensity analysis per device")
     from .regress import SUITES
     trace = sub.add_parser(
         "trace", parents=[parent],
@@ -903,6 +851,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="which bench suite to trace")
     trace.add_argument("--out", required=True, metavar="OUT.json",
                        help="path of the Chrome trace to write")
+    for command in (bench, escape, roofline, validate, push, pic, serve,
+                    submit, trace):
+        # accept --particles after the command too; SUPPRESS keeps a
+        # value given before the command from being clobbered
+        _add_particles_flag(command, default=argparse.SUPPRESS)
+    for command in (bench, escape, roofline, validate, devices, push, pic,
+                    serve, submit):
+        _add_trace_flag(command, default=argparse.SUPPRESS)
+        _add_fault_flags(command, default=argparse.SUPPRESS)
     return parser
 
 
@@ -912,8 +869,6 @@ _COMMANDS = {
     "roofline": _cmd_roofline,
     "validate": _cmd_validate,
     "devices": _cmd_devices,
-    "faults": _cmd_faults,
-    "shard": _cmd_shard,
     "push": _cmd_push,
     "pic": _cmd_pic,
     "serve": _cmd_serve,
@@ -972,7 +927,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     def run() -> None:
         if args.command == "trace" and command != "validate":
             # `repro trace SUITE` is `repro bench SUITE` under the tracer
-            _run_bench_suite(command, args, n=args.particles)
+            _run_bench_suite(command, args)
         else:
             _COMMANDS[command](args)
 
@@ -984,12 +939,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from .errors import ReproError
     try:
-        if plan_name is not None and command not in ("faults", "push",
-                                                     "serve", "submit"):
-            # faults installs its own injector from --fault-plan
-            # (default: the 'default' plan); push routes
-            # --fault-plan through RunConfig (it selects resilient
-            # mode); serve/submit scope injection to per-job injectors
+        if plan_name is not None and command not in ("push", "serve",
+                                                     "submit"):
+            # push routes --fault-plan through RunConfig, which installs
+            # it around the run; serve/submit scope injection to per-job
+            # injectors
             from .resilience import fault_injection, named_plan
             with fault_injection(named_plan(plan_name),
                                  seed=getattr(args, "fault_seed", 0)):

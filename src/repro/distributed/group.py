@@ -8,8 +8,8 @@ calibrated descriptors but renamed per instance (``"Intel Iris Xe Max
 #1"``), so traces, fault rules and reports can target one card of a
 pair.
 
-Groups are described by a compact spec string, the same grammar the
-``repro shard`` CLI accepts::
+Groups are described by a compact spec string, the same grammar
+``repro push --group`` accepts::
 
     "2x iris-xe-max"            # homogeneous pair
     "cpu, p630, iris-xe-max"    # one of everything

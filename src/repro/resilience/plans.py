@@ -7,7 +7,7 @@ so the default :class:`~repro.resilience.recovery.RetryPolicy` recovers
 with margin — chaos testing is about exercising recovery paths, not
 about guaranteed death.
 
-Use :func:`named_plan` to look a plan up by name (``repro faults
+Use :func:`named_plan` to look a plan up by name (``repro push
 --fault-plan chaos``); :data:`PLAN_NAMES` lists what it accepts.
 """
 

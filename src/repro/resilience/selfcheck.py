@@ -1,7 +1,7 @@
 """Chaos self-check: every fault plan x a seed matrix, nothing escapes.
 
-The smoke test behind ``repro faults --self-check`` (and the marked
-``slow`` pytest): run a small resilient push under *every* named fault
+The smoke test behind the chaos section of ``repro validate`` (and
+the marked ``slow`` pytest): run a small resilient push under *every* named fault
 plan for a matrix of seeds and demand that
 
 * no exception other than the documented terminal one (a

@@ -124,6 +124,24 @@ class TestRunPush:
         assert lost.digest == fault_free.digest
         assert lost.simulated_seconds > fault_free.simulated_seconds
 
+    def test_fault_plan_ladder_starts_at_device(self):
+        report = run_push(RunConfig(n_particles=2000, steps=3, warmup=2,
+                                    checkpoint_every=2, device="cpu",
+                                    fault_plan="device-loss"))
+        assert report.recovery.devices_lost == ("cpu",)
+
+    def test_group_run_honours_fault_plan(self):
+        # the group drops the lost member, restores the checkpoint and
+        # replays on the survivor: same physics as the fault-free run
+        config = dict(n_particles=2000, steps=4, warmup=2,
+                      checkpoint_every=2, group="2x iris-xe-max")
+        fault_free = run_push(RunConfig(**config))
+        lost = run_push(RunConfig(**config, fault_plan="device-loss"))
+        assert fault_free.group_report.redistributions == 0
+        assert lost.group_report.redistributions == 1
+        assert lost.group_report.n_devices == 1
+        assert lost.digest == fault_free.digest
+
     @pytest.mark.parametrize("device,scenario,nsps,first_step_nsps", [
         ("cpu", "precalculated", 4.707688017230731, 36836.73893801723),
         ("cpu", "analytical", 4.473120792675395, 36742.754370792674),
@@ -385,8 +403,8 @@ class TestCliNormalizedFlags:
     def test_runner_commands_share_flag_set(self):
         from repro.cli import build_parser
         parser = build_parser()
-        for command in ("bench", "shard", "faults", "push", "pic",
-                        "serve", "submit", "trace"):
+        for command in ("bench", "push", "pic", "serve", "submit",
+                        "trace"):
             if command == "trace":
                 argv = [command, "table2", "--out", "/tmp/x.json"]
             else:
@@ -395,7 +413,10 @@ class TestCliNormalizedFlags:
                 argv + ["--layout", "SoA", "--precision", "float"])
             assert args.layout == "SoA"
             assert args.precision == "float"
-            assert hasattr(args, "device") and hasattr(args, "group")
+            assert hasattr(args, "device")
+            # only the two commands that run a device group take one
+            assert hasattr(args, "group") == (command in ("push",
+                                                          "submit"))
             # only the two commands that reach the suite runner record
             assert hasattr(args, "record") == (command in ("bench",
                                                            "trace"))
@@ -406,3 +427,34 @@ class TestCliNormalizedFlags:
         assert parser.parse_args(["push"]).fusion is None
         assert parser.parse_args(["push", "--fusion"]).fusion is True
         assert parser.parse_args(["push", "--no-fusion"]).fusion is False
+
+    def test_parser_inventory(self):
+        import argparse
+        from repro.cli import build_parser
+        parser = build_parser()
+        (sub,) = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert set(sub.choices) == {
+            "bench", "escape", "push", "pic", "serve", "submit",
+            "validate", "devices", "roofline", "trace"}
+        particle_flags = {
+            flag for command in (parser, *sub.choices.values())
+            for action in command._actions
+            for flag in action.option_strings if flag.endswith("particles")}
+        assert particle_flags == {"--particles", "--diff-particles",
+                                  "--pic-diff-particles"}
+
+    def test_particles_before_or_after_the_command(self):
+        from repro.cli import build_parser
+        parser = build_parser()
+        assert parser.parse_args(["--particles", "7", "push"]).particles == 7
+        assert parser.parse_args(["push", "--particles", "7"]).particles == 7
+        assert parser.parse_args(["push"]).particles is None
+
+    def test_pic_rejects_group(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc_info:
+            main(["pic", "--group", "2x cpu", "--particles", "256",
+                  "--steps", "1"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -265,7 +265,7 @@ class TestConfigValidation:
 class TestCli:
     def test_push_auto_runs(self, capsys):
         assert main(["push", "--auto", "--device", "iris-xe-max",
-                     "--push-particles", "4096", "--steps", "4"]) == 0
+                     "--particles", "4096", "--steps", "4"]) == 0
         out = capsys.readouterr().out
         assert "candidate" in out
         assert "autotuned" in out

@@ -298,14 +298,14 @@ class TestBackendCli:
     def test_unknown_device_spec_exits_2(self, capsys):
         from repro.cli import main
         code = main(["push", "--device", "rocm:gfx90a",
-                     "--push-particles", "64", "--steps", "1"])
+                     "--particles", "64", "--steps", "1"])
         assert code == 2
         assert "unknown backend" in capsys.readouterr().err
 
     def test_push_runs_on_cuda_spec(self, capsys):
         from repro.cli import main
         code = main(["push", "--device", "cuda:gpu1",
-                     "--push-particles", "256", "--steps", "2",
+                     "--particles", "256", "--steps", "2",
                      "--warmup", "1"])
         assert code == 0
         assert "cuda:gpu1" in capsys.readouterr().out

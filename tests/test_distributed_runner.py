@@ -226,10 +226,12 @@ def test_cli_devices_and_shard(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "peak DP" in out and "host link" in out
 
-    assert main(["shard", "--group", "2x p630", "--steps", "2",
-                 "--shard-particles", "2000"]) == 0
+    assert main(["push", "--group", "2x p630", "--steps", "2",
+                 "--particles", "2000"]) == 0
     out = capsys.readouterr().out
+    assert "Sharded push — '2x p630'" in out
     assert "group NSPS" in out
+    assert "exchange:" in out
     # the shard baseline is written by `bench shard --record` only,
     # in the regression farm's schema v1
     assert main(["--particles", "2000", "bench", "shard", "--record",
@@ -245,11 +247,11 @@ def test_cli_devices_and_shard(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [["--halo", "0.1"], ["--no-overlap"],
                                   ["--rebalance-every", "2"]])
 def test_cli_shard_has_no_engine_only_knobs(argv, capsys):
-    # `repro shard` is a facade run; these engine keywords have no
-    # RunConfig field, so argparse rejects them
+    # `repro push --group` is a facade run; these engine keywords have
+    # no RunConfig field, so argparse rejects them
     from repro.cli import main
 
     with pytest.raises(SystemExit) as exc_info:
-        main(["shard", *argv])
+        main(["push", "--group", "2x iris-xe-max", *argv])
     assert exc_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err

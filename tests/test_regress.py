@@ -339,9 +339,10 @@ def test_cli_bench_record_then_regress(tmp_path, capsys, suite):
 
 
 @pytest.mark.parametrize("argv", [
-    ["push", "--record"], ["pic", "--record"], ["shard", "--record"],
-    ["faults", "--record"], ["serve", "--record"], ["submit", "--record"],
-    ["portability"],
+    ["push", "--record"], ["pic", "--record"],
+    ["push", "--group", "cpu,p630", "--record"],
+    ["push", "--fault-plan", "device-loss", "--record"],
+    ["serve", "--record"], ["submit", "--record"], ["portability"],
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_only_bench_and_trace_write_baselines(argv):
     """Every other spelling of a baseline write is a usage error."""

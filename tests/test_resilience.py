@@ -431,26 +431,34 @@ class TestDeviceFallback:
 
 
 class TestCli:
+    PUSH = ["--steps", "8", "--warmup", "2", "--checkpoint-every", "5",
+            "--particles", "512"]
+
     def test_faults_command_runs(self, capsys):
         from repro.cli import main
-        assert main(["faults", "--fault-plan", "device-loss", "--steps",
-                     "12", "--fault-particles", "512"]) == 0
+        assert main(["push", "--fault-plan", "device-loss",
+                     *self.PUSH]) == 0
         out = capsys.readouterr().out
         assert "plan=device-loss" in out
         assert "devices lost" in out
 
     def test_faults_device_loss_plan_loses_iris_xe_max(self, capsys):
         # the global --fault-plan (either side of the command) drives
-        # the resilient push; without it the 'default' plan runs
+        # the resilient push, whose ladder starts at --device; without
+        # a plan the push is a single-device run with no recovery
         from repro.cli import main
-        assert main(["--fault-plan", "device-loss", "faults", "--steps",
-                     "10", "--fault-particles", "512"]) == 0
+        assert main(["--fault-plan", "device-loss", "push",
+                     *self.PUSH]) == 0
         out = capsys.readouterr().out
         assert "plan=device-loss" in out
         assert "devices lost: iris-xe-max" in out
-        assert main(["faults", "--steps", "10",
-                     "--fault-particles", "512"]) == 0
-        assert "plan=default" in capsys.readouterr().out
+        assert main(["push", "--device", "cpu", "--fault-plan",
+                     "device-loss", *self.PUSH]) == 0
+        assert "devices lost: cpu" in capsys.readouterr().out
+        assert main(["push", *self.PUSH]) == 0
+        out = capsys.readouterr().out
+        assert "mode                       single" in out
+        assert "plan=" not in out
 
     def test_fault_flags_accepted_globally(self):
         from repro.cli import build_parser

@@ -558,7 +558,7 @@ class TestServiceCli:
     def test_serve_exit_zero(self, capsys):
         from repro.cli import main
         assert main(["serve", "--jobs", "3", "--steps", "3",
-                     "--serve-particles", "400"]) == 0
+                     "--particles", "400"]) == 0
         out = capsys.readouterr().out
         assert "completed" in out
         assert "[job-1]" in out               # streamed progress lines
@@ -566,7 +566,7 @@ class TestServiceCli:
     def test_submit_survives_device_loss(self, capsys):
         from repro.cli import main
         assert main(["submit", "--name", "cli-job", "--steps", "4",
-                     "--warmup", "1", "--submit-particles", "400",
+                     "--warmup", "1", "--particles", "400",
                      "--fault-plan", "device-loss"]) == 0
         out = capsys.readouterr().out
         assert "cli-job" in out and "completed" in out

@@ -71,7 +71,25 @@ class TestCli:
         assert "96" in out
 
     def test_measure_command_small(self, capsys):
-        assert main(["bench", "measure", "--measure-particles", "2000",
-                     "--measure-steps", "1"]) == 0
+        assert main(["bench", "measure", "--particles", "2000"]) == 0
         out = capsys.readouterr().out
         assert "NSPS" in out
+
+    def test_roofline_reads_particles(self, capsys, monkeypatch):
+        # the roofline NSPS is per particle, so only the graph size
+        # shows which count the command read
+        import repro.bench.harness as harness
+        sizes = []
+        replay = harness.replay_paper_graph
+
+        def recording(queue, n, *args, **kwargs):
+            sizes.append(n)
+            return replay(queue, n, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "replay_paper_graph", recording)
+        assert main(["roofline"]) == 0
+        assert set(sizes) == {1_000_000}
+        sizes.clear()
+        assert main(["roofline", "--particles", "1000"]) == 0
+        assert set(sizes) == {1000}
+        assert "roofline NSPS" in capsys.readouterr().out

@@ -50,4 +50,28 @@ class TestCliValidate:
     def test_exit_code_zero_on_pass(self, capsys):
         from repro.cli import main
         assert main(["--particles", "1000000", "validate"]) == 0
-        assert "checks passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "checks passed" in out
+        assert "Chaos self-check" in out
+        assert "18/18 cells completed all steps" in out
+
+    def test_escaped_chaos_cell_exits_one(self, capsys, monkeypatch):
+        import repro.resilience
+        from repro.cli import main
+
+        check = repro.resilience.chaos_self_check
+
+        def escaping(seeds, steps, plans):
+            if plans == ("transient",) and seeds == (1,):
+                raise RuntimeError("escaped the taxonomy")
+            return check(seeds=seeds, steps=steps, plans=plans)
+
+        monkeypatch.setattr(repro.resilience, "chaos_self_check", escaping)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--particles", "1000000", "validate",
+                  "--no-differential", "--no-pic"])
+        assert exc_info.value.code == 1
+        out = capsys.readouterr().out
+        assert "checks passed" in out
+        assert "FAIL RuntimeError" in out
+        assert "1 cells escaped the documented error taxonomy" in out

@@ -484,14 +484,14 @@ class TestCliExitCodes:
         from repro.cli import main
 
         code = main(["push", "--group", "not-a-device",
-                     "--push-particles", "64", "--steps", "1"])
+                     "--particles", "64", "--steps", "1"])
         assert code == 2
         assert "unknown device" in capsys.readouterr().err
 
     def test_unknown_group_count_exits_2(self, capsys):
         from repro.cli import main
 
-        code = main(["shard", "--group", "0x iris-xe-max"])
+        code = main(["push", "--group", "0x iris-xe-max"])
         assert code == 2
 
     def test_record_with_fault_plan_rejected(self, capsys, tmp_path):
@@ -513,7 +513,7 @@ class TestCliExitCodes:
     def test_push_validate_flag_runs(self, capsys):
         from repro.cli import main
 
-        code = main(["push", "--push-particles", "64", "--steps", "1",
+        code = main(["push", "--particles", "64", "--steps", "1",
                      "--warmup", "0", "--validate"])
         assert code == 0
         assert "hazard-free" in capsys.readouterr().out
